@@ -144,33 +144,15 @@ def cmd_check_constraints(args):
 
 
 def cmd_reconstruct(args):
-    from .grid import GridField, write_field
-    from .harness import generate_scenario
-    from .reconstruction import frame_from_normal_basis, reconstruct, write_reconstruction_csv
+    from .harness import generate_scenario, reconstruct_and_write
     from .trajectory import load_trajectory
 
     cfg = _load(args)
     bundle = generate_scenario(cfg)
     snapdir = args.snapshots or os.path.join(cfg.output_dir, "snapshots")
     traj = load_trajectory(snapdir, grid=bundle.grid)
-    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-    result = reconstruct(
-        traj,
-        frame0,
-        bundle.immersion,
-        drift_tol=cfg.frame_drift_tol,
-        consistency_tol=cfg.consistency_tol,
-    )
     os.makedirs(cfg.output_dir, exist_ok=True)
-    write_reconstruction_csv(os.path.join(cfg.output_dir, "reconstruction.csv"), result)
-    recon_dir = os.path.join(cfg.output_dir, "immersions")
-    os.makedirs(recon_dir, exist_ok=True)
-    for i, imm in enumerate(result.immersions):
-        for comp in range(imm.ambient_dim):
-            write_field(
-                os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"),
-                GridField.from_real(traj.grid, imm.dev[comp], name=f"F{comp}"),
-            )
+    result = reconstruct_and_write(cfg, bundle, traj, cfg.output_dir)
     finite = [r for r in result.smcf_residual if r == r]
     worst = max(finite) if finite else float("nan")
     print(f"reconstruct: flow residual (L2) max {worst:.3e} over {len(result.times)} slices")

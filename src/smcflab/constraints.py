@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MetricState, SecondForm, covariant_derivative, curvature, ricci_from_lambda
+from .geometry import (
+    MetricState,
+    SecondForm,
+    covariant_derivative,
+    curl_source,
+    curvature,
+    raise_first,
+    ricci_from_lambda,
+)
 from .grid import Grid
 from .trajectory import Trajectory
 
@@ -45,16 +53,6 @@ def _norms(grid: Grid, res, constituents):
         rel=l2 / scale if scale > 0 else l2,
         scale=scale,
     )
-
-
-def _lam_up(m: MetricState, lam):
-    return m.grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, lam))
-
-
-def _curl_source(m: MetricState, sf: SecondForm):
-    """w_{ab} = Im(lam^g_a lambar_{bg}); antisymmetric."""
-    lam_up = _lam_up(m, sf.lam)
-    return m.grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", lam_up, np.conj(sf.lam))))
 
 
 def residual_T1(m: MetricState, sf: SecondForm):
@@ -93,7 +91,7 @@ def residual_T4(m: MetricState, sf: SecondForm, A):
     """Curvature of the normal connection against Im(lam lambar)."""
     nabA = covariant_derivative(A, m, valence="l")  # [a, b] = nabla_a A_b
     curl = nabA - np.swapaxes(nabA, 0, 1)
-    w = _curl_source(m, sf)
+    w = curl_source(m.grid, raise_first(m, sf.lam), sf.lam)
     res = curl - w
     return res, _norms(m.grid, res, [curl, w])
 
@@ -109,7 +107,7 @@ def residual_T5(grid: Grid, rec_prev, rec, rec_next):
     sf = rec.second_form(grid)
     dtA = _centered_dt(rec_prev.A, rec_next.A, rec_prev.t, rec_next.t)
     dB = grid.grad(s.B)
-    lam_up = _lam_up(m, sf.lam)
+    lam_up = raise_first(m, sf.lam)
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
     re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
     w2 = grid.dealias(np.imag(np.einsum("ga...,gs...->as...", lam_up, np.conj(sf.lam))))
@@ -141,12 +139,13 @@ def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     grid = traj.grid
     rec = traj[i]
     s = rec.gauge(grid)
+    m = curvature(s.metric)
     sf = rec.second_form(grid)
     report = ConstraintReport(t=rec.t)
-    _, report.entries["T1"] = residual_T1(s.metric, sf)
-    _, report.entries["T2"] = residual_T2(s.metric, sf)
-    _, report.entries["T3"] = residual_T3(s.metric, sf, s.A)
-    _, report.entries["T4"] = residual_T4(s.metric, sf, s.A)
+    _, report.entries["T1"] = residual_T1(m, sf)
+    _, report.entries["T2"] = residual_T2(m, sf)
+    _, report.entries["T3"] = residual_T3(m, sf, s.A)
+    _, report.entries["T4"] = residual_T4(m, sf, s.A)
     if 0 < i < len(traj) - 1:
         _, report.entries["T5"] = residual_T5(grid, traj[i - 1], rec, traj[i + 1])
         _, report.entries["metric_evolution"] = residual_metric_evolution(

@@ -25,7 +25,15 @@ from .geometry import (
     MetricState,
     SecondForm,
     christoffel,
-    covariant_derivative,
+    covariant_divergence,
+    curl_source,
+    harmonic_defect,
+    identity_metric,
+    normal_connection,
+    normal_part,
+    pointwise_det,
+    pointwise_inverse,
+    raise_first,
 )
 from .grid import Grid
 
@@ -58,7 +66,7 @@ class CoordinateChange:
         sup = float(np.max(np.sqrt(np.sum(dphi**2, axis=(0, 1)))))
         if sup >= 0.5:
             raise SmcfValidationError(f"coordinate change too large: sup|dphi| = {sup:.3f} >= 0.5")
-        det = _det(grid, self.jacobian)
+        det = pointwise_det(grid, self.jacobian)
         if np.min(det) <= 0:
             raise SmcfValidationError("coordinate change is not orientation preserving")
 
@@ -78,16 +86,6 @@ class CoordinateChange:
                 break
         self._inverse_samples = x
         return x
-
-
-def _det(grid, mat):
-    d = grid.d
-    if d == 1:
-        return mat[0, 0]
-    if d == 2:
-        return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
-    return np.linalg.det(rows).reshape(grid.shape)
 
 
 def fractional_sobolev(grid: Grid, fields, sigma, s):
@@ -129,13 +127,6 @@ def _picard_loop(update, residual_of, tol, max_iter, label):
     raise NoConvergenceError(f"{label}: residual {res:.3e} > tol {tol:.1e} after {max_iter} sweeps")
 
 
-def harmonic_defect(m: MetricState):
-    """V^g = g^{ab} Gamma^g_{ab}: zero exactly in harmonic coordinates."""
-    if m.gamma_u is None:
-        m = christoffel(m)
-    return m.grid.dealias(np.einsum("ab...,gab...->g...", m.ginv, m.gamma_u))
-
-
 def solve_harmonic_coordinates(
     m: MetricState,
     tol=1e-9,
@@ -155,9 +146,7 @@ def solve_harmonic_coordinates(
             f"metric deviation too large for the harmonic solve: {size:.3e} > {small_data_threshold}"
         )
     Vg = harmonic_defect(m)
-    ginv_dev = m.ginv.copy()
-    for a in range(grid.d):
-        ginv_dev[a, a] -= 1.0
+    ginv_dev = m.ginv - identity_metric(grid)
 
     def update(phi):
         if phi is None:
@@ -219,7 +208,7 @@ def pullback_metric(m: MetricState, change: CoordinateChange):
         mass_out = max(mass_out, np.sqrt(np.sum(np.abs(hat[~grid.dealias_mask]) ** 2) / max(np.sum(np.abs(hat) ** 2), 1e-300)))
     if mass_out > 1e-8:
         report.warnings.append(f"coordinate change spectrum truncated: relative mass {mass_out:.2e}")
-    jac_inv = _matrix_inverse(grid, change.jacobian)
+    jac_inv = pointwise_inverse(grid, change.jacobian)
     # M(x) = Jinv^T g Jinv evaluated pointwise, then sampled at x(y)
     M = np.einsum("ma...,mn...,nb...->ab...", jac_inv, m.g, jac_inv)
     x_at = change.inverse_samples()
@@ -231,27 +220,6 @@ def pullback_metric(m: MetricState, change: CoordinateChange):
     out = christoffel(MetricState(grid, g_new))
     report.residual = grid.l2(harmonic_defect(out))
     return out, report
-
-
-def _matrix_inverse(grid, mat):
-    d = grid.d
-    if d == 1:
-        return 1.0 / mat
-    if d == 2:
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        inv = np.empty_like(mat)
-        inv[0, 0] = mat[1, 1] / det
-        inv[1, 1] = mat[0, 0] / det
-        inv[0, 1] = -mat[0, 1] / det
-        inv[1, 0] = -mat[1, 0] / det
-        return inv
-    rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
-    return np.moveaxis(np.linalg.inv(rows), 0, -1).reshape(mat.shape)
-
-
-def covariant_divergence(m: MetricState, A):
-    nab = covariant_derivative(A, m, valence="l")  # [b, a]
-    return m.grid.dealias(np.einsum("ba...,ba...->...", m.ginv, nab))
 
 
 def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, initial_frame=None):
@@ -269,11 +237,6 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     t = F.tangents()
     amb = F.ambient_dim
 
-    def project_normal(v):
-        vt = np.einsum("ai...,i...->a...", t, v)
-        up = np.einsum("ab...,b...->a...", m.ginv, vt)
-        return v - np.einsum("a...,ai...->i...", up, t)
-
     if initial_frame is not None:
         nu1_t, nu2_t = initial_frame
     else:
@@ -290,7 +253,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
 
         scored = []
         for v in candidates:
-            proj = project_normal(v)
+            proj = normal_part(m, t, v)
             score = float(np.min(np.sqrt(np.einsum("i...,i...->...", proj, proj))))
             scored.append((score, v, proj))
         scored.sort(key=lambda item: -item[0])
@@ -302,7 +265,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
         nu1_t = proj1 / np.sqrt(np.einsum("i...,i...->...", proj1, proj1))
         # second direction: best remaining candidate, orthonormalized
         for _, v, proj in scored[1:]:
-            w = project_normal(v)
+            w = normal_part(m, t, v)
             w = w - np.einsum("i...,i...->...", w, nu1_t) * nu1_t
             nrm = np.sqrt(np.einsum("i...,i...->...", w, w))
             if float(np.min(nrm)) > 0.2:
@@ -311,16 +274,10 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
         else:
             raise TransversalityError("no second transversal direction found")
 
-    def connection_of(n1, n2):
-        dn1 = np.stack([np.stack([grid.deriv(n1[i], a) for i in range(amb)]) for a in range(grid.d)])
-        return grid.dealias(np.einsum("ai...,i...->a...", dn1, n2))
-
-    A_tilde = connection_of(nu1_t, nu2_t)
+    A_tilde = normal_connection(grid, nu1_t, nu2_t)
     div_tilde = covariant_divergence(m, A_tilde)
     Vg = harmonic_defect(m)
-    ginv_dev = m.ginv.copy()
-    for a in range(grid.d):
-        ginv_dev[a, a] -= 1.0
+    ginv_dev = m.ginv - identity_metric(grid)
 
     def update(b):
         if b is None:
@@ -345,7 +302,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     cb, sb = np.cos(b), np.sin(b)
     nu1 = cb * nu1_t - sb * nu2_t
     nu2 = sb * nu1_t + cb * nu2_t
-    A = connection_of(nu1, nu2)
+    A = normal_connection(grid, nu1, nu2)
     report.residual = grid.l2(covariant_divergence(m, A))
     return nu1, nu2, A, report
 
@@ -358,13 +315,10 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
     move the curl.
     """
     grid = m.grid
-    lam_up = grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, sf.lam))
-    w = grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", lam_up, np.conj(sf.lam))))
+    w = curl_source(grid, raise_first(m, sf.lam), sf.lam)
     # flat divergence of the antisymmetric source: (d^b w)_{a b}
     div_w = np.stack([sum(grid.deriv(w[a, b], b) for b in range(grid.d)) for a in range(grid.d)])
-    hinv = m.ginv.copy()
-    for a in range(grid.d):
-        hinv[a, a] -= 1.0
+    hinv = m.ginv - identity_metric(grid)
 
     def update(A):
         if A is None:
@@ -432,7 +386,7 @@ def check_elliptic_h(m: MetricState, sf: SecondForm):
     term2 = -np.einsum("abs...,acb...->cs...", dginv, dg)
     term3 = np.einsum("abc...,abs...->cs...", dg, dginv)
     term4 = 2.0 * np.einsum("ab...,san...,nbc...->cs...", m.ginv, m.gamma_l, m.gamma_u)
-    lam_up = grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, sf.lam))
+    lam_up = raise_first(m, sf.lam)
     term5 = -2.0 * np.real(
         np.einsum("cs...,...->cs...", sf.lam, np.conj(sf.psi))
         - np.einsum("ac...,as...->cs...", sf.lam, np.conj(lam_up))

@@ -2,8 +2,9 @@
 
 Index conventions: tensor component axes come first, the d spatial grid axes
 last, so einsum contractions broadcast pointwise over the grid.  Mixed-index
-tensors are always produced by explicit metric contraction at the use site
-and never cached on the state objects.
+tensors come from the shared contraction helpers below (raise_first,
+harmonic_defect, covariant_divergence, curl_source, ...) at the use site and
+are never cached on the state objects.
 
 Orientation: the complex structure on the normal bundle is defined by the
 frame itself, J nu1 = nu2; reversing the orientation conjugates the complex
@@ -123,24 +124,39 @@ def identity_metric(grid: Grid):
     return g
 
 
+def pointwise_det(grid: Grid, mat):
+    """Determinant of a (d, d, *shape) matrix field at every grid point."""
+    d = grid.d
+    if d == 1:
+        return mat[0, 0]
+    if d == 2:
+        return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+    rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
+    return np.linalg.det(rows).reshape(grid.shape)
+
+
+def pointwise_inverse(grid: Grid, mat):
+    """Inverse of a (d, d, *shape) matrix field at every grid point."""
+    d = grid.d
+    if d == 1:
+        return 1.0 / mat
+    if d == 2:
+        det = pointwise_det(grid, mat)
+        inv = np.empty_like(mat)
+        inv[0, 0] = mat[1, 1] / det
+        inv[1, 1] = mat[0, 0] / det
+        inv[0, 1] = -mat[0, 1] / det
+        inv[1, 0] = -mat[1, 0] / det
+        return inv
+    rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
+    return np.moveaxis(np.linalg.inv(rows), 0, -1).reshape(mat.shape)
+
+
 def invert_metric(grid: Grid, g):
     """Pointwise inverse; raises on non-positive-definite metrics."""
-    d = grid.d
     if metric_eig_min(grid, g) <= 0.0:
         raise ImmersionDegeneracyError("metric is not positive definite on the grid")
-    if d == 1:
-        return 1.0 / g
-    if d == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        inv = np.empty_like(g)
-        inv[0, 0] = g[1, 1] / det
-        inv[1, 1] = g[0, 0] / det
-        inv[0, 1] = -g[0, 1] / det
-        inv[1, 0] = -g[1, 0] / det
-        return inv
-    mats = np.moveaxis(g.reshape(d, d, -1), -1, 0)
-    inv = np.linalg.inv(mats)
-    return np.moveaxis(inv, 0, -1).reshape(g.shape)
+    return pointwise_inverse(grid, g)
 
 
 def metric_eig_min(grid: Grid, g):
@@ -149,7 +165,7 @@ def metric_eig_min(grid: Grid, g):
         return float(np.min(g))
     if d == 2:
         tr = g[0, 0] + g[1, 1]
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        det = pointwise_det(grid, g)
         disc = np.sqrt(np.maximum(tr**2 - 4 * det, 0.0))
         return float(np.min((tr - disc) / 2))
     mats = np.moveaxis(g.reshape(d, d, -1), -1, 0)
@@ -247,17 +263,36 @@ def ricci_from_lambda(m: MetricState, lam, psi):
     this representation (it is what keeps their right sides quadratic), and
     the defect against the metric Ricci is the T1 constraint monitor.
     """
-    lam_up = m.grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, lam))
+    lam_up = raise_first(m, lam)
     quad = np.einsum("as...,sb...->ab...", lam, np.conj(lam_up))
     out = np.real(np.einsum("ab...,...->ab...", lam, np.conj(psi)) - quad)
     return m.grid.dealias(out)
 
 
-def raise_index(m: MetricState, T, slot=0):
-    """Contract one lower slot with the inverse metric (no caching)."""
-    T_m = np.moveaxis(np.asarray(T), slot, 0)
-    out = m.grid.dealias(np.einsum("ab...,b...->a...", m.ginv, T_m))
-    return np.moveaxis(out, 0, slot)
+# -- metric contractions ----------------------------------------------------------
+
+
+def raise_first(m: MetricState, T):
+    """T^g_... = g^{gs} T_{s...}: the first slot raised, dealiased."""
+    return m.grid.dealias(np.einsum("gs...,s...->g...", m.ginv, T))
+
+
+def harmonic_defect(m: MetricState):
+    """V^g = g^{ab} Gamma^g_{ab}: zero exactly in harmonic coordinates."""
+    if m.gamma_u is None:
+        m = christoffel(m)
+    return m.grid.dealias(np.einsum("ab...,gab...->g...", m.ginv, m.gamma_u))
+
+
+def covariant_divergence(m: MetricState, A):
+    """nabla^a A_a = g^{ba} nabla_b A_a for a one-form A."""
+    nab = covariant_derivative(A, m, valence="l")  # [b, a]
+    return m.grid.dealias(np.einsum("ba...,ba...->...", m.ginv, nab))
+
+
+def curl_source(grid: Grid, lam_up, lam):
+    """w_{ab} = Im(lam^g_a lambar_{bg}) from lam_up = raise_first(m, lam); antisymmetric."""
+    return grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam))))
 
 
 # -- the second fundamental form ------------------------------------------------
@@ -300,22 +335,28 @@ def frame_defect(F: Immersion, nu1, nu2):
     return worst
 
 
+def normal_part(m: MetricState, t, v):
+    """v - g^{ab} (v . F_a) F_b for tangents t = F.tangents(); undealiased."""
+    vt = np.einsum("ai...,i...->a...", t, v)
+    up = np.einsum("ab...,b...->a...", m.ginv, vt)
+    return v - np.einsum("a...,ai...->i...", up, t)
+
+
+def normal_connection(grid: Grid, nu1, nu2):
+    """A_a = d_a nu1 . nu2, the connection one-form of a normal frame."""
+    dn1 = np.stack([np.stack([grid.deriv(nu1[i], a) for i in range(len(nu1))]) for a in range(grid.d)])
+    return grid.dealias(np.einsum("ai...,i...->a...", dn1, nu2))
+
+
 def gram_schmidt_normal(F: Immersion, m: MetricState, nu1, nu2):
     """One projection/normalization sweep of (nu1, nu2) against the tangents."""
     t = F.tangents()
-
-    def project_out_tangent(v):
-        # v - g^{ab} (v . F_a) F_b
-        vt = np.einsum("ai...,i...->a...", t, v)
-        up = np.einsum("ab...,b...->a...", m.ginv, vt)
-        return v - np.einsum("a...,ai...->i...", up, t)
-
     # degenerate inputs (e.g. tangent vectors) produce non-finite output here,
     # which frame_defect reports as an infinite defect
     with np.errstate(invalid="ignore", divide="ignore"):
-        v1 = project_out_tangent(nu1)
+        v1 = normal_part(m, t, nu1)
         v1 = v1 / np.sqrt(np.einsum("i...,i...->...", v1, v1))
-        v2 = project_out_tangent(nu2)
+        v2 = normal_part(m, t, nu2)
         v2 = v2 - np.einsum("i...,i...->...", v2, v1) * v1
         v2 = v2 / np.sqrt(np.einsum("i...,i...->...", v2, v2))
     return v1, v2

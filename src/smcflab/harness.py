@@ -15,7 +15,6 @@ from .fixtures import bump_immersion, cliff_fixture, flat_immersion
 from .gauge_init import (
     build_coulomb_frame,
     check_elliptic_h,
-    harmonic_defect,
     pullback_immersion,
     solve_harmonic_coordinates,
     solve_initial_A,
@@ -24,7 +23,7 @@ from .geometry import (
     Immersion,
     SecondForm,
     christoffel,
-    curvature,
+    harmonic_defect,
     induced_metric,
     second_form,
 )
@@ -71,7 +70,7 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
 
     if cfg.scenario_kind == "flat":
         F = flat_immersion(grid)
-        m = curvature(christoffel(induced_metric(F)))
+        m = christoffel(induced_metric(F))
         nu1 = np.zeros((d + 2,) + grid.shape)
         nu2 = np.zeros((d + 2,) + grid.shape)
         nu1[d] = 1.0
@@ -82,7 +81,7 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
 
     if cfg.scenario_kind == "cliff":
         fix = cliff_fixture(grid, cfg.cliff_radius_r)
-        m = curvature(christoffel(induced_metric(fix.immersion)))
+        m = christoffel(induced_metric(fix.immersion))
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
         gauge = gauge_state_from(grid, m.g, np.zeros((d,) + grid.shape))
         res = {"harmonic_defect_l2": grid.l2(harmonic_defect(m))}
@@ -100,7 +99,7 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
         delta=cfg.envelope_delta,
     )
     F = pullback_immersion(fix.immersion, change)
-    m = curvature(christoffel(induced_metric(F)))
+    m = christoffel(induced_metric(F))
     nu1, nu2, A, coulomb_report = build_coulomb_frame(
         F, m, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
@@ -217,6 +216,30 @@ class _Stage:
         return False
 
 
+def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajectory, outdir):
+    """Rebuild the immersion from the scenario's initial frame, with the
+    spatial holonomy audit, and write reconstruction.csv and immersions/."""
+    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+    with _Stage("reconstruct"):
+        result = reconstruct(
+            traj,
+            frame0,
+            bundle.immersion,
+            drift_tol=cfg.frame_drift_tol,
+            consistency_tol=cfg.consistency_tol,
+            holonomy_tol=cfg.holonomy_tol,
+            spatial_audit=True,
+        )
+    write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"), result)
+    recon_dir = os.path.join(outdir, "immersions")
+    os.makedirs(recon_dir, exist_ok=True)
+    for i, imm in enumerate(result.immersions):
+        for comp in range(imm.ambient_dim):
+            fld = GridField.from_real(traj.grid, imm.dev[comp], name=f"F{comp}")
+            write_field(os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"), fld)
+    return result
+
+
 def run_experiment(cfg: RunConfig) -> dict:
     """Full pipeline: scenario, evolution, constraints, reconstruction, outputs.
 
@@ -259,24 +282,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         reports = constraint_reports(traj)
     write_reports_csv(os.path.join(outdir, "constraints.csv"), reports)
 
-    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-    with _Stage("reconstruct"):
-        result = reconstruct(
-            traj,
-            frame0,
-            bundle.immersion,
-            drift_tol=cfg.frame_drift_tol,
-            consistency_tol=cfg.consistency_tol,
-            holonomy_tol=cfg.holonomy_tol,
-            spatial_audit=True,
-        )
-    write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"), result)
-    recon_dir = os.path.join(outdir, "immersions")
-    os.makedirs(recon_dir, exist_ok=True)
-    for i, imm in enumerate(result.immersions):
-        for comp in range(imm.ambient_dim):
-            fld = GridField.from_real(grid, imm.dev[comp], name=f"F{comp}")
-            write_field(os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"), fld)
+    result = reconstruct_and_write(cfg, bundle, traj, outdir)
 
     return {
         "trajectory": traj,

@@ -24,7 +24,12 @@ from .geometry import (
     SecondForm,
     christoffel,
     covariant_derivative,
-    curvature,
+    covariant_divergence,
+    curl_source,
+    harmonic_defect,
+    identity_metric,
+    metric_eig_min,
+    raise_first,
     ricci_from_lambda,
 )
 from .grid import Grid
@@ -34,7 +39,11 @@ SIGN_VARIANTS = ("minus", "plus")
 
 @dataclass
 class GaugeState:
-    """Metric with curvature, connection A, and the derived gauge sources V, B."""
+    """Metric with Christoffel symbols, connection A, and the derived gauge sources V, B.
+
+    The curvature is left unfilled: the flows read it only through its
+    second-fundamental-form representation, and the T1/T2 monitors build it.
+    """
 
     metric: MetricState
     A: np.ndarray  # (d, *shape) real
@@ -51,24 +60,15 @@ def compute_gauge_sources(metric: MetricState, A):
     """V^g = g^{ab} Gamma^g_{ab} and B = nabla^a A_a (heat-gauge contractions)."""
     if metric.gamma_u is None:
         metric = christoffel(metric)
-    grid = metric.grid
-    V = grid.dealias(np.einsum("ab...,gab...->g...", metric.ginv, metric.gamma_u))
-    nab_A = covariant_derivative(A, metric, valence="l")  # [b, a] = nabla_b A_a
-    B = grid.dealias(np.einsum("ba...,ba...->...", metric.ginv, nab_A))
-    return V, B
+    return harmonic_defect(metric), covariant_divergence(metric, A)
 
 
 def gauge_state_from(grid: Grid, g, A, t=0.0) -> GaugeState:
-    """Build a fully derived state (Christoffel, curvature, V, B) from (g, A)."""
-    metric = curvature(christoffel(MetricState(grid, np.asarray(g, dtype=float))))
+    """Build a state with Christoffel symbols, V and B from (g, A); no curvature."""
+    metric = christoffel(MetricState(grid, np.asarray(g, dtype=float)))
     A = np.asarray(A, dtype=float)
     V, B = compute_gauge_sources(metric, A)
     return GaugeState(metric=metric, A=A, B=B, V=V, t=t)
-
-
-def _lambda_raised(metric: MetricState, lam):
-    """lambda^g_a = g^{gs} lambda_{sa}."""
-    return metric.grid.dealias(np.einsum("gs...,sa...->ga...", metric.ginv, lam))
 
 
 def heat_rhs_h(s: GaugeState, sf: SecondForm):
@@ -100,11 +100,11 @@ def heat_rhs_A(s: GaugeState, sf: SecondForm, sign_variant="minus"):
     sign = -1.0 if sign_variant == "minus" else 1.0
     m = s.metric
     grid = s.grid
-    lam_up = _lambda_raised(m, sf.lam)
-    w = grid.dealias(np.imag(np.einsum("ga...,sg...->as...", lam_up, np.conj(sf.lam))))
+    lam_up = raise_first(m, sf.lam)
+    w = curl_source(grid, lam_up, sf.lam)
     nab_w = covariant_derivative(w, m, valence="ll")  # [b, a, s]
     div_w = grid.dealias(np.einsum("sb...,bas...->a...", m.ginv, nab_w))
-    A_up = grid.dealias(np.einsum("ds...,s...->d...", m.ginv, s.A))
+    A_up = raise_first(m, s.A)
     ric_rep = ricci_from_lambda(m, sf.lam, sf.psi)
     ric_term = grid.dealias(np.einsum("ad...,d...->a...", ric_rep, A_up))
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
@@ -142,13 +142,10 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
     sf_a, sf_b = lam_path
     lam_mid = 0.5 * (sf_a.lam + sf_b.lam)
 
-    ident = np.zeros_like(s.metric.g)
-    for a in range(grid.d):
-        ident[a, a] = 1.0
+    ident = identity_metric(grid)
 
-    def nonlinear(g, A):
-        state = gauge_state_from(grid, g, A, t=s.t)
-        m = state.metric
+    def nonlinear(state: GaugeState):
+        m, g, A = state.metric, state.metric.g, state.A
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
@@ -180,17 +177,14 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
     def correct(u_star, N0, N1):
         return u_star + grid.ifft(dt * phi2 * grid.fft(N1 - N0)).real
 
-    g0, A0 = s.metric.g, s.A
-    Nh0, NA0 = nonlinear(g0, A0)
-    g_star = predict(g0, Nh0)
-    A_star = predict(A0, NA0)
-    Nh1, NA1 = nonlinear(g_star, A_star)
+    Nh0, NA0 = nonlinear(s)
+    g_star = predict(s.metric.g, Nh0)
+    A_star = predict(s.A, NA0)
+    Nh1, NA1 = nonlinear(gauge_state_from(grid, g_star, A_star, t=s.t))
     g1 = correct(g_star, Nh0, Nh1)
     A1 = correct(A_star, NA0, NA1)
 
     g1 = 0.5 * (g1 + np.swapaxes(g1, 0, 1))
-    from .geometry import metric_eig_min
-
     if not np.all(np.isfinite(g1)) or metric_eig_min(grid, g1) <= 0.0:
         raise StepRejectedError(f"metric degenerate after parabolic step at t={s.t + dt}")
     return gauge_state_from(grid, g1, A1, t=s.t + dt)

@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionInconsistencyError,
     SmcfValidationError,
 )
-from .geometry import Immersion, MetricState, christoffel, covariant_derivative
+from .geometry import Immersion, MetricState, christoffel, covariant_derivative, normal_part, raise_first
 from .grid import Grid
 from .trajectory import Trajectory
 
@@ -68,7 +68,7 @@ def _bundle(grid: Grid, rec) -> SimpleNamespace:
     s = rec.gauge(grid)
     sf = rec.second_form(grid)
     m = s.metric
-    lam_up = grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, sf.lam))
+    lam_up = raise_first(m, sf.lam)
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
     dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
     lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
@@ -178,7 +178,7 @@ def integrate_frame_space(
     n = grid.n
     h = grid.dx / substeps
 
-    lam_up = grid.dealias(np.einsum("gs...,sa...->ga...", m_state.ginv, sf.lam))
+    lam_up = raise_first(m_state, sf.lam)
     coeff_fields = {"gamma": m_state.gamma_u, "lam": sf.lam, "lam_up": lam_up, "A": A}
     # coefficient lattices at all substep shifts (whole and half)
     shifts = {}
@@ -361,10 +361,7 @@ def _verify_smcf_into(result: ReconstructionResult, traj: Trajectory):
         nu1 = frame.m.real
         nu2 = frame.m.imag
         JH = np.einsum("i...,i...->...", H, nu1) * nu2 - np.einsum("i...,i...->...", H, nu2) * nu1
-        # normal projection of the velocity
-        vt = np.einsum("ai...,i...->a...", tang, dtF)
-        up = np.einsum("ab...,b...->a...", mst.ginv, vt)
-        perp = dtF - np.einsum("a...,ai...->i...", up, tang)
+        perp = normal_part(mst, tang, dtF)
         result.smcf_residual.append(grid.l2(perp - JH))
         b = _bundle(grid, traj[i])
         ident = -np.imag(np.einsum("...,i...->i...", b.psi, np.conj(frame.m))) - JH

@@ -14,17 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
-from .geometry import SecondForm, covariant_derivative
+from .geometry import SecondForm, covariant_derivative, identity_metric, raise_first
 from .grid import Grid
 from .parabolic import GaugeState, gauge_state_from, step_parabolic
 from .trajectory import Trajectory, TrajectoryRecord
-
-
-def _identity(grid):
-    out = np.zeros((grid.d, grid.d) + grid.shape)
-    for a in range(grid.d):
-        out[a, a] = 1.0
-    return out
 
 
 def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
@@ -58,7 +51,7 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     term_adv = 1j * grid.dealias(np.einsum("s...,sab...->ab...", s.V, first))
 
     # 2i A^s (nabla_s - d_s) lam, the covariant completion of the magnetic term
-    A_up = grid.dealias(np.einsum("gs...,s...->g...", m.ginv, s.A))
+    A_up = raise_first(m, s.A)
     term_a_gamma = -2j * grid.dealias(np.einsum("s...,sab...->ab...", A_up, first - dlam))
 
     # -i (nabla_s A^s) lam + (B + A_s A^s - V_s A^s) lam
@@ -68,7 +61,7 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     term_pot = grid.dealias(np.einsum("...,ab...->ab...", s.B + AA - VA, lam))
 
     # i lam^g_a nabla_b V_g + i lam^g_b nabla_a V_g
-    lam_up = grid.dealias(np.einsum("gs...,sa...->ga...", m.ginv, lam))
+    lam_up = raise_first(m, lam)
     V_low = grid.dealias(np.einsum("gs...,s...->g...", m.g, s.V))
     nabV = covariant_derivative(V_low, m, valence="l")  # [b, g]
     half = grid.dealias(np.einsum("ga...,bg...->ab...", lam_up, nabV))
@@ -113,14 +106,14 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
 def _remainder(grid: Grid, s: GaugeState, lam, F):
     """W(lam) with d_t lam = i Lap lam + W; the flat phase is handled exactly."""
     d = grid.d
-    ginv_dev = s.metric.ginv - _identity(grid)
+    ginv_dev = s.metric.ginv - identity_metric(grid)
     dlam = np.stack([grid.deriv(lam, a) for a in range(d)])
     flux = sum(
         grid.deriv(grid.dealias(np.einsum("...,ab...->ab...", ginv_dev[mu, nu], dlam[nu])), mu)
         for mu in range(d)
         for nu in range(d)
     )
-    A_up = grid.dealias(np.einsum("gs...,s...->g...", s.metric.ginv, s.A))
+    A_up = raise_first(s.metric, s.A)
     adv = grid.dealias(np.einsum("s...,sab...->ab...", A_up, dlam))
     return 1j * flux - 2.0 * adv - 1j * F
 

@@ -1,9 +1,9 @@
 """Trajectory records: slim snapshots of the coupled evolution.
 
 Records hold raw (g, A, lambda, psi) arrays; derived structures (Christoffel,
-curvature, V, B) are rebuilt on demand so that published states always satisfy
-the gauge identities by recomputation.  Persistence uses the self-describing
-binary field format plus an index CSV.
+V, B) are rebuilt on demand so that published states always satisfy the gauge
+identities by recomputation, and the monitors build the curvature themselves.
+Persistence uses the self-describing binary field format plus an index CSV.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from smcflab import calibration
-from smcflab.normal_frames import graph_normal_bundle
+from normal_frames import graph_normal_bundle
 from smcflab.config import RunConfig
 from smcflab.constraints import (
     constraint_reports,

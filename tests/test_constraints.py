@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from smcflab.normal_frames import graph_normal_bundle
+from normal_frames import graph_normal_bundle
 from smcflab.constraints import (
     constraint_report,
     constraint_reports,

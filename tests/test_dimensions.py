@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcflab.normal_frames import graph_normal_bundle
+from normal_frames import graph_normal_bundle
 from smcflab.constraints import residual_T1, residual_T2, residual_T3, residual_T4
 from smcflab.fixtures import bump_immersion
 from smcflab.geometry import christoffel, curvature, gauge_rotate, induced_metric, second_form

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smcflab.normal_frames import graph_normal_bundle
+from normal_frames import graph_normal_bundle
 from smcflab.errors import SmcfValidationError, TransversalityError
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.gauge_init import (

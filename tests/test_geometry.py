@@ -19,6 +19,9 @@ from smcflab.geometry import (
     gauge_rotate,
     identity_metric,
     induced_metric,
+    invert_metric,
+    pointwise_det,
+    pointwise_inverse,
     second_form,
 )
 from smcflab.grid import Grid
@@ -65,6 +68,29 @@ class TestInducedMetric:
         g[0, 0] = -1.0
         with pytest.raises(ImmersionDegeneracyError):
             MetricState(grid, g)
+
+
+class TestPointwiseMatrices:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inverse_and_det_of_nonsymmetric_field(self, d):
+        grid = Grid(d=d, n=8, L=2 * np.pi)
+        rng = np.random.default_rng(d)
+        # identity plus a small non-symmetric perturbation: well conditioned
+        mat = identity_metric(grid) + 0.2 * rng.standard_normal((d, d) + grid.shape)
+        inv = pointwise_inverse(grid, mat)
+        prod = np.einsum("ac...,cb...->ab...", inv, mat)
+        assert maxabs(prod - identity_metric(grid)) < 1e-12
+        rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
+        oracle = np.linalg.det(rows).reshape(grid.shape)
+        assert maxabs(pointwise_det(grid, mat) - oracle) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_indefinite_metric_rejected(self, d):
+        grid = Grid(d=d, n=8, L=2 * np.pi)
+        g = identity_metric(grid)
+        g[0, 0, (0,) * d] = -1.0
+        with pytest.raises(ImmersionDegeneracyError):
+            invert_metric(grid, g)
 
 
 class TestChristoffel:

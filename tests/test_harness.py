@@ -189,6 +189,19 @@ class TestCLI:
         assert main(["norms", "--config", str(path), "--snapshots", os.path.join(cfg.output_dir, "snapshots")]) == 0
         assert main(["reconstruct", "--config", str(path)]) == 0
 
+    def test_reconstruct_command_audits_holonomy_like_run(self, tmp_path):
+        cfg = small_cliff_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        csv_path = os.path.join(cfg.output_dir, "reconstruction.csv")
+        assert main(["run", "--config", str(path)]) == 0
+        from_run = open(csv_path, "rb").read()
+        os.remove(csv_path)
+        assert main(["reconstruct", "--config", str(path)]) == 0
+        from_reconstruct = open(csv_path, "rb").read()
+        assert b",spatial_holonomy," in from_reconstruct
+        assert from_reconstruct == from_run
+
     def test_evolve_with_overrides(self, tmp_path):
         cfg = small_cliff_config(tmp_path)
         path = tmp_path / "cfg.txt"

@@ -96,6 +96,14 @@ class TestGaugeSources:
         s, _ = cliff_state_and_sf(grid)
         assert maxabs(s.V) < 1e-11 and maxabs(s.B) < 1e-11
 
+    def test_state_carries_no_curvature(self):
+        # the flows read curvature only through lambda; the monitors build it
+        grid = Grid(d=2, n=16, L=16.0)
+        s, _ = bump_state_and_sf(grid)
+        assert s.metric.gamma_u is not None
+        assert s.metric.riem is None
+        assert s.metric.ric is None
+
     def test_bump_fd_oracle(self):
         grid = Grid(d=2, n=64, L=16.0)
         s, _ = bump_state_and_sf(grid, eps=0.05)
@@ -268,3 +276,20 @@ class TestStepParabolic:
         assert maxabs(s.B - B) < 1e-13
         assert maxabs(s.metric.g - np.swapaxes(s.metric.g, 0, 1)) == 0.0
         assert np.isrealobj(s.A)
+
+    def test_step_builds_only_stage_and_result_states(self, monkeypatch):
+        # stage 0 runs on the state passed in; only the predicted stage and
+        # the published result are rebuilt from (g, A)
+        import smcflab.parabolic as parabolic
+
+        grid = Grid(d=2, n=16, L=16.0)
+        s0, sf = bump_state_and_sf(grid)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gauge_state_from(*args, **kwargs)
+
+        monkeypatch.setattr(parabolic, "gauge_state_from", counting)
+        step_parabolic(s0, (sf, sf), 0.005)
+        assert len(calls) == 2
