@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Every subcommand is a composition of the pipeline stages in `harness`, so it
+writes the same artifacts, and tags its errors with the same stage names, as
+`smcf run`.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure
 (blowup/divergence/no convergence), 4 constraint or integrability error.
 """
@@ -9,185 +13,110 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
+from . import harness
 from .config import RunConfig, load_config, save_config
 from .errors import SmcfError
+from .grid import GridField, write_field
+from .trajectory import load_trajectory, save_trajectory
+
+# evolve's command-line overrides: argument name -> config field
+OVERRIDES = {
+    "scenario": "scenario_kind",
+    "resolution": "grid_points_n",
+    "dt": "time_step_dt",
+    "T": "final_time_T",
+    "picard_sweeps": "picard_sweeps",
+    "sign_variant": "sign_variant",
+    "snapshot_every": "snapshot_every_steps",
+}
+SNAPSHOTS_HELP = "snapshot directory (default: <output_dir>/snapshots)"
 
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for name in ("scenario", "resolution", "dt", "T", "picard_sweeps", "sign_variant", "snapshot_every"):
-        val = getattr(args, name, None)
-        if val is None:
-            continue
-        key = {
-            "scenario": "scenario_kind",
-            "resolution": "grid_points_n",
-            "dt": "time_step_dt",
-            "T": "final_time_T",
-            "picard_sweeps": "picard_sweeps",
-            "sign_variant": "sign_variant",
-            "snapshot_every": "snapshot_every_steps",
-        }[name]
-        from dataclasses import replace
-
-        cfg = replace(cfg, **{key: val})
+    given = {key: getattr(args, name, None) for name, key in OVERRIDES.items()}
     if getattr(args, "output", None):
-        from dataclasses import replace
+        given["output_dir"] = args.output
+    return replace(cfg, **{key: val for key, val in given.items() if val is not None}).resolve()
 
-        cfg = replace(cfg, output_dir=args.output)
-    return cfg.resolve()
+
+def _snapshots(args, cfg: RunConfig):
+    """The trajectory in --snapshots, by default <output_dir>/snapshots."""
+    traj = load_trajectory(args.snapshots or os.path.join(cfg.output_dir, "snapshots"), grid=harness.make_grid(cfg))
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return traj
+
+
+def _flow_max(result):
+    finite = [r for r in result.smcf_residual if r == r]
+    return max(finite) if finite else float("nan")
 
 
 def cmd_gauge_init(args):
-    from .grid import GridField, write_field
-    from .harness import generate_scenario
-    from .norms import DiagnosticsCSV
-
     cfg = _load(args)
-    bundle = generate_scenario(cfg)
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    grid = bundle.grid
-    d = grid.d
+    harness.write_manifest(cfg)
+    bundle = harness.gauge_init_and_write(cfg)
+    grid, d = bundle.grid, bundle.grid.d
+
+    def write(tag, fld):
+        write_field(os.path.join(cfg.output_dir, f"init_{tag}.smcf"), fld)
+
     for a in range(d):
         for b in range(a, d):
-            write_field(
-                os.path.join(outdir, f"init_h{a}{b}.smcf"),
-                GridField.from_real(grid, bundle.gauge.metric.h[a, b], name=f"h{a}{b}"),
-            )
-            write_field(
-                os.path.join(outdir, f"init_lam{a}{b}.smcf"),
-                GridField(grid, bundle.sf.lam[a, b], name=f"lam{a}{b}"),
-            )
-    for a in range(d):
-        write_field(
-            os.path.join(outdir, f"init_A{a}.smcf"),
-            GridField.from_real(grid, bundle.gauge.A[a], name=f"A{a}"),
-        )
+            write(f"h{a}{b}", GridField.from_real(grid, bundle.gauge.metric.h[a, b], name=f"h{a}{b}"))
+            write(f"lam{a}{b}", GridField(grid, bundle.sf.lam[a, b], name=f"lam{a}{b}"))
+        write(f"A{a}", GridField.from_real(grid, bundle.gauge.A[a], name=f"A{a}"))
     for tag, vec in (("nu1", bundle.nu1), ("nu2", bundle.nu2)):
         for i in range(d + 2):
-            write_field(
-                os.path.join(outdir, f"init_{tag}_{i}.smcf"),
-                GridField.from_real(grid, vec[i], name=f"{tag}{i}"),
-            )
-    csv = DiagnosticsCSV(os.path.join(outdir, "gauge_init.csv"))
-    csv.append_many(0.0, sorted(bundle.residuals.items()))
-    print(f"gauge-init: wrote snapshots and residual report to {outdir}")
+            write(f"{tag}_{i}", GridField.from_real(grid, vec[i], name=f"{tag}{i}"))
+    print(f"gauge-init: wrote snapshots and residual report to {cfg.output_dir}")
 
 
 def cmd_heat_gauge(args):
-    from .harness import generate_scenario, run_heat_gauge, write_manifest
-    from .trajectory import load_trajectory, save_trajectory
-
     cfg = _load(args)
-    bundle = generate_scenario(cfg)
-    lam_traj = (
-        load_trajectory(args.snapshots, grid=bundle.grid)
-        if getattr(args, "snapshots", None)
-        else None
-    )
-    traj = run_heat_gauge(cfg, bundle, lam_traj)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_manifest(os.path.join(cfg.output_dir, "manifest.txt"), cfg)
+    harness.write_manifest(cfg)
+    bundle = harness.gauge_init_and_write(cfg)
+    lam_traj = load_trajectory(args.snapshots, grid=bundle.grid) if args.snapshots else None
+    traj = harness.run_heat_gauge(cfg, bundle, lam_traj)
     save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
     print(f"heat-gauge: evolved (h, A) along frozen lambda for {len(traj) - 1} stored steps")
 
 
 def cmd_evolve(args):
-    from .harness import generate_scenario, write_manifest
-    from .norms import DiagnosticsCSV
-    from .harness import norm_suite_rows
-    from .schrodinger import picard_evolve
-    from .trajectory import save_trajectory
-
     cfg = _load(args)
-    bundle = generate_scenario(cfg)
-    traj = picard_evolve(
-        bundle.sf,
-        bundle.gauge,
-        T=cfg.final_time_T,
-        dt=cfg.time_step_dt,
-        sweeps=cfg.picard_sweeps,
-        tol=cfg.picard_tol or None,
-        mode=cfg.coupling_mode,
-        sign_variant=cfg.sign_variant,
-        snapshot_every=cfg.snapshot_every_steps,
-        blowup_threshold=cfg.blowup_threshold,
-    )
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_manifest(os.path.join(cfg.output_dir, "manifest.txt"), cfg)
-    save_trajectory(os.path.join(cfg.output_dir, "snapshots"), traj)
-    diag = DiagnosticsCSV(os.path.join(cfg.output_dir, "diagnostics.csv"))
-    for rec in traj.records:
-        diag.append_many(rec.t, norm_suite_rows(cfg, bundle.grid, rec.gauge(bundle.grid), rec.second_form(bundle.grid)))
+    harness.write_manifest(cfg)
+    traj = harness.evolve_and_write(cfg, harness.gauge_init_and_write(cfg))
+    harness.norms_and_write(cfg, traj)
     print(f"evolve: {len(traj)} snapshots written to {cfg.output_dir}")
 
 
 def cmd_check_constraints(args):
-    from .constraints import constraint_reports, write_reports_csv
-    from .harness import make_grid
-    from .trajectory import load_trajectory
-
     cfg = _load(args)
-    snapdir = args.snapshots or os.path.join(cfg.output_dir, "snapshots")
-    traj = load_trajectory(snapdir, grid=make_grid(cfg))
-    reports = constraint_reports(traj)
-    out = os.path.join(cfg.output_dir, "constraints.csv")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_reports_csv(out, reports)
-    worst = max(
-        (norms.rel for rep in reports for _, norms in rep.rows()),
-        default=0.0,
-    )
+    reports = harness.check_constraints_and_write(cfg, _snapshots(args, cfg))
+    worst = max((norms.rel for rep in reports for _, norms in rep.rows()), default=0.0)
     print(f"check-constraints: {len(reports)} reports, worst relative residual {worst:.3e}")
 
 
 def cmd_reconstruct(args):
-    from .harness import generate_scenario, reconstruct_and_write
-    from .trajectory import load_trajectory
-
     cfg = _load(args)
-    bundle = generate_scenario(cfg)
-    snapdir = args.snapshots or os.path.join(cfg.output_dir, "snapshots")
-    traj = load_trajectory(snapdir, grid=bundle.grid)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    result = reconstruct_and_write(cfg, bundle, traj, cfg.output_dir)
-    finite = [r for r in result.smcf_residual if r == r]
-    worst = max(finite) if finite else float("nan")
-    print(f"reconstruct: flow residual (L2) max {worst:.3e} over {len(result.times)} slices")
+    traj = _snapshots(args, cfg)
+    result = harness.reconstruct_and_write(cfg, harness.gauge_init_and_write(cfg), traj)
+    print(f"reconstruct: flow residual (L2) max {_flow_max(result):.3e} over {len(result.times)} slices")
 
 
 def cmd_norms(args):
-    from .harness import generate_scenario, norm_suite_rows
-    from .norms import DiagnosticsCSV
-    from .trajectory import load_trajectory
-
     cfg = _load(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out = DiagnosticsCSV(os.path.join(cfg.output_dir, "norms.csv"))
-    if args.snapshots:
-        from .harness import make_grid
-
-        traj = load_trajectory(args.snapshots, grid=make_grid(cfg))
-        for rec in traj.records:
-            out.append_many(rec.t, norm_suite_rows(cfg, traj.grid, rec.gauge(traj.grid), rec.second_form(traj.grid)))
-        print(f"norms: wrote rows for {len(traj)} snapshots")
-    else:
-        bundle = generate_scenario(cfg)
-        out.append_many(0.0, norm_suite_rows(cfg, bundle.grid, bundle.gauge, bundle.sf))
-        print("norms: wrote rows for the initial data")
+    traj = _snapshots(args, cfg)
+    harness.norms_and_write(cfg, traj)
+    print(f"norms: wrote rows for {len(traj)} snapshots")
 
 
 def cmd_run(args):
-    from .harness import run_experiment
-
-    cfg = _load(args)
-    result = run_experiment(cfg)
-    finite = [r for r in result["reconstruction"].smcf_residual if r == r]
-    worst = max(finite) if finite else float("nan")
+    result = harness.run_experiment(_load(args))
     print(
-        f"run: {len(result['trajectory'])} snapshots, flow residual max {worst:.3e}, "
+        f"run: {len(result['trajectory'])} snapshots, flow residual max {_flow_max(result['reconstruction']):.3e}, "
         f"outputs in {result['output_dir']}"
     )
 
@@ -201,23 +130,31 @@ def cmd_write_config(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="smcf", description="skew mean curvature flow laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, snapshots=False):
+    commands = (
+        ("gauge-init", cmd_gauge_init, "fix gauges on the initial data and write snapshots", None),
+        (
+            "heat-gauge",
+            cmd_heat_gauge,
+            "run the parabolic system alone on frozen lambda",
+            "snapshot directory whose stored lambda path drives the gauge system "
+            "(default: none, lambda stays frozen at its t = 0 value)",
+        ),
+        ("evolve", cmd_evolve, "run the coupled evolution", None),
+        ("check-constraints", cmd_check_constraints, "constraint reports over a snapshot directory", SNAPSHOTS_HELP),
+        ("reconstruct", cmd_reconstruct, "rebuild the immersion and audit the flow", SNAPSHOTS_HELP),
+        ("norms", cmd_norms, "norm and envelope suite over a snapshot directory", SNAPSHOTS_HELP),
+        ("run", cmd_run, "full experiment pipeline", None),
+    )
+    parsers = {}
+    for name, func, help_text, snapshots_help in commands:
+        sp = parsers[name] = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a key-value config file")
         sp.add_argument("--output", help="override output_dir")
-        if snapshots:
-            sp.add_argument("--snapshots", help="snapshot directory (default: <output_dir>/snapshots)")
+        if snapshots_help:
+            sp.add_argument("--snapshots", help=snapshots_help)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("gauge-init", help="fix gauges on the initial data and write snapshots")
-    common(sp)
-    sp.set_defaults(func=cmd_gauge_init)
-
-    sp = sub.add_parser("heat-gauge", help="run the parabolic system alone on frozen lambda")
-    common(sp, snapshots=True)
-    sp.set_defaults(func=cmd_heat_gauge)
-
-    sp = sub.add_parser("evolve", help="run the coupled evolution")
-    common(sp)
+    sp = parsers["evolve"]
     sp.add_argument("--scenario", choices=("flat", "cliff", "bump"))
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--dt", type=float)
@@ -225,23 +162,6 @@ def build_parser():
     sp.add_argument("--picard-sweeps", dest="picard_sweeps", type=int)
     sp.add_argument("--sign-variant", dest="sign_variant", choices=("minus", "plus"))
     sp.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    sp.set_defaults(func=cmd_evolve)
-
-    sp = sub.add_parser("check-constraints", help="constraint reports over a snapshot directory")
-    common(sp, snapshots=True)
-    sp.set_defaults(func=cmd_check_constraints)
-
-    sp = sub.add_parser("reconstruct", help="rebuild the immersion and audit the flow")
-    common(sp, snapshots=True)
-    sp.set_defaults(func=cmd_reconstruct)
-
-    sp = sub.add_parser("norms", help="norm and envelope suite")
-    common(sp, snapshots=True)
-    sp.set_defaults(func=cmd_norms)
-
-    sp = sub.add_parser("run", help="full experiment pipeline")
-    common(sp)
-    sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("write-config", help="write a fully resolved default config")
     sp.add_argument("path")

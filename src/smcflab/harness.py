@@ -153,8 +153,11 @@ def norm_suite_rows(cfg: RunConfig, grid: Grid, gauge: GaugeState, sf: SecondFor
     return rows
 
 
-def write_manifest(path, cfg: RunConfig):
-    with open(path, "w") as fh:
+def write_manifest(cfg: RunConfig):
+    """Create the output directory and echo the resolved config and the
+    frozen calibration constants into its manifest.txt."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "manifest.txt"), "w") as fh:
         fh.write(f"# smcflab {__version__} run manifest\n")
         fh.write(config_to_text(cfg))
         fh.write("# frozen calibration constants\n")
@@ -216,47 +219,24 @@ class _Stage:
         return False
 
 
-def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajectory, outdir):
-    """Rebuild the immersion from the scenario's initial frame, with the
-    spatial holonomy audit, and write reconstruction.csv and immersions/."""
-    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-    with _Stage("reconstruct"):
-        result = reconstruct(
-            traj,
-            frame0,
-            bundle.immersion,
-            drift_tol=cfg.frame_drift_tol,
-            consistency_tol=cfg.consistency_tol,
-            holonomy_tol=cfg.holonomy_tol,
-            spatial_audit=True,
-        )
-    write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"), result)
-    recon_dir = os.path.join(outdir, "immersions")
-    os.makedirs(recon_dir, exist_ok=True)
-    for i, imm in enumerate(result.immersions):
-        for comp in range(imm.ambient_dim):
-            fld = GridField.from_real(traj.grid, imm.dev[comp], name=f"F{comp}")
-            write_field(os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"), fld)
-    return result
+# -- pipeline stages ------------------------------------------------------------
+# Each stage runs under its _Stage tag and writes its artifacts into
+# cfg.output_dir before the next stage starts.  run_experiment and every `smcf`
+# subcommand are compositions of these functions.  The stage calls go through
+# this module's globals, so a caller can time or replace them here.
 
 
-def run_experiment(cfg: RunConfig) -> dict:
-    """Full pipeline: scenario, evolution, constraints, reconstruction, outputs.
-
-    Outputs are flushed stage by stage, so a failing run leaves every
-    completed artifact behind and its error message names the stage.
-    """
-    cfg = cfg.resolve()
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    write_manifest(os.path.join(outdir, "manifest.txt"), cfg)
-
+def gauge_init_and_write(cfg: RunConfig) -> ScenarioBundle:
+    """Gauge-fix the initial data and write the solver residuals to gauge_init.csv."""
     with _Stage("gauge-init"):
         bundle = generate_scenario(cfg)
-    grid = bundle.grid
-    init_csv = DiagnosticsCSV(os.path.join(outdir, "gauge_init.csv"))
+    init_csv = DiagnosticsCSV(os.path.join(cfg.output_dir, "gauge_init.csv"))
     init_csv.append_many(0.0, sorted(bundle.residuals.items()))
+    return bundle
 
+
+def evolve_and_write(cfg: RunConfig, bundle: ScenarioBundle) -> Trajectory:
+    """Evolve the coupled system from the scenario and write snapshots/."""
     with _Stage("evolve"):
         traj = picard_evolve(
             bundle.sf,
@@ -270,24 +250,68 @@ def run_experiment(cfg: RunConfig) -> dict:
             snapshot_every=cfg.snapshot_every_steps,
             blowup_threshold=cfg.blowup_threshold,
         )
-    save_trajectory(os.path.join(outdir, "snapshots"), traj)
+    save_trajectory(os.path.join(cfg.output_dir, "snapshots"), traj)
+    return traj
 
-    diag = DiagnosticsCSV(os.path.join(outdir, "diagnostics.csv"))
-    for rec in traj.records:
-        s = rec.gauge(grid)
-        sf = rec.second_form(grid)
-        diag.append_many(rec.t, norm_suite_rows(cfg, grid, s, sf))
 
+def norms_and_write(cfg: RunConfig, traj: Trajectory):
+    """Write the norm and envelope rows of every stored record to diagnostics.csv."""
+    grid = traj.grid
+    diag = DiagnosticsCSV(os.path.join(cfg.output_dir, "diagnostics.csv"))
+    with _Stage("norms"):
+        for rec in traj.records:
+            diag.append_many(rec.t, norm_suite_rows(cfg, grid, rec.gauge(grid), rec.second_form(grid)))
+
+
+def check_constraints_and_write(cfg: RunConfig, traj: Trajectory):
+    """Run the T1-T5 monitors over the trajectory and write constraints.csv."""
     with _Stage("check-constraints"):
         reports = constraint_reports(traj)
-    write_reports_csv(os.path.join(outdir, "constraints.csv"), reports)
+    write_reports_csv(os.path.join(cfg.output_dir, "constraints.csv"), reports)
+    return reports
 
-    result = reconstruct_and_write(cfg, bundle, traj, outdir)
 
+def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajectory):
+    """Rebuild the immersion from the scenario's initial frame, with the
+    spatial holonomy audit, and write reconstruction.csv and immersions/."""
+    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+    with _Stage("reconstruct"):
+        result = reconstruct(
+            traj,
+            frame0,
+            bundle.immersion,
+            drift_tol=cfg.frame_drift_tol,
+            consistency_tol=cfg.consistency_tol,
+            holonomy_tol=cfg.holonomy_tol,
+            spatial_audit=True,
+        )
+    write_reconstruction_csv(os.path.join(cfg.output_dir, "reconstruction.csv"), result)
+    recon_dir = os.path.join(cfg.output_dir, "immersions")
+    os.makedirs(recon_dir, exist_ok=True)
+    for i, imm in enumerate(result.immersions):
+        for comp in range(imm.ambient_dim):
+            fld = GridField.from_real(traj.grid, imm.dev[comp], name=f"F{comp}")
+            write_field(os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"), fld)
+    return result
+
+
+def run_experiment(cfg: RunConfig) -> dict:
+    """Full pipeline: manifest, then every stage in order.
+
+    Outputs are flushed stage by stage, so a failing run leaves every
+    completed artifact behind and its error message names the stage.
+    """
+    cfg = cfg.resolve()
+    write_manifest(cfg)
+    bundle = gauge_init_and_write(cfg)
+    traj = evolve_and_write(cfg, bundle)
+    norms_and_write(cfg, traj)
+    reports = check_constraints_and_write(cfg, traj)
+    result = reconstruct_and_write(cfg, bundle, traj)
     return {
         "trajectory": traj,
         "reports": reports,
         "reconstruction": result,
         "bundle": bundle,
-        "output_dir": outdir,
+        "output_dir": cfg.output_dir,
     }

@@ -71,17 +71,17 @@ def gauge_state_from(grid: Grid, g, A, t=0.0) -> GaugeState:
     return GaugeState(metric=metric, A=A, B=B, V=V, t=t)
 
 
-def heat_rhs_h(s: GaugeState, sf: SecondForm):
+def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
     """Everything on the metric-flow right side except the principal term.
 
-    The Ricci term enters through its second-fundamental-form representation,
-    which keeps the right side quadratic; its defect against the curvature of
-    g is exactly the T1 monitor.
+    The Ricci term enters through its second-fundamental-form representation
+    ric_rep = ricci_from_lambda(s.metric, sf.lam, sf.psi), which keeps the
+    right side quadratic; its defect against the curvature of g is exactly the
+    T1 monitor.
     """
     m = s.metric
     grid = s.grid
     d = grid.d
-    ric_rep = ricci_from_lambda(m, sf.lam, sf.psi)
     term_im = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
     term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
     dginv = np.stack([np.stack([grid.grad(m.ginv[a, b]) for b in range(d)], axis=1) for a in range(d)], axis=1)
@@ -92,9 +92,10 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm):
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
-def heat_rhs_A(s: GaugeState, sf: SecondForm, sign_variant="minus"):
+def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="minus"):
     """Lower-order terms of the connection flow; the quadratic-curl term's sign
-    is the configurable variant."""
+    is the configurable variant.  ric_rep is ricci_from_lambda(s.metric,
+    sf.lam, sf.psi), as for heat_rhs_h."""
     if sign_variant not in SIGN_VARIANTS:
         raise SmcfValidationError(f"sign_variant must be one of {SIGN_VARIANTS}")
     sign = -1.0 if sign_variant == "minus" else 1.0
@@ -105,7 +106,6 @@ def heat_rhs_A(s: GaugeState, sf: SecondForm, sign_variant="minus"):
     nab_w = covariant_derivative(w, m, valence="ll")  # [b, a, s]
     div_w = grid.dealias(np.einsum("sb...,bas...->a...", m.ginv, nab_w))
     A_up = raise_first(m, s.A)
-    ric_rep = ricci_from_lambda(m, sf.lam, sf.psi)
     ric_term = grid.dealias(np.einsum("ad...,d...->a...", ric_rep, A_up))
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
     re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
@@ -149,6 +149,7 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
+        ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi)
         d2g = np.empty((grid.d, grid.d) + g.shape[: 2] + grid.shape)
         # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
         for a in range(grid.d):
@@ -159,11 +160,11 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
                     d2g[a, b] = grid.deriv(grid.deriv(g, a), b)
                     d2g[b, a] = d2g[a, b]
         coeff = m.ginv - ident
-        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", coeff, d2g)) + heat_rhs_h(state, sf_mid)
+        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", coeff, d2g)) + heat_rhs_h(state, sf_mid, ric_rep)
         NA = (
             _cov_laplacian_oneform(m, A)
             - np.stack([grid.laplacian(A[a]) for a in range(grid.d)])
-            + heat_rhs_A(state, sf_mid, sign_variant)
+            + heat_rhs_A(state, sf_mid, ric_rep, sign_variant)
         )
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 

@@ -22,7 +22,6 @@ from .errors import (
     FrameDriftError,
     IntegrabilityError,
     ReconstructionInconsistencyError,
-    SmcfValidationError,
 )
 from .geometry import Immersion, MetricState, christoffel, covariant_derivative, normal_part, raise_first
 from .grid import Grid
@@ -263,9 +262,8 @@ class ReconstructionResult:
 
 
 def _displacement(grid, frame: Frame, rec):
-    b = _bundle(grid, rec)
-    disp = -np.imag(np.einsum("...,i...->i...", b.psi, np.conj(frame.m)))
-    disp = disp + np.einsum("g...,gi...->i...", b.V, frame.F_alpha)
+    disp = -np.imag(np.einsum("...,i...->i...", rec.psi, np.conj(frame.m)))
+    disp = disp + np.einsum("g...,gi...->i...", rec.gauge(grid).V, frame.F_alpha)
     return disp
 
 
@@ -285,11 +283,15 @@ def reconstruct(
     """
     grid = traj.grid
     frames = [frame0]
+    # each step's end bundle is the next step's start; only the (start, mid,
+    # end) window of the current step stays alive
+    end = _bundle(grid, traj[0])
     for i in range(len(traj) - 1):
         rec0, rec1 = traj[i], traj[i + 1]
-        dt = rec1.t - rec0.t
-        bundles = (_bundle(grid, rec0), _bundle_midpoint(grid, rec0, rec1), _bundle(grid, rec1))
-        frames.append(transport_frame_time(frames[-1], bundles, dt, drift_tol=drift_tol))
+        start = end
+        mid = _bundle_midpoint(grid, rec0, rec1)
+        end = _bundle(grid, rec1)
+        frames.append(transport_frame_time(frames[-1], (start, mid, end), rec1.t - rec0.t, drift_tol=drift_tol))
 
     immersions = [F0]
     disp_prev = _displacement(grid, frames[0], traj[0])
@@ -363,19 +365,8 @@ def _verify_smcf_into(result: ReconstructionResult, traj: Trajectory):
         JH = np.einsum("i...,i...->...", H, nu1) * nu2 - np.einsum("i...,i...->...", H, nu2) * nu1
         perp = normal_part(mst, tang, dtF)
         result.smcf_residual.append(grid.l2(perp - JH))
-        b = _bundle(grid, traj[i])
-        ident = -np.imag(np.einsum("...,i...->i...", b.psi, np.conj(frame.m))) - JH
+        ident = -np.imag(np.einsum("...,i...->i...", traj[i].psi, np.conj(frame.m))) - JH
         result.identity_residual.append(grid.l2(ident))
-
-
-def verify_smcf(result: ReconstructionResult, traj: Trajectory):
-    """Recompute the flow residuals on an existing reconstruction."""
-    if len(traj) < 3:
-        raise SmcfValidationError("need at least three stored slices to audit the flow")
-    result.smcf_residual = []
-    result.identity_residual = []
-    _verify_smcf_into(result, traj)
-    return result.smcf_residual
 
 
 def write_reconstruction_csv(path, result: ReconstructionResult):

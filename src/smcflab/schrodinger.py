@@ -160,17 +160,6 @@ def _record(t, s: GaugeState, sf: SecondForm):
     return TrajectoryRecord(t=t, g=s.metric.g.copy(), A=s.A.copy(), lam=sf.lam.copy(), psi=sf.psi.copy())
 
 
-def _basic_diagnostics(grid, t, s, sf):
-    return {
-        "t": t,
-        "lambda_l2": grid.l2(sf.lam),
-        "lambda_linf": grid.linf(sf.lam),
-        "h_l2": grid.l2(s.metric.h),
-        "A_l2": grid.l2(s.A),
-        "metric_eig_min": s.metric.eig_min(),
-    }
-
-
 def _check_blowup(grid, lam, t, threshold):
     worst = grid.linf(lam)
     if not np.isfinite(worst) or worst > threshold:
@@ -196,7 +185,6 @@ def evolve_coupled(
     dt = T / nsteps
     s, sf = gauge0, sf0
     traj = Trajectory(grid=grid, records=[_record(0.0, s, sf)], meta={"dt": dt, "mode": "perstep"})
-    traj.diagnostics.append(_basic_diagnostics(grid, 0.0, s, sf))
     for step in range(1, nsteps + 1):
         t_new = step * dt
         sf_pred = step_schrodinger(sf, s, dt)
@@ -209,7 +197,6 @@ def evolve_coupled(
         s, sf = s_new, sf_new
         if step % snapshot_every == 0 or step == nsteps:
             traj.records.append(_record(t_new, s, sf))
-            traj.diagnostics.append(_basic_diagnostics(grid, t_new, s, sf))
     return traj
 
 
@@ -274,7 +261,6 @@ def evolve_slab(
         s = gauge_path[i]
         sf = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
         traj.records.append(_record(i * dt, s, sf))
-        traj.diagnostics.append(_basic_diagnostics(grid, i * dt, s, sf))
     return traj
 
 

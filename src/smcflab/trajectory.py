@@ -43,7 +43,6 @@ class TrajectoryRecord:
 class Trajectory:
     grid: Grid
     records: list
-    diagnostics: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property

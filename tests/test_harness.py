@@ -202,6 +202,43 @@ class TestCLI:
         assert b",spatial_holonomy," in from_reconstruct
         assert from_reconstruct == from_run
 
+    def test_subcommands_reproduce_run(self, tmp_path):
+        # the subcommands run the harness stages, so chaining them writes the
+        # same tree, byte for byte, as `smcf run`
+        cfg = small_cliff_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        assert main(["run", "--config", str(path)]) == 0
+        run_dir = str(tmp_path / "from_run")
+        os.rename(cfg.output_dir, run_dir)
+        for command in ("evolve", "check-constraints", "norms", "reconstruct"):
+            assert main([command, "--config", str(path)]) == 0, command
+
+        def tree(root):
+            out = {}
+            for dirpath, _, names in os.walk(root):
+                for name in names:
+                    full = os.path.join(dirpath, name)
+                    out[os.path.relpath(full, root)] = open(full, "rb").read()
+            return out
+
+        from_run, from_commands = tree(run_dir), tree(cfg.output_dir)
+        assert sorted(from_commands) == sorted(from_run)
+        assert any(name.startswith("snapshots") for name in from_run)
+        assert any(name.startswith("immersions") for name in from_run)
+        for name, data in from_run.items():
+            assert from_commands[name] == data, name
+
+    def test_evolve_blowup_leaves_manifest_and_names_stage(self, tmp_path, capsys):
+        cfg = small_cliff_config(tmp_path, blowup_threshold=1e-6)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        assert main(["evolve", "--config", str(path)]) == 3
+        files = os.listdir(cfg.output_dir)
+        assert "manifest.txt" in files
+        assert "gauge_init.csv" in files
+        assert "[evolve]" in capsys.readouterr().err
+
     def test_evolve_with_overrides(self, tmp_path):
         cfg = small_cliff_config(tmp_path)
         path = tmp_path / "cfg.txt"

@@ -10,6 +10,7 @@ from smcflab.geometry import (
     SecondForm,
     identity_metric,
     induced_metric,
+    ricci_from_lambda,
     second_form,
 )
 from smcflab.grid import Grid
@@ -35,6 +36,10 @@ def fd_deriv(grid, arr, axis):
         return np.roll(arr, -k, axis=ax)
 
     return (-roll(2) + 8 * roll(1) - 8 * roll(-1) + roll(-2)) / (12 * h)
+
+
+def ric(s, sf):
+    return ricci_from_lambda(s.metric, sf.lam, sf.psi)
 
 
 def flat_state(grid, t=0.0):
@@ -122,14 +127,15 @@ class TestHeatRhsH:
     def test_flat_zero(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
-        out = heat_rhs_h(s, zero_sf(grid))
+        sf = zero_sf(grid)
+        out = heat_rhs_h(s, sf, ric(s, sf))
         assert maxabs(out) < 1e-13
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_cliff_closed_form(self, r):
         grid = Grid(d=2, n=16, L=2 * np.pi * r)
         s, sf = cliff_state_and_sf(grid, r)
-        out = heat_rhs_h(s, sf)
+        out = heat_rhs_h(s, sf, ric(s, sf))
         exact = np.zeros_like(out)
         exact[0, 0] = 2.0 / r**2
         exact[1, 1] = -2.0 / r**2
@@ -138,7 +144,7 @@ class TestHeatRhsH:
     def test_symmetric_output(self):
         grid = Grid(d=2, n=64, L=16.0)
         s, sf = bump_state_and_sf(grid)
-        out = heat_rhs_h(s, sf)
+        out = heat_rhs_h(s, sf, ric(s, sf))
         assert maxabs(out - np.swapaxes(out, 0, 1)) < 1e-15
 
 
@@ -146,14 +152,15 @@ class TestHeatRhsA:
     def test_zero_data(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
-        out = heat_rhs_A(s, zero_sf(grid))
+        sf = zero_sf(grid)
+        out = heat_rhs_A(s, sf, ric(s, sf))
         assert maxabs(out) < 1e-13
 
     def test_cliff_all_terms_vanish(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s, sf = cliff_state_and_sf(grid)
         for variant in ("minus", "plus"):
-            assert maxabs(heat_rhs_A(s, sf, variant)) < 1e-10
+            assert maxabs(heat_rhs_A(s, sf, ric(s, sf), variant)) < 1e-10
 
     def test_bump_fd_assembly_oracle(self):
         grid = Grid(d=2, n=64, L=16.0)
@@ -185,14 +192,14 @@ class TestHeatRhsA:
         re_term = np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi)))
         v_term = np.einsum("as...,s...->a...", w, s.V)
         expected = -div_w - ric_term + re_term - v_term
-        got = heat_rhs_A(s, sf, "minus")
+        got = heat_rhs_A(s, sf, ric(s, sf), "minus")
         assert maxabs(got - expected) < 1e-6
 
     def test_sign_variants_differ_by_twice_div(self):
         grid = Grid(d=2, n=64, L=16.0)
         s, sf = bump_state_and_sf(grid, eps=0.05)
-        a = heat_rhs_A(s, sf, "minus")
-        b = heat_rhs_A(s, sf, "plus")
+        a = heat_rhs_A(s, sf, ric(s, sf), "minus")
+        b = heat_rhs_A(s, sf, ric(s, sf), "plus")
         assert maxabs(a - b) > 0
 
 
@@ -291,5 +298,21 @@ class TestStepParabolic:
             return gauge_state_from(*args, **kwargs)
 
         monkeypatch.setattr(parabolic, "gauge_state_from", counting)
+        step_parabolic(s0, (sf, sf), 0.005)
+        assert len(calls) == 2
+
+    def test_step_builds_the_ricci_representation_once_per_stage(self, monkeypatch):
+        # heat_rhs_h and heat_rhs_A share one ricci_from_lambda per stage
+        import smcflab.parabolic as parabolic
+
+        grid = Grid(d=2, n=16, L=16.0)
+        s0, sf = bump_state_and_sf(grid)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return ricci_from_lambda(*args)
+
+        monkeypatch.setattr(parabolic, "ricci_from_lambda", counting)
         step_parabolic(s0, (sf, sf), 0.005)
         assert len(calls) == 2

@@ -216,6 +216,27 @@ class TestEndToEnd:
         result = reconstruct(traj, frame, fix.immersion)
         return grid, traj, result
 
+    def test_each_bundle_built_once(self, monkeypatch):
+        # N records need N slice bundles and N - 1 midpoint bundles; the flow
+        # audit and the displacement read the records themselves
+        import smcflab.reconstruction as reconstruction
+
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        gauge = gauge_state_from(grid, m.g, np.zeros((2,) + grid.shape))
+        traj = picard_evolve(sf, gauge, T=0.01, dt=1e-3, snapshot_every=2)
+        calls = []
+
+        def counting(grid, rec):
+            calls.append(rec.t)
+            return bundle(grid, rec)
+
+        bundle = reconstruction._bundle
+        monkeypatch.setattr(reconstruction, "_bundle", counting)
+        reconstruct(traj, frame, fix.immersion)
+        assert len(traj) == 6
+        assert len(calls) == 2 * len(traj) - 1
+
     def test_cliff_radii_from_immersion(self):
         grid, traj, result = self._run()
         sol = solve_ivp(
