@@ -7,6 +7,7 @@ configuration, and a config round-trips through text bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import SmcfValidationError
@@ -62,8 +63,12 @@ class RunConfig:
             raise SmcfValidationError("box_length_L must be positive")
         if not 0 < self.dealias_fraction <= 1:
             raise SmcfValidationError("dealias_fraction must lie in (0, 1]")
-        if self.final_time_T <= 0:
-            raise SmcfValidationError("final_time_T must be positive")
+        if not (math.isfinite(self.final_time_T) and self.final_time_T > 0):
+            raise SmcfValidationError(f"final_time_T must be finite and positive, got {self.final_time_T}")
+        if not (math.isfinite(self.time_step_dt) and self.time_step_dt >= 0):
+            raise SmcfValidationError(
+                f"time_step_dt must be finite and >= 0 (0 selects 0.5 dx^2), got {self.time_step_dt}"
+            )
         if self.scenario_kind == "bump":
             if not 0 < self.bump_epsilon < 1:
                 raise SmcfValidationError("bump_epsilon must lie in (0, 1)")

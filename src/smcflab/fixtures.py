@@ -124,9 +124,7 @@ def graph_metric_oracle(F: Immersion) -> np.ndarray:
     grid = F.grid
     if not F.graph:
         raise SmcfValidationError("oracle applies to graph immersions only")
-    du = np.stack(
-        [np.stack([grid.deriv(F.dev[grid.d + j], a) for j in range(2)]) for a in range(grid.d)]
-    )  # (d, 2, *shape)
+    du = grid.grad(F.dev[grid.d :])  # (d, 2, *shape)
     return np.einsum("aj...,bj...->ab...", du, du) + identity_metric(grid)
 
 

@@ -58,8 +58,7 @@ class CoordinateChange:
 
     def __post_init__(self):
         grid = self.grid
-        dphi = np.stack([np.stack([grid.deriv(self.phi[c], a) for a in range(grid.d)]) for c in range(grid.d)])
-        # dphi[c, a] = d_a phi_c
+        dphi = np.swapaxes(grid.grad(self.phi), 0, 1)  # dphi[c, a] = d_a phi_c
         self.jacobian = dphi.copy()
         for a in range(grid.d):
             self.jacobian[a, a] += 1.0
@@ -90,15 +89,11 @@ class CoordinateChange:
 
 def fractional_sobolev(grid: Grid, fields, sigma, s):
     """(sum_k |k|^{2 sigma} (1+|k|^2)^s |f_k|^2)^{1/2} summed over components."""
-    total = 0.0
     weight = np.where(grid.k_mag > 0, np.where(grid.k_mag > 0, grid.k_mag, 1.0) ** (2 * sigma), 0.0)
     weight = weight * (1.0 + grid.k_sq) ** s
     meas = grid.L**grid.d / grid.n ** (2 * grid.d)
-    arr = np.asarray(fields)
-    flat = arr.reshape((-1,) + grid.shape)
-    for comp in flat:
-        total += np.sum(weight * np.abs(grid.fft(comp)) ** 2) * meas
-    return float(np.sqrt(total))
+    flat = np.asarray(fields).reshape((-1,) + grid.shape)
+    return float(np.sqrt(np.sum(weight * np.abs(grid.fft(flat)) ** 2) * meas))
 
 
 def _picard_loop(update, residual_of, tol, max_iter, label):
@@ -151,10 +146,8 @@ def solve_harmonic_coordinates(
     def update(phi):
         if phi is None:
             return np.zeros((grid.d,) + grid.shape)
-        d2 = np.stack(
-            [np.stack([grid.deriv(grid.deriv(phi, a), b) for b in range(grid.d)]) for a in range(grid.d)]
-        )  # [a, b, c, ...]
-        dphi = np.stack([grid.deriv(phi, a) for a in range(grid.d)])  # [s, c, ...]
+        d2 = grid.hessian(phi)  # [a, b, c, ...]
+        dphi = grid.grad(phi)  # [s, c, ...]
         rhs = (
             Vg
             - grid.dealias(np.einsum("ab...,abc...->c...", ginv_dev, d2))
@@ -164,10 +157,8 @@ def solve_harmonic_coordinates(
         return out - out.mean(axis=tuple(range(1, grid.d + 1)), keepdims=True)
 
     def residual_of(phi):
-        d2 = np.stack(
-            [np.stack([grid.deriv(grid.deriv(phi, a), b) for b in range(grid.d)]) for a in range(grid.d)]
-        )
-        dphi = np.stack([grid.deriv(phi, a) for a in range(grid.d)])
+        d2 = grid.hessian(phi)
+        dphi = grid.grad(phi)
         lap_g = grid.dealias(
             np.einsum("ab...,abc...->c...", m.ginv, d2)
             - np.einsum("s...,sc...->c...", Vg, dphi)
@@ -191,7 +182,7 @@ def pullback_immersion(F: Immersion, change: CoordinateChange) -> Immersion:
         for a in range(grid.d):
             diff = x_at[:, a].reshape(grid.shape) - grid.x[a]
             dev_new[a] = dev_new[a] + diff
-    return Immersion(grid, np.stack([grid.dealias(c) for c in dev_new]), graph=F.graph)
+    return Immersion(grid, grid.dealias(dev_new), graph=F.graph)
 
 
 def pullback_metric(m: MetricState, change: CoordinateChange):
@@ -282,7 +273,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     def update(b):
         if b is None:
             return np.zeros(grid.shape)
-        d2 = np.stack([np.stack([grid.deriv(grid.deriv(b, a), c) for c in range(grid.d)]) for a in range(grid.d)])
+        d2 = grid.hessian(b)
         db = grid.grad(b)
         rhs = (
             div_tilde
@@ -293,7 +284,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
         return out - out.mean()
 
     def residual_of(b):
-        d2 = np.stack([np.stack([grid.deriv(grid.deriv(b, a), c) for c in range(grid.d)]) for a in range(grid.d)])
+        d2 = grid.hessian(b)
         db = grid.grad(b)
         lap_g = grid.dealias(np.einsum("ac...,ac...->...", m.ginv, d2) - np.einsum("s...,s...->...", Vg, db))
         return grid.l2(lap_g - div_tilde)
@@ -317,13 +308,13 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
     grid = m.grid
     w = curl_source(grid, raise_first(m, sf.lam), sf.lam)
     # flat divergence of the antisymmetric source: (d^b w)_{a b}
-    div_w = np.stack([sum(grid.deriv(w[a, b], b) for b in range(grid.d)) for a in range(grid.d)])
+    div_w = grid.div(np.swapaxes(w, 0, 1))
     hinv = m.ginv - identity_metric(grid)
 
     def update(A):
         if A is None:
             return np.zeros((grid.d,) + grid.shape)
-        dA = np.stack([np.stack([grid.deriv(A[mu], b) for b in range(grid.d)]) for mu in range(grid.d)])
+        dA = np.swapaxes(grid.grad(A), 0, 1)
         # -d_a(h^{mu b} d_b A_mu) - (d^b w)_{ab}
         inner = grid.dealias(np.einsum("mb...,mb...->...", hinv, dA))
         rhs = -grid.grad(inner) - div_w
@@ -331,8 +322,8 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
         return out - out.mean(axis=tuple(range(1, grid.d + 1)), keepdims=True)
 
     def residual_of(A):
-        dA = np.stack([np.stack([grid.deriv(A[mu], b) for b in range(grid.d)]) for mu in range(grid.d)])
-        lap = np.stack([grid.laplacian(A[a]) for a in range(grid.d)])
+        dA = np.swapaxes(grid.grad(A), 0, 1)
+        lap = grid.laplacian(A)
         inner = grid.dealias(np.einsum("mb...,mb...->...", hinv, dA))
         return grid.l2(lap + grid.grad(inner) + div_w)
 
@@ -340,13 +331,13 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
 
     # gradient correction for the contracted divergence q = g^{ab} d_b A_a
     def div_q(Af):
-        dA = np.stack([np.stack([grid.deriv(Af[mu], b) for b in range(grid.d)]) for mu in range(grid.d)])
+        dA = np.swapaxes(grid.grad(Af), 0, 1)
         return grid.dealias(np.einsum("ab...,ab...->...", m.ginv, dA))
 
     def update_rho(rho):
         if rho is None:
             return np.zeros(grid.shape)
-        d2 = np.stack([np.stack([grid.deriv(grid.deriv(rho, a), b) for b in range(grid.d)]) for a in range(grid.d)])
+        d2 = grid.hessian(rho)
         rhs = -div_q(A) - grid.dealias(np.einsum("ab...,ab...->...", hinv, d2))
         out = grid.inv_laplacian(rhs)
         return out - out.mean()
@@ -357,8 +348,7 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
     rho, rho_report = _picard_loop(update_rho, residual_rho, tol, max_iter, "divergence correction")
     A = A + grid.grad(rho)
 
-    dA = np.stack([np.stack([grid.deriv(A[mu], b) for b in range(grid.d)]) for mu in range(grid.d)])
-    curl = dA - np.swapaxes(dA, 0, 1)  # [b, mu] - [mu, b] pattern: d_b A_mu
+    dA = np.swapaxes(grid.grad(A), 0, 1)  # dA[mu, b] = d_b A_mu
     curl_res = grid.l2((np.swapaxes(dA, 0, 1) - dA) - w)
     report.residual = grid.l2(div_q(A))
     report.warnings.extend(rho_report.warnings)
@@ -371,16 +361,10 @@ def check_elliptic_h(m: MetricState, sf: SecondForm):
     grid = m.grid
     if m.gamma_u is None:
         m = christoffel(m)
-    d = grid.d
-    d2g = np.empty((d, d, d, d) + grid.shape)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for s_ in range(d):
-                    d2g[a, b, c, s_] = grid.deriv(grid.deriv(m.g[c, s_], a), b)
+    d2g = grid.hessian(m.g)
     lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, d2g))
-    dg = np.stack([np.stack([np.stack([grid.deriv(m.g[a, b], c) for c in range(d)]) for b in range(d)]) for a in range(d)])
-    dginv = np.stack([np.stack([np.stack([grid.deriv(m.ginv[a, b], c) for c in range(d)]) for b in range(d)]) for a in range(d)])
+    dg = np.moveaxis(grid.grad(m.g), 0, 2)
+    dginv = np.moveaxis(grid.grad(m.ginv), 0, 2)
     # dg[a, b, c] = d_c g_{ab};  dginv[a, b, c] = d_c g^{ab}
     term1 = -np.einsum("abc...,asb...->cs...", dginv, dg)
     term2 = -np.einsum("abs...,acb...->cs...", dginv, dg)

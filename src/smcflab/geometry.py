@@ -55,27 +55,15 @@ class Immersion:
 
     def tangents(self):
         """F_alpha = d_alpha F, shape (d, d+2, *shape)."""
-        grid = self.grid
-        t = np.stack([np.stack([grid.deriv(self.dev[i], a) for i in range(self.ambient_dim)]) for a in range(grid.d)])
+        t = self.grid.grad(self.dev)
         if self.graph:
-            for a in range(grid.d):
+            for a in range(self.grid.d):
                 t[a, a] += 1.0
         return t
 
     def second_partials(self):
         """d_a d_b F, shape (d, d, d+2, *shape); the linear part drops out."""
-        grid = self.grid
-        d = grid.d
-        out = np.empty((d, d, self.ambient_dim) + grid.shape)
-        for a in range(d):
-            for b in range(a, d):
-                for i in range(self.ambient_dim):
-                    if a == b:
-                        out[a, a, i] = grid.deriv(self.dev[i], a, 2)
-                    else:
-                        out[a, b, i] = grid.deriv(grid.deriv(self.dev[i], a), b)
-                        out[b, a, i] = out[a, b, i]
-        return out
+        return self.grid.hessian(self.dev)
 
     def positions(self):
         """Full map values F(x), including the linear part."""
@@ -183,10 +171,8 @@ def induced_metric(F: Immersion) -> MetricState:
 
 def christoffel(m: MetricState) -> MetricState:
     grid = m.grid
-    d = grid.d
-    dg = np.stack([np.stack([np.stack([grid.deriv(m.g[a, b], c) for c in range(d)]) for b in range(d)]) for a in range(d)])
-    # dg[a, b, c] = d_c g_{ab}
-    gamma_l = 0.5 * (np.einsum("bsa...->abs...", dg) + np.einsum("asb...->abs...", dg) - np.einsum("abs...->abs...", dg))
+    dg = grid.grad(m.g)  # dg[c, a, b] = d_c g_{ab}
+    gamma_l = 0.5 * (dg + np.einsum("bas...->abs...", dg) - np.einsum("sab...->abs...", dg))
     gamma_u = grid.dealias(np.einsum("cs...,abs...->cab...", m.ginv, gamma_l))
     return replace(m, gamma_l=gamma_l, gamma_u=gamma_u)
 
@@ -197,12 +183,7 @@ def curvature(m: MetricState) -> MetricState:
         m = christoffel(m)
     grid = m.grid
     d = grid.d
-    dG = np.empty((d, d, d, d) + grid.shape)  # dG[a, b, c, s] = d_a Gamma_{bc,s}
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for s in range(d):
-                    dG[a, b, c, s] = grid.deriv(m.gamma_l[b, c, s], a)
+    dG = grid.grad(m.gamma_l)  # dG[a, b, c, s] = d_a Gamma_{bc,s}
     quad = grid.dealias(np.einsum("mbs...,acm...->scab...", m.gamma_u, m.gamma_l))
     riem = (
         np.einsum("abcs...->scab...", dG)
@@ -239,20 +220,20 @@ def covariant_derivative(T, m: MetricState, valence, A=None):
         raise ValenceMismatchError(
             f"tensor of shape {T.shape} has {T.ndim - grid.d} index slots, valence says {rank}"
         )
-    out = np.stack([grid.deriv(T, a) for a in range(grid.d)])
+    rest = _LETTERS[: rank - 1]
+    corrections = []
     for slot, v in enumerate(valence):
-        rest = _LETTERS[: rank - 1]
         T_m = np.moveaxis(T, slot, 0)
         if v == "l":
-            corr = np.einsum(f"sga...,s{rest}...->ga{rest}...", m.gamma_u, T_m)
-            corr = grid.dealias(corr)
-            out = out - np.moveaxis(corr, 1, slot + 1)
+            corr = -np.einsum(f"sga...,s{rest}...->ga{rest}...", m.gamma_u, T_m)
         else:
             corr = np.einsum(f"ags...,s{rest}...->ga{rest}...", m.gamma_u, T_m)
-            corr = grid.dealias(corr)
-            out = out + np.moveaxis(corr, 1, slot + 1)
+        corrections.append(np.moveaxis(corr, 1, slot + 1))
     if A is not None:
-        out = out + 1j * grid.dealias(np.einsum("g...,...->g...", A, T))
+        corrections.append(1j * np.einsum("g...,...->g...", A, T))
+    out = grid.grad(T)
+    if corrections:
+        out = out + grid.dealias(sum(corrections))
     return out
 
 
@@ -344,8 +325,7 @@ def normal_part(m: MetricState, t, v):
 
 def normal_connection(grid: Grid, nu1, nu2):
     """A_a = d_a nu1 . nu2, the connection one-form of a normal frame."""
-    dn1 = np.stack([np.stack([grid.deriv(nu1[i], a) for i in range(len(nu1))]) for a in range(grid.d)])
-    return grid.dealias(np.einsum("ai...,i...->a...", dn1, nu2))
+    return grid.dealias(np.einsum("ai...,i...->a...", grid.grad(nu1), nu2))
 
 
 def gram_schmidt_normal(F: Immersion, m: MetricState, nu1, nu2):
@@ -392,6 +372,6 @@ def gauge_rotate(sf: SecondForm, A, m_vec, theta):
     phase = np.exp(1j * theta)
     lam = sf.lam * phase
     psi = sf.psi * phase
-    A_new = None if A is None else A - np.stack([grid.deriv(theta, a) for a in range(grid.d)])
+    A_new = None if A is None else A - grid.grad(theta)
     m_new = None if m_vec is None else m_vec * phase
     return SecondForm(grid, lam, psi), A_new, m_new

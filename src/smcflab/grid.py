@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,17 +101,31 @@ class Grid:
         self.x1d = x1
         self.x = np.meshgrid(*([x1] * self.d), indexing="ij")
 
-        with np.errstate(divide="ignore"):
-            inv = np.where(self.k_sq > 0.0, -1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
-        self._inv_lap_mult = inv
+        self._lp_bands = {}
+        self._inv_lap_mult = np.where(self.k_sq > 0.0, -1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
 
     # -- basic transforms ---------------------------------------------------
+    # The only transform call sites: every spectral operator below reaches
+    # numpy.fft through these two methods.
 
-    def fft(self, arr):
-        return np.fft.fftn(np.asarray(arr), axes=self._axes(arr))
+    def fft(self, arr, half=False):
+        """Forward transform over the spatial axes; half=True takes the r2c
+        half spectrum of a real array (last axis cut to n//2 + 1)."""
+        arr = np.asarray(arr)
+        if half:
+            return np.fft.rfftn(arr, axes=self._axes(arr))
+        return np.fft.fftn(arr, axes=self._axes(arr))
 
-    def ifft(self, hat):
-        return np.fft.ifftn(np.asarray(hat), axes=self._axes(hat))
+    def ifft(self, hat, half=False):
+        """Inverse of fft; half=True turns a half spectrum back into a real array."""
+        hat = np.asarray(hat)
+        if half:
+            return np.fft.irfftn(hat, s=self.shape, axes=self._axes(hat))
+        return np.fft.ifftn(hat, axes=self._axes(hat))
+
+    def half(self, mult):
+        """A full-spectrum multiplier cut to the r2c half spectrum of fft(..., half=True)."""
+        return mult[..., : self.n // 2 + 1]
 
     def _axes(self, arr):
         nd = np.ndim(arr)
@@ -144,6 +159,51 @@ class Grid:
 
     # -- multiplier operators ------------------------------------------------
 
+    def apply(self, arr, mult):
+        """Fourier multiplier: ifft(mult * fft(arr)) over the spatial axes.
+
+        A real arr takes the r2c path on the half spectrum and comes back real,
+        so mult must be Hermitian, mult(-k) = conj(mult(k)), as every
+        multiplier here is; complex input stays c2c.  Leading axes of mult
+        broadcast against the tensor axes of arr.
+        """
+        hat, real = self._spectrum(arr, mult)
+        return self.ifft(hat, half=real)
+
+    def _spectrum(self, arr, mult):
+        """(mult * fft(arr), real), on the half spectrum when arr is real."""
+        arr = np.asarray(arr)
+        if np.isrealobj(arr):
+            return self.fft(arr, half=True) * self.half(mult), True
+        return self.fft(arr) * mult, False
+
+    def _over(self, mult, arr):
+        """Reshape a multiplier stack (*stack, *shape) to broadcast over the tensor axes of arr."""
+        stack = mult.shape[: mult.ndim - self.d]
+        return mult.reshape(stack + (1,) * (np.ndim(arr) - self.d) + self.shape)
+
+    def _deriv_mult(self, axis, order):
+        mult = (1j * self.k[axis]) ** order
+        if order % 2 == 1:
+            # odd derivatives break Hermitian symmetry on the Nyquist plane
+            mult = np.where(np.abs(np.abs(self.k[axis]) - self.k_nyq) < 1e-12, 0.0, mult)
+        return mult
+
+    @cached_property
+    def _grad_mult(self):
+        return np.stack([np.broadcast_to(self._deriv_mult(a, 1), self.shape) for a in range(self.d)])
+
+    @cached_property
+    def _hessian_mult(self):
+        mult = self._grad_mult[:, None] * self._grad_mult[None, :]
+        for a in range(self.d):
+            mult[a, a] = self._deriv_mult(a, 2)
+        return mult
+
+    @cached_property
+    def _div_mult(self):
+        return self._grad_mult * self.dealias_mask
+
     def deriv(self, arr, axis, order=1):
         """order-th spectral derivative along a spatial axis."""
         if not 0 <= axis < self.d:
@@ -152,16 +212,24 @@ class Grid:
             raise SmcfValidationError(f"derivative order must be in 0..4, got {order}")
         if order == 0:
             return np.array(arr, copy=True)
-        mult = (1j * self.k[axis]) ** order
-        if order % 2 == 1:
-            # odd derivatives break Hermitian symmetry on the Nyquist plane
-            mult = np.where(np.abs(np.abs(self.k[axis]) - self.k_nyq) < 1e-12, 0.0, mult)
-        out = self.ifft(self.fft(arr) * mult)
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, self._deriv_mult(axis, order))
 
     def grad(self, arr):
-        """Stack of first derivatives, new leading axis of length d."""
-        return np.stack([self.deriv(arr, a) for a in range(self.d)])
+        """[a] = d_a arr for every axis, a new leading axis of length d; one transform pair."""
+        return self.apply(arr, self._over(self._grad_mult, arr))
+
+    def hessian(self, arr):
+        """[a, b] = d_a d_b arr, two new leading axes; one transform pair.
+
+        Mixed derivatives zero the Nyquist planes of both axes, as two first
+        derivatives would; the diagonal is the second derivative (i k_a)^2.
+        """
+        return self.apply(arr, self._over(self._hessian_mult, arr))
+
+    def div(self, X):
+        """sum_mu d_mu dealias(X[mu]) over the leading axis of X; one transform pair."""
+        hat, real = self._spectrum(X, self._over(self._div_mult, X[0]))
+        return self.ifft(hat.sum(axis=0), half=real)
 
     def frac_pow(self, arr, sigma, zero_mode_tol=None):
         """Multiply spectrum by |k|^sigma; the zero mode maps to 0 for sigma != 0.
@@ -171,27 +239,22 @@ class Grid:
         """
         if sigma == 0.0:
             return np.array(arr, copy=True)
-        hat = self.fft(arr)
         if sigma < 0.0 and zero_mode_tol is not None:
-            zero = np.abs(hat[(Ellipsis,) + (0,) * self.d]) / max(self.n**self.d, 1)
+            zero = np.abs(self.mean(arr))
             scale = self.l2(arr) / max(self.L ** (self.d / 2), 1e-300)
             if np.any(zero > zero_mode_tol * max(scale, 1e-300)):
                 raise ZeroModeError(
                     f"|k|^{sigma} requested on a field with nonzero mean (relative {float(np.max(zero)):.3e})"
                 )
         mag = np.where(self.k_mag > 0.0, self.k_mag, 1.0)
-        mult = np.where(self.k_mag > 0.0, mag**sigma, 0.0)
-        out = self.ifft(hat * mult)
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, np.where(self.k_mag > 0.0, mag**sigma, 0.0))
 
     def inv_laplacian(self, arr):
         """Spectral solve of Laplace u = arr with the zero mode projected out."""
-        out = self.ifft(self.fft(arr) * self._inv_lap_mult)
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, self._inv_lap_mult)
 
     def laplacian(self, arr):
-        out = self.ifft(self.fft(arr) * (-self.k_sq))
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, -self.k_sq)
 
     # -- Littlewood-Paley ----------------------------------------------------
 
@@ -207,8 +270,15 @@ class Grid:
         raise SmcfValidationError(f"projection kind must be 'P' or 'S', got {kind!r}")
 
     def lp_project(self, arr, j, kind="P"):
-        out = self.ifft(self.fft(arr) * self.lp_multiplier(j, kind))
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, self.lp_multiplier(j, kind))
+
+    def lp_bands(self, kind="P"):
+        """Every band's multiplier stacked on a leading axis, built once per grid:
+        P_j for j in lp_band_range(), S_j for j = 0..max(0, max(lp_band_range()))."""
+        if kind not in self._lp_bands:
+            js = self.lp_band_range() if kind == "P" else range(max(0, max(self.lp_band_range())) + 1)
+            self._lp_bands[kind] = np.stack([self.lp_multiplier(j, kind) for j in js])
+        return self._lp_bands[kind]
 
     def lp_band_range(self):
         """Dyadic indices j whose annulus intersects the resolvable spectrum."""
@@ -221,8 +291,7 @@ class Grid:
     # -- dealiased products ----------------------------------------------------
 
     def dealias(self, arr):
-        out = self.ifft(self.fft(arr) * self.dealias_mask)
-        return out.real if np.isrealobj(arr) else out
+        return self.apply(arr, self.dealias_mask)
 
     def prod(self, f, g):
         """Pointwise product with 2/3-style spectral truncation on inputs and output.
@@ -309,44 +378,29 @@ class GridField:
 
 def spectral_derivative(f: GridField, axis: int, order: int = 1) -> GridField:
     """d^order f / dx_axis^order by wavenumber multiplication."""
-    out = f.grid.deriv(f.values, axis, order)
-    if f.parity == "real":
-        out = out.real
-    return f._wrap(out)
+    return f._wrap(f.grid.deriv(f.physical(), axis, order))
 
 
 def fractional_derivative(f: GridField, sigma: float) -> GridField:
     """|D|^sigma f; requires a mean-free field when sigma < 0."""
     if not -2.0 <= sigma <= 4.0:
         raise SmcfValidationError(f"sigma must lie in [-2, 4], got {sigma}")
-    out = f.grid.frac_pow(f.values, sigma, zero_mode_tol=1e-10 if sigma < 0 else None)
-    if f.parity == "real":
-        out = out.real
-    return f._wrap(out)
+    return f._wrap(f.grid.frac_pow(f.physical(), sigma, zero_mode_tol=1e-10 if sigma < 0 else None))
 
 
 def lp_project(f: GridField, j: int, kind: str = "P") -> GridField:
-    out = f.grid.lp_project(f.values, j, kind)
-    if f.parity == "real":
-        out = out.real
-    return f._wrap(out)
+    return f._wrap(f.grid.lp_project(f.physical(), j, kind))
 
 
 def inverse_laplacian(f: GridField) -> GridField:
-    out = f.grid.inv_laplacian(f.values)
-    if f.parity == "real":
-        out = out.real
-    return f._wrap(out)
+    return f._wrap(f.grid.inv_laplacian(f.physical()))
 
 
 def dealiased_product(f: GridField, g: GridField) -> GridField:
     if not f.grid.same_grid(g.grid):
         raise GridMismatchError("product operands live on different grids")
-    out = f.grid.prod(f.values, g.values)
     parity = "real" if (f.parity == "real" and g.parity == "real") else "complex"
-    if parity == "real":
-        out = out.real
-    return GridField(f.grid, out, parity=parity)
+    return GridField(f.grid, f.grid.prod(f.physical(), g.physical()), parity=parity)
 
 
 # -- snapshot IO -----------------------------------------------------------------

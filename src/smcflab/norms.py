@@ -89,36 +89,28 @@ def _as_field_series(series):
 def s_block_norms(f: GridField, s_weight=None):
     """L2 norms of the S_j blocks, j = 0..J (J covers the resolvable spectrum)."""
     grid = f.grid
-    J = max(0, max(grid.lp_band_range()))
-    hat = f.hat
-    meas = grid.L**grid.d / grid.n ** (2 * grid.d)
-    out = np.zeros(J + 1)
-    for j in range(J + 1):
-        mult = grid.lp_multiplier(j, "S")
-        w = np.abs(mult * hat) ** 2
-        if s_weight is not None:
-            w = w * s_weight
-        out[j] = np.sqrt(np.sum(w) * meas)
-    return out
+    w = np.abs(grid.lp_bands("S") * f.hat) ** 2
+    if s_weight is not None:
+        w = w * s_weight
+    return np.sqrt(_spectral_sums(grid, w))
+
+
+def _spectral_sums(grid: Grid, w):
+    """Grid-measure sums of a stack of spectral densities, one per leading index."""
+    return np.sum(w, axis=tuple(range(1, grid.d + 1))) * grid.L**grid.d / grid.n ** (2 * grid.d)
 
 
 def z_norm(series, sigma: float, s: float) -> float:
     """Time-sup inside each dyadic block, then weighted l2 across blocks."""
     fields = _as_field_series(series)
     grid = fields[0].grid
-    J = max(0, max(grid.lp_band_range()))
-    sup = np.zeros(J + 1)
-    for f in fields:
-        hat = f.hat
-        meas = grid.L**grid.d / grid.n ** (2 * grid.d)
-        for j in range(J + 1):
-            mult = grid.lp_multiplier(j, "S")
-            if j == 0 and sigma != 0.0:
-                mag = np.where(grid.k_mag > 0, grid.k_mag, 1.0)
-                frac = np.where(grid.k_mag > 0, mag**sigma, 0.0)
-                mult = mult * frac
-            val = np.sqrt(np.sum(np.abs(mult * hat) ** 2) * meas)
-            sup[j] = max(sup[j], val)
+    mults = grid.lp_bands("S")
+    if sigma != 0.0:
+        mag = np.where(grid.k_mag > 0, grid.k_mag, 1.0)
+        frac = np.where(grid.k_mag > 0, mag**sigma, 0.0)
+        mults = np.concatenate([mults[:1] * frac, mults[1:]])
+    sup = np.max([np.sqrt(_spectral_sums(grid, np.abs(mults * f.hat) ** 2)) for f in fields], axis=0)
+    J = len(sup) - 1
     weights = np.array([1.0] + [2.0 ** (2 * s * j) for j in range(1, J + 1)])
     return float(np.sqrt(np.sum(weights * sup**2)))
 
@@ -172,12 +164,17 @@ def cube_partition_norm(f: GridField, j: int, p, inner: str = "l2") -> float:
 
 
 def _lp_cubes(grid: Grid, values, scale, p, inner):
-    chis = cube_weights(grid, scale)
     vals = np.abs(np.asarray(values))
     if inner == "l2":
-        per = np.sqrt(np.sum((chis * vals) ** 2, axis=tuple(range(1, grid.d + 1))) * grid.cell_volume)
+        # chi_Q^2 = prod_a w_{i_a}(x_a)^2 is separable: contract one axis at a
+        # time instead of building the (m^d, *shape) stack of cube weights
+        w_sq = _axis_weights(grid, max(1, int(round(grid.L / scale)))) ** 2
+        per = vals**2
+        for _ in range(grid.d):
+            per = np.tensordot(per, w_sq, axes=([0], [1]))
+        per = np.sqrt(per * grid.cell_volume)
     elif inner == "linf":
-        per = np.max(chis * vals, axis=tuple(range(1, grid.d + 1)))
+        per = np.max(cube_weights(grid, scale) * vals, axis=tuple(range(1, grid.d + 1)))
     else:
         raise SmcfValidationError(f"inner norm must be 'l2' or 'linf', got {inner!r}")
     if p in (np.inf, "inf"):
@@ -206,8 +203,7 @@ def y0_norm_upper(f: GridField, s: float, delta: float) -> float:
     """Upper bound for the weighted-in-frequency cube-l1 norm of f."""
     grid = f.grid
     total = 0.0
-    for j in grid.lp_band_range():
-        pj = grid.lp_project(f.values, j, "P")
+    for j, pj in zip(grid.lp_band_range(), grid.apply(f.physical(), grid.lp_bands())):
         block = _y0j_upper(grid, pj, j)
         if block == 0.0:
             continue
@@ -219,15 +215,12 @@ def y0_norm_upper(f: GridField, s: float, delta: float) -> float:
 def y0_lo_norm_upper(f: GridField, delta: float) -> float:
     """Low-frequency variant: high band measured once, l2 over negative bands."""
     grid = f.grid
-    hat = f.hat
-    lo_mult = sum(grid.lp_multiplier(j, "P") for j in grid.lp_band_range() if j < 0)
-    hi = grid.ifft(hat * (1.0 - lo_mult))
+    lo_js = [j for j in grid.lp_band_range() if j < 0]
+    lo_bands = grid.lp_bands()[: len(lo_js)]
+    hi, *lo = grid.apply(f.physical(), np.concatenate([1.0 - lo_bands.sum(axis=0)[None], lo_bands]))
     hi_val = max(_y0j_upper(grid, hi, 0), grid.linf(hi))
     total = hi_val**2
-    for j in grid.lp_band_range():
-        if j >= 0:
-            continue
-        pj = grid.lp_project(f.values, j, "P")
+    for j, pj in zip(lo_js, lo):
         block = _y0j_upper(grid, pj, j)
         total += (2.0 ** ((grid.d / 2 - delta) * j) * block) ** 2
     return float(np.sqrt(total))

@@ -81,11 +81,9 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
     """
     m = s.metric
     grid = s.grid
-    d = grid.d
     term_im = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
     term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
-    dginv = np.stack([np.stack([grid.grad(m.ginv[a, b]) for b in range(d)], axis=1) for a in range(d)], axis=1)
-    # dginv[mu, a, b] = d_mu g^{ab}
+    dginv = grid.grad(m.ginv)  # dginv[mu, a, b] = d_mu g^{ab}
     term_dg = np.einsum("mab...,abn...->mn...", dginv, m.gamma_l)
     term_dg = term_dg + np.einsum("mn...->nm...", term_dg)
     out = 2.0 * ric_rep + grid.dealias(term_im + term_gg + term_dg)
@@ -150,33 +148,26 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
         ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi)
-        d2g = np.empty((grid.d, grid.d) + g.shape[: 2] + grid.shape)
-        # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
-        for a in range(grid.d):
-            for b in range(a, grid.d):
-                if a == b:
-                    d2g[a, a] = grid.deriv(g, a, 2)
-                else:
-                    d2g[a, b] = grid.deriv(grid.deriv(g, a), b)
-                    d2g[b, a] = d2g[a, b]
+        d2g = grid.hessian(g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
         coeff = m.ginv - ident
         Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", coeff, d2g)) + heat_rhs_h(state, sf_mid, ric_rep)
         NA = (
             _cov_laplacian_oneform(m, A)
-            - np.stack([grid.laplacian(A[a]) for a in range(grid.d)])
+            - grid.laplacian(A)
             + heat_rhs_A(state, sf_mid, ric_rep, sign_variant)
         )
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 
-    z = -grid.k_sq * dt
+    # g, A and their right sides are real: the factors act on r2c half spectra
+    z = -grid.half(grid.k_sq) * dt
     E = np.exp(z)
     phi1, phi2 = _phi_factors(z)
 
     def predict(u, N):
-        return grid.ifft(E * grid.fft(u) + dt * phi1 * grid.fft(N)).real
+        return grid.ifft(E * grid.fft(u, half=True) + dt * phi1 * grid.fft(N, half=True), half=True)
 
     def correct(u_star, N0, N1):
-        return u_star + grid.ifft(dt * phi2 * grid.fft(N1 - N0)).real
+        return u_star + grid.ifft(dt * phi2 * grid.fft(N1 - N0, half=True), half=True)
 
     Nh0, NA0 = nonlinear(s)
     g_star = predict(s.metric.g, Nh0)

@@ -32,16 +32,11 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     m = s.metric
     lam = sf.lam
     psi = sf.psi
-    d = grid.d
 
-    dlam = np.stack([grid.deriv(lam, a) for a in range(d)])  # [c, a, b]
+    dlam = grid.grad(lam)  # [c, a, b]
 
     # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam
-    div_form = sum(
-        grid.deriv(grid.dealias(np.einsum("...,ab...->ab...", m.ginv[mu, nu], dlam[nu])), mu)
-        for mu in range(d)
-        for nu in range(d)
-    )
+    div_form = grid.div(np.einsum("mn...,nab...->mab...", m.ginv, dlam))
     first = covariant_derivative(lam, m, valence="ll")  # [c, a, b]
     second = covariant_derivative(first, m, valence="lll")  # [e, c, a, b]
     cov_lap = grid.dealias(np.einsum("ec...,ecab...->ab...", m.ginv, second))
@@ -105,14 +100,9 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
 
 def _remainder(grid: Grid, s: GaugeState, lam, F):
     """W(lam) with d_t lam = i Lap lam + W; the flat phase is handled exactly."""
-    d = grid.d
     ginv_dev = s.metric.ginv - identity_metric(grid)
-    dlam = np.stack([grid.deriv(lam, a) for a in range(d)])
-    flux = sum(
-        grid.deriv(grid.dealias(np.einsum("...,ab...->ab...", ginv_dev[mu, nu], dlam[nu])), mu)
-        for mu in range(d)
-        for nu in range(d)
-    )
+    dlam = grid.grad(lam)
+    flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
     A_up = raise_first(s.metric, s.A)
     adv = grid.dealias(np.einsum("s...,sab...->ab...", A_up, dlam))
     return 1j * flux - 2.0 * adv - 1j * F

@@ -72,6 +72,89 @@ class TestGridConstruction:
         assert rel_err(grid.ifft(grid.fft(f)), f) < 1e-12
 
 
+def c2c_deriv(grid, arr, axis, order=1):
+    """One derivative of every component by a full c2c round trip: the
+    per-component composition the fused operators replace."""
+    mult = (1j * grid.k[axis]) ** order
+    if order % 2:
+        mult = np.where(np.isclose(np.abs(grid.k[axis]), grid.k_nyq), 0.0, mult)
+    out = grid.ifft(grid.fft(arr) * mult)
+    return out.real if np.isrealobj(arr) else out
+
+
+def c2c_dealias(grid, arr):
+    out = grid.ifft(grid.fft(arr) * grid.dealias_mask)
+    return out.real if np.isrealobj(arr) else out
+
+
+def full_spectrum_stack(grid, lead, real, seed=0):
+    """Random tensor stack with content up to and on the Nyquist planes."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(lead + grid.shape)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(lead + grid.shape)
+    return vals
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestFusedOperators:
+    def test_apply_matches_c2c(self, d, real):
+        grid = Grid(d=d, n=8, L=3.0)
+        f = full_spectrum_stack(grid, (2, 3), real, seed=d)
+        mult = np.exp(-grid.k_sq) * grid.lp_multiplier(0, "S")
+        ref = grid.ifft(grid.fft(f) * mult)
+        out = grid.apply(f, mult)
+        assert np.isrealobj(out) == real
+        assert rel_err(out, ref.real if real else ref) < 1e-13
+
+    def test_grad_matches_per_component(self, d, real):
+        grid = Grid(d=d, n=8, L=3.0)
+        f = full_spectrum_stack(grid, (d, d), real, seed=10 + d)
+        ref = np.stack([c2c_deriv(grid, f, a) for a in range(d)])
+        out = grid.grad(f)
+        assert out.shape == (d, d, d) + grid.shape and np.isrealobj(out) == real
+        assert rel_err(out, ref) < 1e-13
+
+    def test_hessian_matches_per_component(self, d, real):
+        grid = Grid(d=d, n=8, L=3.0)
+        f = full_spectrum_stack(grid, (d + 2,), real, seed=20 + d)
+
+        def d_ab(a, b):
+            return c2c_deriv(grid, f, a, 2) if a == b else c2c_deriv(grid, c2c_deriv(grid, f, a), b)
+
+        ref = np.stack([np.stack([d_ab(a, b) for b in range(d)]) for a in range(d)])
+        out = grid.hessian(f)
+        assert out.shape == (d, d, d + 2) + grid.shape and np.isrealobj(out) == real
+        assert rel_err(out, ref) < 1e-13
+
+    def test_div_matches_per_component(self, d, real):
+        grid = Grid(d=d, n=8, L=3.0)
+        X = full_spectrum_stack(grid, (d, 2, 2), real, seed=30 + d)
+        ref = sum(c2c_deriv(grid, c2c_dealias(grid, X[mu]), mu) for mu in range(d))
+        out = grid.div(X)
+        assert out.shape == (2, 2) + grid.shape and np.isrealobj(out) == real
+        assert rel_err(out, ref) < 1e-13
+
+    def test_odd_derivatives_zero_the_nyquist_plane(self, d, real):
+        grid = Grid(d=d, n=8, L=3.0)
+        nyq = np.cos(grid.k_nyq * grid.x[d - 1]) * (1.0 if real else 1.0 + 2.0j)
+        assert np.max(np.abs(grid.grad(nyq))) < 1e-13
+        hess = grid.hessian(nyq)
+        for a in range(d):
+            for b in range(d):
+                # only the second derivative along the Nyquist axis survives
+                want = -grid.k_nyq**2 * nyq if a == b == d - 1 else 0.0 * nyq
+                assert np.max(np.abs(hess[a, b] - want)) < 1e-13 * grid.k_nyq**2
+
+
+def test_grad_of_a_tensor_stack_is_one_transform_pair(transform_counts):
+    grid = Grid(d=2, n=16, L=2 * np.pi)
+    out = grid.grad(full_spectrum_stack(grid, (2, 2), real=True))
+    assert out.shape == (2, 2, 2) + grid.shape
+    assert transform_counts == {"fft": 1, "ifft": 1}
+
+
 class TestSpectralDerivative:
     def test_constant_derivative_vanishes(self, grid2):
         f = GridField.from_real(grid2, np.full(grid2.shape, 3.7))

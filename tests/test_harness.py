@@ -1,6 +1,8 @@
 """Config round-trip, scenario generation, experiment outputs, CLI contract."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smcflab
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
 from smcflab.errors import SmcfValidationError
@@ -83,6 +86,27 @@ class TestConfig:
         dx = cfg.box_length_L / cfg.grid_points_n
         assert cfg.time_step_dt == 0.5 * dx * dx
         assert cfg.bump_profile_width_w == cfg.box_length_L / 8
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("final_time_T", np.nan), ("final_time_T", np.inf), ("time_step_dt", -0.1), ("time_step_dt", np.inf)],
+    )
+    def test_non_finite_or_negative_timing_rejected(self, tmp_path, key, value):
+        with pytest.raises(SmcfValidationError):
+            RunConfig(**{key: value}).resolve()
+        path = tmp_path / "cfg.txt"
+        save_config(path, RunConfig(output_dir=str(tmp_path / "out"), **{key: value}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_harness_loads_no_scipy():
+    """import scipy.fft pulls in scipy.special, an import cost every run would pay at set-up."""
+    code = "import sys, smcflab.harness; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smcflab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestScenario:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smcflab import calibration
+from smcflab import calibration, norms
 from smcflab.errors import ScaleExceedsBoxError, SmcfValidationError
 from smcflab.grid import Grid, GridField
 from smcflab.norms import (
@@ -128,6 +128,52 @@ class TestCubePartition:
         f = smooth_random(grid, 5)
         with pytest.raises(ScaleExceedsBoxError):
             cube_partition_norm(f, 4, 2, "l2")  # 2^4 = 16 > 2*pi
+
+
+def stack_cube_norms(grid, values, scale):
+    """Per-cube l2 norms from the full (m^d, *shape) stack of cube weights."""
+    chis = cube_weights(grid, scale)
+    return np.sqrt(np.sum((chis * np.abs(values)) ** 2, axis=tuple(range(1, grid.d + 1))) * grid.cell_volume)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the l2 cube norm must not build the cube-weight stack")
+
+
+class TestSeparableCubes:
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_l2_matches_the_weight_stack_without_building_it(self, d, p, monkeypatch):
+        grid = Grid(d=d, n=16, L=8.0)
+        f = smooth_random(grid, 40 + d)
+        per = stack_cube_norms(grid, f.values, 2.0)
+        want = {1: np.sum(per), 2: np.sqrt(np.sum(per**2)), "inf": np.max(per)}[p]
+        monkeypatch.setattr(norms, "cube_weights", refuse)
+        got = cube_partition_norm(f, 1, p, "l2")
+        assert abs(got - want) <= 1e-13 * want
+
+
+class TestBandsInOneTransformPair:
+    def test_y0_norms_transform_once_and_match_band_by_band(self, big_grid, transform_counts):
+        f = smooth_random(big_grid, 50)
+        s, delta = 4.0, 0.5
+        bands = {j: big_grid.lp_project(f.values, j, "P") for j in big_grid.lp_band_range()}
+        y0 = sum(
+            (2.0 ** ((big_grid.d / 2 - delta) * min(j, 0) + s * max(j, 0)) * norms._y0j_upper(big_grid, pj, j)) ** 2
+            for j, pj in bands.items()
+        )
+        lo_mult = sum(big_grid.lp_multiplier(j, "P") for j in bands if j < 0)
+        hi = big_grid.ifft(f.hat * (1.0 - lo_mult))
+        lo = max(norms._y0j_upper(big_grid, hi, 0), big_grid.linf(hi)) ** 2 + sum(
+            (2.0 ** ((big_grid.d / 2 - delta) * j) * norms._y0j_upper(big_grid, pj, j)) ** 2
+            for j, pj in bands.items()
+            if j < 0
+        )
+        for fn, args, want in ((y0_norm_upper, (s, delta), y0), (y0_lo_norm_upper, (delta,), lo)):
+            transform_counts.update(fft=0, ifft=0)
+            got = fn(f, *args)
+            assert transform_counts == {"fft": 1, "ifft": 1}
+            assert abs(got - np.sqrt(want)) <= 1e-13 * got
 
 
 class TestY0Upper:

@@ -9,7 +9,7 @@ from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import SecondForm, identity_metric, induced_metric, second_form
 from smcflab.grid import Grid
 from smcflab.parabolic import gauge_state_from
-from smcflab.schrodinger import assemble_nonlinearity, picard_evolve, step_schrodinger
+from smcflab.schrodinger import assemble_nonlinearity, evolve_coupled, picard_evolve, step_schrodinger
 
 
 def maxabs(x):
@@ -234,6 +234,14 @@ class TestPicardEvolve:
         traj = picard_evolve(sf, gauge, T=T, dt=dt, snapshot_every=20)
         drift = abs(grid.l2(traj[-1].lam) - grid.l2(traj[0].lam)) / grid.l2(traj[0].lam)
         assert drift <= calibration.L2_DRIFT_CONSTANT * dt**2 * T / T
+
+    def test_one_cliff_step_stays_under_300_forward_transforms(self, transform_counts):
+        # the cliff config at n=8, where per-call overhead sets the cost
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid)
+        transform_counts.update(fft=0, ifft=0)
+        evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
+        assert transform_counts["fft"] <= 300
 
     def test_blowup_detected(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
