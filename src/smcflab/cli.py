@@ -19,7 +19,7 @@ from . import harness
 from .config import RunConfig, load_config, save_config
 from .errors import SmcfError
 from .grid import GridField, write_field
-from .trajectory import load_trajectory, save_trajectory
+from .trajectory import load_trajectory
 
 # evolve's command-line overrides: argument name -> config field
 OVERRIDES = {
@@ -79,8 +79,7 @@ def cmd_heat_gauge(args):
     harness.write_manifest(cfg)
     bundle = harness.gauge_init_and_write(cfg)
     lam_traj = load_trajectory(args.snapshots, grid=bundle.grid) if args.snapshots else None
-    traj = harness.run_heat_gauge(cfg, bundle, lam_traj)
-    save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
+    traj = harness.heat_gauge_and_write(cfg, bundle, lam_traj)
     print(f"heat-gauge: evolved (h, A) along frozen lambda for {len(traj) - 1} stored steps")
 
 

@@ -15,6 +15,8 @@ from .errors import SmcfValidationError
 _SCENARIOS = ("flat", "cliff", "bump")
 _MODES = ("perstep", "slab")
 _VARIANTS = ("minus", "plus")
+# field type (a string under postponed annotations) -> text parser
+_PARSERS = {"int": int, "float": float}
 
 
 @dataclass
@@ -38,7 +40,6 @@ class RunConfig:
     envelope_s: float = 2.0
     envelope_delta: float = 0.5
     output_dir: str = "out"
-    random_seed: int = 0
     small_data_threshold: float = 0.1
     solver_tol: float = 1e-9
     solver_max_iter: int = 60
@@ -115,19 +116,19 @@ def config_from_text(text: str) -> RunConfig:
         if "=" not in line:
             raise SmcfValidationError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        values[key.strip()] = (lineno, val.strip())
     known = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
-    for key, val in values.items():
+    for key, (lineno, val) in values.items():
         if key not in known:
             raise SmcfValidationError(f"unknown config key {key!r}")
-        typ = known[key].type
-        if typ in ("int", int):
-            kwargs[key] = int(val)
-        elif typ in ("float", float):
-            kwargs[key] = float(val)
-        else:
-            kwargs[key] = val
+        parse = _PARSERS.get(known[key].type, str)
+        try:
+            kwargs[key] = parse(val)
+        except ValueError:
+            raise SmcfValidationError(
+                f"config line {lineno}: {key} must be {parse.__name__}, got {val!r}"
+            ) from None
     return RunConfig(**kwargs)
 
 

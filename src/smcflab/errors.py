@@ -25,10 +25,6 @@ class GridMismatchError(SmcfValidationError):
     pass
 
 
-class ZeroModeError(SmcfValidationError):
-    """Negative fractional power requested on a field with a nonzero mean."""
-
-
 class ValenceMismatchError(SmcfValidationError):
     pass
 
@@ -68,7 +64,7 @@ class BlowupError(SmcfNumericalError):
 
 
 class StepRejectedError(SmcfNumericalError):
-    """Parabolic step produced a degenerate metric; caller may halve dt."""
+    """Parabolic step produced a degenerate metric."""
 
 
 class IterationDivergenceError(SmcfNumericalError):

@@ -39,10 +39,6 @@ class CliffFixture:
         psi = np.full(grid.shape, -(1.0 + 1j) / self.r, dtype=complex)
         return SecondForm(grid, lam, psi)
 
-    def metric_state(self) -> MetricState:
-        grid = self.immersion.grid
-        return MetricState(grid, identity_metric(grid))
-
 
 def cliff_fixture(grid: Grid, r: float = 1.0) -> CliffFixture:
     """Product of circles; requires the box to wind an integer number of times."""

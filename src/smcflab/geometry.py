@@ -65,14 +65,6 @@ class Immersion:
         """d_a d_b F, shape (d, d, d+2, *shape); the linear part drops out."""
         return self.grid.hessian(self.dev)
 
-    def positions(self):
-        """Full map values F(x), including the linear part."""
-        out = self.dev.copy()
-        if self.graph:
-            for a in range(self.grid.d):
-                out[a] += self.grid.x[a]
-        return out
-
 
 # -- metric state -----------------------------------------------------------
 
@@ -152,10 +144,10 @@ def metric_eig_min(grid: Grid, g):
     if d == 1:
         return float(np.min(g))
     if d == 2:
-        tr = g[0, 0] + g[1, 1]
-        det = pointwise_det(grid, g)
-        disc = np.sqrt(np.maximum(tr**2 - 4 * det, 0.0))
-        return float(np.min((tr - disc) / 2))
+        # (g00 - g11)^2 + 4 g01 g10 = tr^2 - 4 det without the cancellation
+        # that costs tr^2 - 4 det half its digits on near-conformal metrics
+        disc = np.sqrt(np.maximum((g[0, 0] - g[1, 1]) ** 2 + 4 * g[0, 1] * g[1, 0], 0.0))
+        return float(np.min((g[0, 0] + g[1, 1] - disc) / 2))
     mats = np.moveaxis(g.reshape(d, d, -1), -1, 0)
     return float(np.min(np.linalg.eigvalsh(mats)))
 
@@ -296,9 +288,6 @@ class SecondForm:
         lam = np.asarray(lam, dtype=complex)
         psi = grid.dealias(np.einsum("ab...,ab...->...", m.ginv, lam))
         return cls(grid, lam, psi)
-
-    def symmetry_defect(self):
-        return float(np.max(np.abs(self.lam - np.swapaxes(self.lam, 0, 1))))
 
 
 def frame_defect(F: Immersion, nu1, nu2):

@@ -30,15 +30,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    InvalidAxisError,
-    SmcfValidationError,
-    ZeroModeError,
-)
+from .errors import GridMismatchError, InvalidAxisError, SmcfValidationError
 
 SNAPSHOT_MAGIC = b"SMCF"
 SNAPSHOT_VERSION = 1
+# version, d, n, L, parity flag (0 real, 1 complex), name length
+_HEADER = struct.Struct("<IIIdBI")
 
 
 def _smoothstep(t):
@@ -153,10 +150,6 @@ class Grid:
     def linf(self, arr):
         return float(np.max(np.abs(arr))) if np.asarray(arr).size else 0.0
 
-    def mean(self, arr):
-        axes = self._axes(arr)
-        return np.mean(arr, axis=axes)
-
     # -- multiplier operators ------------------------------------------------
 
     def apply(self, arr, mult):
@@ -231,24 +224,6 @@ class Grid:
         hat, real = self._spectrum(X, self._over(self._div_mult, X[0]))
         return self.ifft(hat.sum(axis=0), half=real)
 
-    def frac_pow(self, arr, sigma, zero_mode_tol=None):
-        """Multiply spectrum by |k|^sigma; the zero mode maps to 0 for sigma != 0.
-
-        For sigma < 0 the input must be mean-free: pass zero_mode_tol to
-        enforce it (relative to the field's L2 norm).
-        """
-        if sigma == 0.0:
-            return np.array(arr, copy=True)
-        if sigma < 0.0 and zero_mode_tol is not None:
-            zero = np.abs(self.mean(arr))
-            scale = self.l2(arr) / max(self.L ** (self.d / 2), 1e-300)
-            if np.any(zero > zero_mode_tol * max(scale, 1e-300)):
-                raise ZeroModeError(
-                    f"|k|^{sigma} requested on a field with nonzero mean (relative {float(np.max(zero)):.3e})"
-                )
-        mag = np.where(self.k_mag > 0.0, self.k_mag, 1.0)
-        return self.apply(arr, np.where(self.k_mag > 0.0, mag**sigma, 0.0))
-
     def inv_laplacian(self, arr):
         """Spectral solve of Laplace u = arr with the zero mode projected out."""
         return self.apply(arr, self._inv_lap_mult)
@@ -288,26 +263,10 @@ class Grid:
         j_hi = int(np.ceil(np.log2(kmax))) + 1
         return range(j_lo, j_hi + 1)
 
-    # -- dealiased products ----------------------------------------------------
+    # -- dealiasing ------------------------------------------------------------
 
     def dealias(self, arr):
         return self.apply(arr, self.dealias_mask)
-
-    def prod(self, f, g):
-        """Pointwise product with 2/3-style spectral truncation on inputs and output.
-
-        The complex multiply is spelled out componentwise so that f*g and g*f
-        are bit-identical (IEEE multiply/add are commutative; numpy's fused
-        complex kernels are not).
-        """
-        ft = self.dealias(np.asarray(f))
-        gt = self.dealias(np.asarray(g))
-        if np.isrealobj(ft) and np.isrealobj(gt):
-            return self.dealias(ft * gt)
-        fr, fi = ft.real, ft.imag
-        gr, gi = gt.real, gt.imag
-        prod = (fr * gr - fi * gi) + 1j * (fr * gi + fi * gr)
-        return self.dealias(prod)
 
     # -- nonuniform evaluation -------------------------------------------------
 
@@ -367,41 +326,6 @@ class GridField:
     def l2(self):
         return self.grid.l2(self.values)
 
-    def _wrap(self, values, parity=None, name=None):
-        return GridField(
-            self.grid,
-            values,
-            parity=self.parity if parity is None else parity,
-            name=self.name if name is None else name,
-        )
-
-
-def spectral_derivative(f: GridField, axis: int, order: int = 1) -> GridField:
-    """d^order f / dx_axis^order by wavenumber multiplication."""
-    return f._wrap(f.grid.deriv(f.physical(), axis, order))
-
-
-def fractional_derivative(f: GridField, sigma: float) -> GridField:
-    """|D|^sigma f; requires a mean-free field when sigma < 0."""
-    if not -2.0 <= sigma <= 4.0:
-        raise SmcfValidationError(f"sigma must lie in [-2, 4], got {sigma}")
-    return f._wrap(f.grid.frac_pow(f.physical(), sigma, zero_mode_tol=1e-10 if sigma < 0 else None))
-
-
-def lp_project(f: GridField, j: int, kind: str = "P") -> GridField:
-    return f._wrap(f.grid.lp_project(f.physical(), j, kind))
-
-
-def inverse_laplacian(f: GridField) -> GridField:
-    return f._wrap(f.grid.inv_laplacian(f.physical()))
-
-
-def dealiased_product(f: GridField, g: GridField) -> GridField:
-    if not f.grid.same_grid(g.grid):
-        raise GridMismatchError("product operands live on different grids")
-    parity = "real" if (f.parity == "real" and g.parity == "real") else "complex"
-    return GridField(f.grid, f.grid.prod(f.physical(), g.physical()), parity=parity)
-
 
 # -- snapshot IO -----------------------------------------------------------------
 
@@ -409,8 +333,7 @@ def dealiased_product(f: GridField, g: GridField) -> GridField:
 def write_field(path, field: GridField):
     """Self-describing binary snapshot; bit-exact round trip."""
     name_bytes = field.name.encode("utf-8")
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<IIIdBI",
+    header = SNAPSHOT_MAGIC + _HEADER.pack(
         SNAPSHOT_VERSION,
         field.grid.d,
         field.grid.n,
@@ -432,18 +355,27 @@ def read_field(path, grid: Grid | None = None) -> GridField:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise SmcfValidationError(f"{path}: bad magic {magic!r}")
-        version, d, n, L, parity_flag, name_len = struct.unpack("<IIIdBI", fh.read(25))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise SmcfValidationError(f"{path}: truncated header, {len(header)} of {_HEADER.size} bytes")
+        version, d, n, L, parity_flag, name_len = _HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise SmcfValidationError(f"{path}: unsupported snapshot version {version}")
-        name = fh.read(name_len).decode("utf-8")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        name = fh.read(name_len)
+        payload = fh.read()
+    if len(name) != name_len:
+        raise SmcfValidationError(f"{path}: truncated name, {len(name)} of {name_len} bytes")
+    try:
+        name = name.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SmcfValidationError(f"{path}: field name is not UTF-8") from exc
     if grid is None:
         grid = Grid(d, n, L)
     elif (grid.d, grid.n) != (d, n) or grid.L != L:
         raise GridMismatchError(f"{path}: snapshot grid ({d},{n},{L}) differs from target")
-    expected = 2 * n**d
-    if raw.size != expected:
-        raise SmcfValidationError(f"{path}: payload has {raw.size} floats, expected {expected}")
-    pairs = raw.reshape((n,) * d + (2,))
+    expected = 16 * n**d
+    if len(payload) != expected:
+        raise SmcfValidationError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    pairs = np.frombuffer(payload, dtype="<f8").reshape((n,) * d + (2,))
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return GridField(grid, values, parity="real" if parity_flag == 0 else "complex", name=name)

@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__, calibration
 from .config import RunConfig, config_to_text
 from .constraints import constraint_reports, write_reports_csv
-from .errors import SmcfValidationError
+from .errors import SmcfError, SmcfValidationError
 from .fixtures import bump_immersion, cliff_fixture, flat_immersion
 from .gauge_init import (
     build_coulomb_frame,
@@ -36,10 +36,10 @@ from .norms import (
     y0_lo_norm_upper,
     y0_norm_upper,
 )
-from .parabolic import GaugeState, gauge_state_from, step_parabolic
+from .parabolic import GaugeState, gauge_path, gauge_state_from, time_grid
 from .reconstruction import frame_from_normal_basis, reconstruct, write_reconstruction_csv
 from .schrodinger import picard_evolve
-from .trajectory import Trajectory, save_trajectory
+from .trajectory import Trajectory, TrajectoryRecord, save_trajectory
 
 
 @dataclass
@@ -165,43 +165,6 @@ def write_manifest(cfg: RunConfig):
             fh.write(f"{name} = {value!r}\n")
 
 
-def run_heat_gauge(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Trajectory | None = None) -> Trajectory:
-    """Parabolic system alone, driven by frozen lambda input.
-
-    Without lam_traj the scenario's initial lambda is held constant; with a
-    loaded trajectory its stored lambda path is prescribed (not evolved) and
-    the gauge system is re-solved along it at the stored times.
-    """
-    cfg = cfg.resolve()
-    grid = bundle.grid
-    from .trajectory import TrajectoryRecord
-
-    if lam_traj is None:
-        nsteps = max(1, int(round(cfg.final_time_T / cfg.time_step_dt)))
-        dt = cfg.final_time_T / nsteps
-        times = [i * dt for i in range(nsteps + 1)]
-        lam_path = [bundle.sf] * (nsteps + 1)
-    else:
-        if not grid.same_grid(lam_traj.grid):
-            raise SmcfValidationError("lambda snapshots live on a different grid than the scenario")
-        times = list(lam_traj.times)
-        lam_path = [rec.second_form(grid) for rec in lam_traj.records]
-
-    s = bundle.gauge
-    records = [
-        TrajectoryRecord(times[0], s.metric.g.copy(), s.A.copy(), lam_path[0].lam.copy(), lam_path[0].psi.copy())
-    ]
-    for i in range(1, len(times)):
-        dt_i = times[i] - times[i - 1]
-        s = step_parabolic(s, (lam_path[i - 1], lam_path[i]), dt_i, cfg.sign_variant)
-        if i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
-            sf_now = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
-            records.append(
-                TrajectoryRecord(times[i], s.metric.g.copy(), s.A.copy(), sf_now.lam.copy(), sf_now.psi.copy())
-            )
-    return Trajectory(grid=grid, records=records, meta={"mode": "frozen-lambda"})
-
-
 class _Stage:
     """Tag escaping errors with the pipeline stage they came from."""
 
@@ -212,8 +175,6 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        from .errors import SmcfError
-
         if exc is not None and isinstance(exc, SmcfError):
             exc.args = (f"[{self.name}] {exc.args[0] if exc.args else ''}",) + exc.args[1:]
         return False
@@ -251,6 +212,37 @@ def evolve_and_write(cfg: RunConfig, bundle: ScenarioBundle) -> Trajectory:
             blowup_threshold=cfg.blowup_threshold,
         )
     save_trajectory(os.path.join(cfg.output_dir, "snapshots"), traj)
+    return traj
+
+
+def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Trajectory | None = None) -> Trajectory:
+    """Solve the parabolic (h, A) system alone along a prescribed lambda path
+    and write gauge_snapshots/.
+
+    Without lam_traj the scenario's initial lambda is held constant on the
+    config's time grid; with a loaded trajectory its stored lambda path is
+    prescribed (not evolved) and the gauge system is re-solved at the stored times.
+    """
+    grid = bundle.grid
+    with _Stage("heat-gauge"):
+        if lam_traj is None:
+            nsteps, dt = time_grid(cfg.final_time_T, cfg.time_step_dt)
+            times = [i * dt for i in range(nsteps + 1)]
+            lam_path = [bundle.sf] * (nsteps + 1)
+        else:
+            if not grid.same_grid(lam_traj.grid):
+                raise SmcfValidationError("lambda snapshots live on a different grid than the scenario")
+            times = list(lam_traj.times)
+            lam_path = [rec.second_form(grid) for rec in lam_traj.records]
+        records = []
+        for i, s in enumerate(gauge_path(bundle.gauge, lam_path, times, cfg.sign_variant)):
+            if i == 0:
+                records.append(TrajectoryRecord.from_state(times[0], s, lam_path[0]))
+            elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
+                sf = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
+                records.append(TrajectoryRecord.from_state(times[i], s, sf))
+    traj = Trajectory(grid=grid, records=records, meta={"mode": "frozen-lambda"})
+    save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
     return traj
 
 

@@ -118,12 +118,14 @@ def z_norm(series, sigma: float, s: float) -> float:
 # -- cube partitions -------------------------------------------------------
 
 
-def _axis_weights(grid: Grid, m: int):
-    """Smooth 1D partition of unity with m cells and 10%-width overlap.
+def _axis_weights(grid: Grid, scale: float):
+    """Smooth 1D partition of unity into m = round(L / scale) >= 1 cells with
+    10%-width overlap, as an (m, n) array.
 
     Adjacent transitions use the exp-smoothstep, whose two halves sum to one
     exactly, so the cell weights sum to 1 without renormalization.
     """
+    m = max(1, round(grid.L / scale))
     if m == 1:
         return np.ones((1, grid.n))
     c = grid.L / m
@@ -145,13 +147,12 @@ def cube_weights(grid: Grid, scale: float):
 
     Returns an array (n_cubes, *grid.shape); the weights sum to 1 pointwise.
     """
-    m = max(1, int(round(grid.L / scale)))
-    per = _axis_weights(grid, m)
+    per = _axis_weights(grid, scale)
     if grid.d == 1:
         return per
     if grid.d == 2:
-        return np.einsum("ix,jy->ijxy", per, per).reshape(m * m, grid.n, grid.n)
-    return np.einsum("ix,jy,kz->ijkxyz", per, per, per).reshape(m**3, *grid.shape)
+        return np.einsum("ix,jy->ijxy", per, per).reshape(-1, *grid.shape)
+    return np.einsum("ix,jy,kz->ijkxyz", per, per, per).reshape(-1, *grid.shape)
 
 
 def cube_partition_norm(f: GridField, j: int, p, inner: str = "l2") -> float:
@@ -168,7 +169,7 @@ def _lp_cubes(grid: Grid, values, scale, p, inner):
     if inner == "l2":
         # chi_Q^2 = prod_a w_{i_a}(x_a)^2 is separable: contract one axis at a
         # time instead of building the (m^d, *shape) stack of cube weights
-        w_sq = _axis_weights(grid, max(1, int(round(grid.L / scale)))) ** 2
+        w_sq = _axis_weights(grid, scale) ** 2
         per = vals**2
         for _ in range(grid.d):
             per = np.tensordot(per, w_sq, axes=([0], [1]))

@@ -180,3 +180,20 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
     if not np.all(np.isfinite(g1)) or metric_eig_min(grid, g1) <= 0.0:
         raise StepRejectedError(f"metric degenerate after parabolic step at t={s.t + dt}")
     return gauge_state_from(grid, g1, A1, t=s.t + dt)
+
+
+def time_grid(T, dt):
+    """(nsteps, dt) of the uniform time grid on [0, T]: T/dt rounded to the
+    nearest whole number of steps (at least one), and the step that divides T."""
+    nsteps = max(1, int(round(T / dt)))
+    return nsteps, T / nsteps
+
+
+def gauge_path(gauge0: GaugeState, lam_path, times, sign_variant="minus"):
+    """Yield gauge0, then the (g, A) state stepped along the prescribed second
+    forms lam_path[i] at times[i], one step_parabolic per interval."""
+    s = gauge0
+    yield s
+    for i in range(1, len(times)):
+        s = step_parabolic(s, (lam_path[i - 1], lam_path[i]), times[i] - times[i - 1], sign_variant)
+        yield s

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
 from .geometry import SecondForm, covariant_derivative, identity_metric, raise_first
 from .grid import Grid
-from .parabolic import GaugeState, gauge_state_from, step_parabolic
+from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic, time_grid
 from .trajectory import Trajectory, TrajectoryRecord
 
 
@@ -146,10 +146,6 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
 # -- trajectory drivers ----------------------------------------------------------
 
 
-def _record(t, s: GaugeState, sf: SecondForm):
-    return TrajectoryRecord(t=t, g=s.metric.g.copy(), A=s.A.copy(), lam=sf.lam.copy(), psi=sf.psi.copy())
-
-
 def _check_blowup(grid, lam, t, threshold):
     worst = grid.linf(lam)
     if not np.isfinite(worst) or worst > threshold:
@@ -171,10 +167,9 @@ def evolve_coupled(
 ) -> Trajectory:
     """Per-step re-coupling: predictor lambda step, gauge step, midpoint correction."""
     grid = gauge0.grid
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
+    nsteps, dt = time_grid(T, dt)
     s, sf = gauge0, sf0
-    traj = Trajectory(grid=grid, records=[_record(0.0, s, sf)], meta={"dt": dt, "mode": "perstep"})
+    records = [TrajectoryRecord.from_state(0.0, s, sf)]
     for step in range(1, nsteps + 1):
         t_new = step * dt
         sf_pred = step_schrodinger(sf, s, dt)
@@ -186,8 +181,8 @@ def evolve_coupled(
         _check_blowup(grid, sf_new.lam, t_new, blowup_threshold)
         s, sf = s_new, sf_new
         if step % snapshot_every == 0 or step == nsteps:
-            traj.records.append(_record(t_new, s, sf))
-    return traj
+            records.append(TrajectoryRecord.from_state(t_new, s, sf))
+    return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "perstep"})
 
 
 def evolve_slab(
@@ -207,8 +202,8 @@ def evolve_slab(
     coefficients and the previous iterate in the source.
     """
     grid = gauge0.grid
-    nsteps = max(1, int(round(T / dt)))
-    dt = T / nsteps
+    nsteps, dt = time_grid(T, dt)
+    times = [i * dt for i in range(nsteps + 1)]
     zero_sf = SecondForm(
         grid,
         np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
@@ -216,28 +211,21 @@ def evolve_slab(
     )
     lam_path = [zero_sf] * (nsteps + 1)
     distances = []
-    gauge_path = None
-    for sweep in range(1, sweeps + 1):
-        gauge_path = [gauge0]
-        s = gauge0
-        for i in range(nsteps):
-            s = step_parabolic(s, (lam_path[i], lam_path[i + 1]), dt, sign_variant)
-            gauge_path.append(s)
+    for _ in range(sweeps):
+        gauges = list(gauge_path(gauge0, lam_path, times, sign_variant))
         new_path = [sf0]
         sf = sf0
         for i in range(nsteps):
-            s_mid = _midpoint_gauge(grid, gauge_path[i], gauge_path[i + 1])
+            s_mid = _midpoint_gauge(grid, gauges[i], gauges[i + 1])
             src = SecondForm(
                 grid,
                 0.5 * (lam_path[i].lam + lam_path[i + 1].lam),
                 0.5 * (lam_path[i].psi + lam_path[i + 1].psi),
             )
             sf = step_schrodinger(sf, s_mid, dt, frozen_source=src)
-            _check_blowup(grid, sf.lam, (i + 1) * dt, blowup_threshold)
+            _check_blowup(grid, sf.lam, times[i + 1], blowup_threshold)
             new_path.append(sf)
-        distance = max(
-            grid.l2(new_path[i].lam - lam_path[i].lam) for i in range(nsteps + 1)
-        )
+        distance = max(grid.l2(new.lam - old.lam) for new, old in zip(new_path, lam_path))
         distances.append(distance)
         lam_path = new_path
         if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
@@ -246,12 +234,11 @@ def evolve_slab(
             )
         if tol is not None and distance <= tol:
             break
-    traj = Trajectory(grid=grid, records=[], meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
-    for i in range(nsteps + 1):
-        s = gauge_path[i]
-        sf = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
-        traj.records.append(_record(i * dt, s, sf))
-    return traj
+    records = [
+        TrajectoryRecord.from_state(t, s, SecondForm.from_lambda(grid, sf.lam, s.metric))
+        for t, s, sf in zip(times, gauges, lam_path)
+    ]
+    return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
 
 
 def picard_evolve(

@@ -28,6 +28,11 @@ class TrajectoryRecord:
     psi: np.ndarray
     _gauge: object = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def from_state(cls, t, gauge, sf: SecondForm):
+        """Copies of a gauge state's (g, A) and a second form's (lam, psi) at time t."""
+        return cls(t=t, g=gauge.metric.g.copy(), A=gauge.A.copy(), lam=sf.lam.copy(), psi=sf.psi.copy())
+
     def gauge(self, grid: Grid):
         if self._gauge is None or self._gauge.grid is not grid:
             from .parabolic import gauge_state_from

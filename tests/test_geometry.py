@@ -20,6 +20,7 @@ from smcflab.geometry import (
     identity_metric,
     induced_metric,
     invert_metric,
+    metric_eig_min,
     pointwise_det,
     pointwise_inverse,
     second_form,
@@ -91,6 +92,22 @@ class TestPointwiseMatrices:
         g[0, 0, (0,) * d] = -1.0
         with pytest.raises(ImmersionDegeneracyError):
             invert_metric(grid, g)
+
+    def test_metric_eig_min_matches_eigvalsh_on_near_conformal_metrics(self):
+        # tr^2 - 4 det cancels when the eigenvalues nearly coincide; the
+        # smaller eigenvalue must still hold to roundoff
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        rng = np.random.default_rng(5)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            pert = rng.standard_normal((2, 2) + grid.shape)
+            scale = rng.uniform(0.5, 2.0, grid.shape)
+            g = scale * (identity_metric(grid) + eps * (pert + np.swapaxes(pert, 0, 1)))
+            oracle = np.min(np.linalg.eigvalsh(np.moveaxis(g.reshape(2, 2, -1), -1, 0)))
+            assert abs(metric_eig_min(grid, g) - oracle) <= 1e-14 * oracle, eps
+        g = np.zeros((2, 2) + grid.shape)
+        g[0, 0], g[0, 1], g[1, 0], g[1, 1] = 1 + 1e-9, 1e-9, 1e-9, 1.0
+        oracle = np.linalg.eigvalsh(np.array([[1 + 1e-9, 1e-9], [1e-9, 1.0]]))[0]
+        assert abs(metric_eig_min(grid, g) - oracle) <= 1e-14 * oracle
 
 
 class TestChristoffel:

@@ -4,24 +4,8 @@ import numpy as np
 import pytest
 
 from smcflab import calibration
-from smcflab.errors import (
-    GridMismatchError,
-    InvalidAxisError,
-    SmcfValidationError,
-    ZeroModeError,
-)
-from smcflab.grid import (
-    Grid,
-    GridField,
-    bump_profile,
-    dealiased_product,
-    fractional_derivative,
-    inverse_laplacian,
-    lp_project,
-    read_field,
-    spectral_derivative,
-    write_field,
-)
+from smcflab.errors import InvalidAxisError, SmcfValidationError
+from smcflab.grid import Grid, GridField, bump_profile, read_field, write_field
 
 
 def rel_err(a, b):
@@ -157,100 +141,61 @@ def test_grad_of_a_tensor_stack_is_one_transform_pair(transform_counts):
 
 class TestSpectralDerivative:
     def test_constant_derivative_vanishes(self, grid2):
-        f = GridField.from_real(grid2, np.full(grid2.shape, 3.7))
-        out = spectral_derivative(f, axis=0, order=1)
-        assert np.max(np.abs(out.values)) < 1e-13
+        out = grid2.deriv(np.full(grid2.shape, 3.7), axis=0, order=1)
+        assert np.max(np.abs(out)) < 1e-13
 
     @pytest.mark.parametrize("L", [2 * np.pi, 5.0])
     def test_sine_first_derivative(self, L):
         grid = Grid(d=1, n=64, L=L)
         x = grid.x[0]
-        f = GridField.from_real(grid, np.sin(2 * np.pi * x / L))
-        out = spectral_derivative(f, axis=0, order=1)
+        out = grid.deriv(np.sin(2 * np.pi * x / L), axis=0, order=1)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * x / L)
-        assert rel_err(out.values.real, exact) < 1e-12
+        assert rel_err(out, exact) < 1e-12
 
     def test_sine_second_derivative(self):
         L = 2 * np.pi
         grid = Grid(d=1, n=64, L=L)
         x = grid.x[0]
-        f = GridField.from_real(grid, np.sin(2 * np.pi * x / L))
-        out = spectral_derivative(f, axis=0, order=2)
+        out = grid.deriv(np.sin(2 * np.pi * x / L), axis=0, order=2)
         exact = -((2 * np.pi / L) ** 2) * np.sin(2 * np.pi * x / L)
-        assert rel_err(out.values.real, exact) < 1e-12
+        assert rel_err(out, exact) < 1e-12
 
     def test_invalid_axis(self, grid2):
-        f = GridField.from_real(grid2, np.zeros(grid2.shape))
         with pytest.raises(InvalidAxisError):
-            spectral_derivative(f, axis=2)
+            grid2.deriv(np.zeros(grid2.shape), axis=2)
 
     def test_commutes_with_lp_project(self, grid2):
-        f = GridField(grid2, random_field(grid2, seed=3, real=False))
-        a = spectral_derivative(lp_project(f, 2), axis=1)
-        b = lp_project(spectral_derivative(f, axis=1), 2)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12 * max(1.0, np.max(np.abs(f.values)))
-
-
-class TestFractionalDerivative:
-    def test_sigma_zero_is_identity(self, grid2):
-        f = GridField(grid2, random_field(grid2, seed=4, real=False) + 0.5)
-        out = fractional_derivative(f, 0.0)
-        assert rel_err(out.values, f.values) < 1e-13
-
-    def test_sigma_two_matches_minus_laplacian_on_mode(self):
-        L = 2 * np.pi
-        grid = Grid(d=1, n=64, L=L)
-        x = grid.x[0]
-        f = GridField.from_real(grid, np.sin(2 * np.pi * x / L))
-        out = fractional_derivative(f, 2.0)
-        exact = (2 * np.pi / L) ** 2 * np.sin(2 * np.pi * x / L)
-        assert rel_err(out.values.real, exact) < 1e-12
-
-    def test_semigroup_on_mean_zero(self, grid2):
-        vals = random_field(grid2, seed=5)
-        vals = vals - vals.mean()
-        f = GridField.from_real(grid2, vals)
-        once = fractional_derivative(fractional_derivative(f, 1.0), 1.0)
-        twice = fractional_derivative(f, 2.0)
-        assert rel_err(once.values, twice.values) < 1e-12
-
-    def test_zero_mode_error_for_negative_sigma(self, grid2):
-        f = GridField.from_real(grid2, np.ones(grid2.shape))
-        with pytest.raises(ZeroModeError):
-            fractional_derivative(f, -1.0)
-
-    def test_sigma_range_checked(self, grid2):
-        f = GridField.from_real(grid2, np.zeros(grid2.shape))
-        with pytest.raises(SmcfValidationError):
-            fractional_derivative(f, 5.0)
+        f = random_field(grid2, seed=3, real=False)
+        a = grid2.deriv(grid2.lp_project(f, 2), axis=1)
+        b = grid2.lp_project(grid2.deriv(f, axis=1), 2)
+        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(f)))
 
 
 class TestLittlewoodPaley:
     def test_s_partition_of_unity(self, grid2):
-        f = GridField(grid2, random_field(grid2, seed=6, real=False))
+        f = random_field(grid2, seed=6, real=False)
         J = max(grid2.lp_band_range())
-        total = sum(lp_project(f, j, kind="S").values for j in range(0, J + 1))
-        assert rel_err(total, f.values) < 1e-12
+        total = sum(grid2.lp_project(f, j, kind="S") for j in range(0, J + 1))
+        assert rel_err(total, f) < 1e-12
 
     def test_pure_mode_deep_in_annulus_passes(self):
         grid = Grid(d=1, n=128, L=2 * np.pi)
         # |k| = 6 lies in (2^2, 2^3) strictly inside the j=3 annulus plateau region
         x = grid.x[0]
-        f = GridField(grid, np.exp(1j * 6 * x))
-        out = lp_project(f, 3, kind="P")
+        f = np.exp(1j * 6 * x)
+        out = grid.lp_project(f, 3, kind="P")
         expected = bump_profile(6 / 2**3) - bump_profile(6 / 2**2)
         assert abs(expected - 1.0) < 1e-12  # oracle: mode sits where the multiplier is 1
-        assert rel_err(out.values, f.values) < 1e-12
+        assert rel_err(out, f) < 1e-12
 
     def test_disjoint_projectors_annihilate(self, grid2):
-        f = GridField(grid2, random_field(grid2, seed=7, real=False))
-        out = lp_project(lp_project(f, 4, "P"), 1, "P")
-        assert np.max(np.abs(out.values)) < 1e-12 * max(1.0, np.max(np.abs(f.values)))
+        f = random_field(grid2, seed=7, real=False)
+        out = grid2.lp_project(grid2.lp_project(f, 4, "P"), 1, "P")
+        assert np.max(np.abs(out)) < 1e-12 * max(1.0, np.max(np.abs(f)))
 
     def test_s_requires_nonnegative_j(self, grid2):
-        f = GridField(grid2, np.zeros(grid2.shape))
         with pytest.raises(SmcfValidationError):
-            lp_project(f, -1, kind="S")
+            grid2.lp_project(np.zeros(grid2.shape, dtype=complex), -1, kind="S")
 
     def test_bernstein_regression(self):
         # L^inf vs 2^{kd/2} L^2 on random band-limited data; constant frozen once
@@ -270,51 +215,35 @@ class TestLittlewoodPaley:
 
 class TestInverseLaplacian:
     def test_zero_maps_to_zero(self, grid2):
-        f = GridField.from_real(grid2, np.zeros(grid2.shape))
-        assert np.max(np.abs(inverse_laplacian(f).values)) == 0.0
+        assert np.max(np.abs(grid2.inv_laplacian(np.zeros(grid2.shape)))) == 0.0
 
     def test_inverts_laplacian_on_mean_zero(self, grid2):
         g_vals = random_field(grid2, seed=9)
         g_vals = g_vals - g_vals.mean()
-        lap = grid2.laplacian(g_vals)
-        f = GridField.from_real(grid2, lap)
-        out = inverse_laplacian(f)
-        assert rel_err(out.values.real, g_vals) < 1e-12
+        out = grid2.inv_laplacian(grid2.laplacian(g_vals))
+        assert rel_err(out, g_vals) < 1e-12
 
     def test_constant_projected_out(self, grid2):
-        f = GridField.from_real(grid2, np.full(grid2.shape, 2.0))
-        assert np.max(np.abs(inverse_laplacian(f).values)) < 1e-14
+        assert np.max(np.abs(grid2.inv_laplacian(np.full(grid2.shape, 2.0)))) < 1e-14
+
+
+def dealiased_product(grid, f, g):
+    """The 2/3-rule product: truncate both factors, multiply, truncate again."""
+    return grid.dealias(grid.dealias(f) * grid.dealias(g))
 
 
 class TestDealiasedProduct:
     def test_product_with_one(self, grid2):
-        f = GridField(grid2, np.random.default_rng(10).standard_normal(grid2.shape))
-        one = GridField.from_real(grid2, np.ones(grid2.shape))
-        out = dealiased_product(f, one)
-        trunc = grid2.dealias(f.values)
-        assert rel_err(out.values, trunc) < 1e-13
+        f = np.random.default_rng(10).standard_normal(grid2.shape).astype(complex)
+        out = dealiased_product(grid2, f, np.ones(grid2.shape))
+        trunc = grid2.dealias(f)
+        assert rel_err(out, trunc) < 1e-13
 
     def test_two_modes_convolve(self):
         grid = Grid(d=1, n=64, L=2 * np.pi)
         x = grid.x[0]
-        f = GridField(grid, np.exp(1j * 3 * x))
-        g = GridField(grid, np.exp(1j * 5 * x))
-        out = dealiased_product(f, g)
-        assert rel_err(out.values, np.exp(1j * 8 * x)) < 1e-12
-
-    def test_commutative(self, grid2):
-        f = GridField(grid2, random_field(grid2, seed=11, real=False))
-        g = GridField(grid2, random_field(grid2, seed=12, real=False))
-        a = dealiased_product(f, g)
-        b = dealiased_product(g, f)
-        assert np.array_equal(a.values, b.values)
-
-    def test_grid_mismatch(self, grid2):
-        other = Grid(d=2, n=32, L=1.0)
-        f = GridField.from_real(grid2, np.zeros(grid2.shape))
-        g = GridField.from_real(other, np.zeros(other.shape))
-        with pytest.raises(GridMismatchError):
-            dealiased_product(f, g)
+        out = dealiased_product(grid, np.exp(1j * 3 * x), np.exp(1j * 5 * x))
+        assert rel_err(out, np.exp(1j * 8 * x)) < 1e-12
 
 
 class TestSnapshotIO:

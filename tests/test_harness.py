@@ -1,9 +1,10 @@
 """Config round-trip, scenario generation, experiment outputs, CLI contract."""
 
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 import smcflab
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
-from smcflab.errors import SmcfValidationError
-from smcflab.harness import generate_scenario, run_experiment, run_heat_gauge
-from smcflab.trajectory import load_trajectory
+from smcflab.errors import SmcfValidationError, StepRejectedError
+from smcflab.harness import generate_scenario, heat_gauge_and_write, run_experiment
+from smcflab.trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory
 
 
 def small_cliff_config(tmp_path, **overrides):
@@ -99,6 +100,35 @@ class TestConfig:
         save_config(path, RunConfig(output_dir=str(tmp_path / "out"), **{key: value}))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, text", [("grid_points_n", "abc"), ("final_time_T", "x")])
+    def test_unparsable_value_exits_2(self, tmp_path, key, text):
+        path = tmp_path / "cfg.txt"
+        save_config(path, RunConfig(output_dir=str(tmp_path / "out")))
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(key + " ="))
+        lines[lineno - 1] = f"{key} = {text}"
+        path.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smcflab.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "smcflab.cli", "run", "--config", str(path)], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert f"config line {lineno}: {key}" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_is_read():
+    """A RunConfig field that no code outside config.py reads is a knob that does nothing."""
+    src_dir = os.path.dirname(smcflab.__file__)
+    source = "".join(
+        open(os.path.join(src_dir, name)).read()
+        for name in sorted(os.listdir(src_dir))
+        if name.endswith(".py") and name != "config.py"
+    )
+    unread = [f.name for f in fields(RunConfig) if not re.search(rf"\.{f.name}\b", source)]
+    assert unread == []
 
 
 def test_importing_the_harness_loads_no_scipy():
@@ -197,7 +227,7 @@ class TestExperiment:
     def test_heat_gauge_frozen_lambda(self, tmp_path):
         cfg = small_bump_config(tmp_path)
         bundle = generate_scenario(cfg)
-        traj = run_heat_gauge(cfg, bundle)
+        traj = heat_gauge_and_write(cfg, bundle)
         assert len(traj) > 1
         assert np.array_equal(traj[-1].lam, bundle.sf.lam)
         assert not np.array_equal(traj[-1].g, traj[0].g)
@@ -309,6 +339,36 @@ class TestCLI:
         # coupled run closely
         assert np.array_equal(gauge_traj[-1].lam, full_traj[-1].lam)
         assert np.max(np.abs(gauge_traj[-1].g - full_traj[-1].g)) < 1e-6
+
+    def test_heat_gauge_step_rejection_names_stage(self, tmp_path, capsys, monkeypatch):
+        import smcflab.parabolic as parabolic
+
+        def reject(s, lam_path, dt, sign_variant):
+            raise StepRejectedError(f"metric degenerate after parabolic step at t={s.t + dt}")
+
+        monkeypatch.setattr(parabolic, "step_parabolic", reject)
+        cfg = small_cliff_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        assert main(["heat-gauge", "--config", str(path)]) == 3
+        assert "[heat-gauge]" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "gauge_snapshots"))
+
+    @pytest.mark.parametrize("keep", [20, 40, -3])
+    def test_truncated_snapshot_exits_2(self, tmp_path, capsys, keep):
+        # 20 bytes cuts the header, 40 the payload after 6 bytes, -3 its last float
+        cfg = small_cliff_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        bundle = generate_scenario(cfg)
+        snapdir = tmp_path / "snaps"
+        records = [TrajectoryRecord.from_state(t, bundle.gauge, bundle.sf) for t in (0.0, cfg.time_step_dt)]
+        save_trajectory(str(snapdir), Trajectory(grid=bundle.grid, records=records))
+        field = snapdir / "snap_000001_lam01.smcf"
+        data = field.read_bytes()
+        field.write_bytes(data[:keep])
+        assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: " in capsys.readouterr().err
 
     def test_gauge_init_outputs(self, tmp_path):
         cfg = small_bump_config(tmp_path)

@@ -16,10 +16,12 @@ from smcflab.geometry import (
 from smcflab.grid import Grid
 from smcflab.parabolic import (
     compute_gauge_sources,
+    gauge_path,
     gauge_state_from,
     heat_rhs_A,
     heat_rhs_h,
     step_parabolic,
+    time_grid,
 )
 
 
@@ -316,3 +318,39 @@ class TestStepParabolic:
         monkeypatch.setattr(parabolic, "ricci_from_lambda", counting)
         step_parabolic(s0, (sf, sf), 0.005)
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "T, dt, expected",
+    [
+        (0.25, 0.03125, (8, 0.03125)),  # T/dt an integer: dt kept
+        (0.2, 0.001, (200, 0.2 / 200)),
+        (0.25, 0.1, (2, 0.125)),  # 2.5 steps round to 2 (half to even)
+        (0.25, 0.07, (4, 0.0625)),  # 3.57 steps round up to 4
+        (0.25, 1.0, (1, 0.25)),  # never fewer than one step
+    ],
+)
+def test_time_grid(T, dt, expected):
+    assert time_grid(T, dt) == expected
+
+
+def test_gauge_path_steps_between_the_given_times(monkeypatch):
+    # the sweep looks step_parabolic up in the parabolic module, where the
+    # benchmark tracer counts it
+    import smcflab.parabolic as parabolic
+
+    grid = Grid(d=2, n=8, L=2 * np.pi)
+    s0 = flat_state(grid)
+    path = [zero_sf(grid) for _ in range(3)]
+    calls = []
+
+    def recording(s, lam_path, dt, sign_variant):
+        calls.append((lam_path, dt, sign_variant))
+        return step_parabolic(s, lam_path, dt, sign_variant)
+
+    monkeypatch.setattr(parabolic, "step_parabolic", recording)
+    states = list(gauge_path(s0, path, [0.0, 0.25, 0.75], "plus"))
+    assert len(states) == 3 and states[0] is s0
+    assert [dt for _, dt, _ in calls] == [0.25, 0.5]
+    assert calls[1][0] == (path[1], path[2]) and calls[1][2] == "plus"
+    assert states[-1].t == 0.75
