@@ -145,11 +145,11 @@ def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
 # -- spatial transport (integrability audit) --------------------------------------
 
 
-def _shifted(grid: Grid, arr, axis, shift):
-    """Evaluate a field on the lattice shifted by `shift` along one axis."""
+def _shifted(grid: Grid, hat, axis, shift, real):
+    """A field on the lattice shifted by `shift` along one axis, from its spectrum `hat`."""
     phase = np.exp(1j * grid.k[axis] * shift)
-    out = grid.ifft(grid.fft(arr) * phase)
-    return out.real if np.isrealobj(arr) else out
+    out = grid.ifft(hat * phase)
+    return out.real if real else out
 
 
 def integrate_frame_space(
@@ -178,13 +178,16 @@ def integrate_frame_space(
     h = grid.dx / substeps
 
     lam_up = raise_first(m_state, sf.lam)
-    coeff_fields = {"gamma": m_state.gamma_u, "lam": sf.lam, "lam_up": lam_up, "A": A}
+    # the transport reads only the axis slot of each coefficient, Gamma^g_{axis b},
+    # lam_{axis b}, lam_up^g_{axis} and A_axis; each is transformed once
+    coeff = {"gamma": m_state.gamma_u[:, axis], "lam": sf.lam[axis], "lam_up": lam_up[:, axis], "A": A[axis]}
+    spectra = {key: (grid.fft(val), np.isrealobj(val)) for key, val in coeff.items()}
     # coefficient lattices at all substep shifts (whole and half)
     shifts = {}
     for q in range(2 * substeps):
         shift = q * h / 2.0
         shifts[q] = {
-            key: _shifted(grid, val, axis, shift) for key, val in coeff_fields.items()
+            key: _shifted(grid, hat, axis, shift, real) for key, (hat, real) in spectra.items()
         }
 
     def take(fields, j):
@@ -198,10 +201,10 @@ def integrate_frame_space(
 
     def rhs(Fa, mv, c):
         # d_axis F_beta = Gamma^g_{axis beta} F_g + Re(lam_{axis beta} mbar)
-        Fdot = np.einsum("gb...,gi...->bi...", c["gamma"][:, axis, :], Fa) + np.real(
-            np.einsum("b...,i...->bi...", c["lam"][axis], np.conj(mv))
+        Fdot = np.einsum("gb...,gi...->bi...", c["gamma"], Fa) + np.real(
+            np.einsum("b...,i...->bi...", c["lam"], np.conj(mv))
         )
-        mdot = -1j * c["A"][axis] * mv - np.einsum("g...,gi...->i...", c["lam_up"][:, axis], Fa)
+        mdot = -1j * c["A"] * mv - np.einsum("g...,gi...->i...", c["lam_up"], Fa)
         return Fdot, mdot
 
     Fa = seed_F.astype(complex)

@@ -72,6 +72,27 @@ class TestSpatialTransport:
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-8
         assert maxabs(out.m - frame.m) < 1e-8
 
+    def test_each_coefficient_transformed_once(self, transform_counts):
+        grid = Grid(d=2, n=16, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        counts = {}
+        for substeps in (2, 4):
+            transform_counts.update(fft=0, ifft=0)
+            integrate_frame_space(
+                frame.F_alpha[:, :, :, 0],
+                frame.m[:, :, 0],
+                m,
+                sf,
+                np.zeros((2,) + grid.shape),
+                axis=1,
+                substeps=substeps,
+            )
+            counts[substeps] = dict(transform_counts)
+        # Gamma, lam, lam_up and A go forward once whatever the substep count,
+        # and back once each per half substep
+        assert counts[4]["fft"] == counts[2]["fft"]
+        assert counts[4]["ifft"] - counts[2]["ifft"] == 4 * 2 * (4 - 2)
+
     def test_codazzi_violation_raises(self):
         grid = Grid(d=2, n=64, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
