@@ -11,12 +11,22 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import SmcfValidationError
+from .parabolic import SIGN_VARIANTS, time_grid
 
-_SCENARIOS = ("flat", "cliff", "bump")
-_MODES = ("perstep", "slab")
-_VARIANTS = ("minus", "plus")
 # field type (a string under postponed annotations) -> text parser
 _PARSERS = {"int": int, "float": float}
+# allowed values and lower bounds by field.  A tolerance or threshold <= 0 would
+# switch its check off; a zero time_step_dt selects 0.5 dx^2, a zero picard_tol the sweep count alone
+_CHOICES = {
+    "scenario_kind": ("flat", "cliff", "bump"),
+    "coupling_mode": ("perstep", "slab"),
+    "sign_variant": SIGN_VARIANTS,
+    "grid_dimension_d": (1, 2, 3),
+}
+_TOLERANCES = ("solver_tol", "frame_drift_tol", "holonomy_tol", "consistency_tol")
+_POSITIVE = ("box_length_L", "final_time_T", "small_data_threshold", "blowup_threshold") + _TOLERANCES
+_NON_NEGATIVE = ("time_step_dt", "picard_tol")
+_AT_LEAST_ONE = ("picard_sweeps", "snapshot_every_steps", "solver_max_iter")
 
 
 @dataclass
@@ -49,27 +59,23 @@ class RunConfig:
     consistency_tol: float = 1e-4
 
     def validate(self):
-        if self.scenario_kind not in _SCENARIOS:
-            raise SmcfValidationError(f"scenario_kind must be one of {_SCENARIOS}")
-        if self.coupling_mode not in _MODES:
-            raise SmcfValidationError(f"coupling_mode must be one of {_MODES}")
-        if self.sign_variant not in _VARIANTS:
-            raise SmcfValidationError(f"sign_variant must be one of {_VARIANTS}")
-        if self.grid_dimension_d not in (1, 2, 3):
-            raise SmcfValidationError("grid_dimension_d must be 1, 2 or 3")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise SmcfValidationError(f"{f.name} must be finite, got {value}")
+            if f.name in _POSITIVE and not value > 0:
+                raise SmcfValidationError(f"{f.name} must be positive, got {value}")
+            if f.name in _NON_NEGATIVE and value < 0:
+                raise SmcfValidationError(f"{f.name} must be >= 0, got {value}")
+            if f.name in _AT_LEAST_ONE and value < 1:
+                raise SmcfValidationError(f"{f.name} must be >= 1, got {value}")
+            if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                raise SmcfValidationError(f"{f.name} must be one of {_CHOICES[f.name]}, got {value!r}")
         n = self.grid_points_n
         if n < 8 or n & (n - 1):
             raise SmcfValidationError("grid_points_n must be a power of two >= 8")
-        if not self.box_length_L > 0:
-            raise SmcfValidationError("box_length_L must be positive")
         if not 0 < self.dealias_fraction <= 1:
             raise SmcfValidationError("dealias_fraction must lie in (0, 1]")
-        if not (math.isfinite(self.final_time_T) and self.final_time_T > 0):
-            raise SmcfValidationError(f"final_time_T must be finite and positive, got {self.final_time_T}")
-        if not (math.isfinite(self.time_step_dt) and self.time_step_dt >= 0):
-            raise SmcfValidationError(
-                f"time_step_dt must be finite and >= 0 (0 selects 0.5 dx^2), got {self.time_step_dt}"
-            )
         if self.scenario_kind == "bump":
             if not 0 < self.bump_epsilon < 1:
                 raise SmcfValidationError("bump_epsilon must lie in (0, 1)")
@@ -77,19 +83,18 @@ class RunConfig:
                 raise SmcfValidationError("need 0 < bump_delta < envelope_s - d/2")
         if not 0 < self.envelope_delta < self.envelope_s - self.grid_dimension_d / 2:
             raise SmcfValidationError("need 0 < envelope_delta < envelope_s - d/2")
-        if self.snapshot_every_steps < 1 or self.picard_sweeps < 1:
-            raise SmcfValidationError("snapshot_every_steps and picard_sweeps must be >= 1")
         return self
 
     def resolve(self) -> "RunConfig":
-        """Fill derived defaults so every knob is explicit."""
+        """Fill derived defaults so every knob is explicit; dt becomes the step the time grid takes."""
         out = self
         if out.bump_profile_width_w == 0.0:
             out = replace(out, bump_profile_width_w=out.box_length_L / 8.0)
         if out.time_step_dt == 0.0:
             dx = out.box_length_L / out.grid_points_n
             out = replace(out, time_step_dt=0.5 * dx * dx)
-        return out.validate()
+        out.validate()
+        return replace(out, time_step_dt=time_grid(out.final_time_T, out.time_step_dt)[1])
 
 
 def _format_value(v):
@@ -116,7 +121,10 @@ def config_from_text(text: str) -> RunConfig:
         if "=" not in line:
             raise SmcfValidationError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = (lineno, val.strip())
+        key = key.strip()
+        if key in values:
+            raise SmcfValidationError(f"config key {key!r} set twice, on lines {values[key][0]} and {lineno}")
+        values[key] = (lineno, val.strip())
     known = {f.name: f for f in fields(RunConfig)}
     kwargs = {}
     for key, (lineno, val) in values.items():

@@ -119,13 +119,10 @@ def residual_T5(grid: Grid, rec_prev, rec, rec_next):
 def residual_metric_evolution(grid: Grid, rec_prev, rec, rec_next):
     """d_t g against 2 Im(psi lambar) + symmetrized covariant gradient of V."""
     s = rec.gauge(grid)
-    m = s.metric
     sf = rec.second_form(grid)
     dtg = _centered_dt(rec_prev.g, rec_next.g, rec_prev.t, rec_next.t)
     im_term = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
-    V_low = grid.dealias(np.einsum("gs...,s...->g...", m.g, s.V))
-    nabV = covariant_derivative(V_low, m, valence="l")  # [a, b]
-    sym = nabV + np.swapaxes(nabV, 0, 1)
+    sym = s.nabla_V_low + np.swapaxes(s.nabla_V_low, 0, 1)
     res = dtg - grid.dealias(im_term) - sym
     return res, _norms(grid, res, [dtg, im_term, sym])
 

@@ -3,8 +3,10 @@
 Index conventions: tensor component axes come first, the d spatial grid axes
 last, so einsum contractions broadcast pointwise over the grid.  Mixed-index
 tensors come from the shared contraction helpers below (raise_first,
-harmonic_defect, covariant_divergence, curl_source, ...) at the use site and
-are never cached on the state objects.
+harmonic_defect, covariant_divergence, curl_source, ...).  The few that depend
+on a gauge state alone and that several right sides read (A^a, nabla V_low,
+the lambda-equation potential) are filled once per state, lazily, on
+parabolic.GaugeState; the rest are built at the use site.
 
 Orientation: the complex structure on the normal bundle is defined by the
 frame itself, J nu1 = nu2; reversing the orientation conjugates the complex

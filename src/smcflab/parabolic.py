@@ -15,6 +15,7 @@ state is published, so the gauge identities hold on exit by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class GaugeState:
 
     The curvature is left unfilled: the flows read it only through its
     second-fundamental-form representation, and the T1/T2 monitors build it.
+    Contractions of the state alone are filled on first use and shared by
+    every right side evaluated at it, so the fields must not change once set.
     """
 
     metric: MetricState
@@ -54,6 +57,23 @@ class GaugeState:
     @property
     def grid(self) -> Grid:
         return self.metric.grid
+
+    @cached_property
+    def A_up(self):
+        """A^a = g^{ab} A_b."""
+        return raise_first(self.metric, self.A)
+
+    @cached_property
+    def nabla_V_low(self):
+        """nabla_b V_g of the lowered field V_g = g_{gs} V^s, indexed [b, g]."""
+        V_low = self.grid.dealias(np.einsum("gs...,s...->g...", self.metric.g, self.V))
+        return covariant_derivative(V_low, self.metric, valence="l")
+
+    @cached_property
+    def potential(self):
+        """B + A_s A^s - V_s A^s, the zeroth-order coefficient of the lambda equation."""
+        AA, VA = (self.grid.dealias(np.einsum("s...,s...->...", X, self.A)) for X in (self.A_up, self.V))
+        return self.B + AA - VA
 
 
 def compute_gauge_sources(metric: MetricState, A):
@@ -102,13 +122,13 @@ def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="minus"):
     lam_up = raise_first(m, sf.lam)
     w = curl_source(grid, lam_up, sf.lam)
     nab_w = covariant_derivative(w, m, valence="ll")  # [b, a, s]
-    div_w = grid.dealias(np.einsum("sb...,bas...->a...", m.ginv, nab_w))
-    A_up = raise_first(m, s.A)
-    ric_term = grid.dealias(np.einsum("ad...,d...->a...", ric_rep, A_up))
+    div_w = np.einsum("sb...,bas...->a...", m.ginv, nab_w)
+    ric_term = np.einsum("ad...,d...->a...", ric_rep, s.A_up)
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
-    re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
-    v_term = grid.dealias(np.einsum("as...,s...->a...", w, s.V))
-    return sign * div_w - ric_term + re_term - v_term
+    re_term = np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov)))
+    v_term = np.einsum("as...,s...->a...", w, s.V)
+    # the truncation is linear: the sum of the products needs it once
+    return grid.dealias(sign * div_w - ric_term + re_term - v_term)
 
 
 def _cov_laplacian_oneform(m: MetricState, A):

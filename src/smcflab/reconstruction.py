@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import Immersion, MetricState, christoffel, covariant_derivative, normal_part, raise_first
 from .grid import Grid
-from .trajectory import Trajectory
+from .trajectory import Trajectory, TrajectoryRecord
 
 
 @dataclass
@@ -64,6 +64,7 @@ def frame_from_normal_basis(F: Immersion, nu1, nu2) -> Frame:
 
 
 def _bundle(grid: Grid, rec) -> SimpleNamespace:
+    """What _frame_rhs reads at one record: B, M, z = dApsi - i lam V and z raised."""
     s = rec.gauge(grid)
     sf = rec.second_form(grid)
     m = s.metric
@@ -74,27 +75,10 @@ def _bundle(grid: Grid, rec) -> SimpleNamespace:
     lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
     M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(lam_up))) + nablaV
-    return SimpleNamespace(
-        t=rec.t,
-        psi=sf.psi,
-        lam=sf.lam,
-        lam_up=lam_up,
-        A=s.A,
-        B=s.B,
-        V=s.V,
-        ginv=m.ginv,
-        g=m.g,
-        dApsi=dApsi,
-        dApsi_up=dApsi_up,
-        lamV=lamV,
-        lamV_up=lamV_up,
-        M=M,
-    )
+    return SimpleNamespace(t=rec.t, B=s.B, M=M, z=dApsi - 1j * lamV, zu=dApsi_up - 1j * lamV_up)
 
 
 def _bundle_midpoint(grid: Grid, rec0, rec1) -> SimpleNamespace:
-    from .trajectory import TrajectoryRecord
-
     mid = TrajectoryRecord(
         t=0.5 * (rec0.t + rec1.t),
         g=0.5 * (rec0.g + rec1.g),
@@ -107,11 +91,9 @@ def _bundle_midpoint(grid: Grid, rec0, rec1) -> SimpleNamespace:
 
 def _frame_rhs(frame_F, frame_m, b):
     """Right side of the frame motion system at one coefficient bundle."""
-    z = b.dApsi - 1j * b.lamV  # [a, ...]
-    Fdot = -np.imag(np.einsum("a...,i...->ai...", z, np.conj(frame_m)))
+    Fdot = -np.imag(np.einsum("a...,i...->ai...", b.z, np.conj(frame_m)))
     Fdot = Fdot + np.einsum("ag...,gi...->ai...", b.M, frame_F)
-    zu = b.dApsi_up - 1j * b.lamV_up
-    mdot = -1j * b.B * frame_m - 1j * np.einsum("a...,ai...->i...", zu, frame_F)
+    mdot = -1j * b.B * frame_m - 1j * np.einsum("a...,ai...->i...", b.zu, frame_F)
     return Fdot, mdot
 
 
@@ -119,14 +101,10 @@ def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
     """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
     b0, bm, b1 = bundles
     F0, m0 = frame.F_alpha.astype(complex), frame.m
-
-    def rhs(Fa, mv, b):
-        return _frame_rhs(Fa, mv, b)
-
-    k1F, k1m = rhs(F0, m0, b0)
-    k2F, k2m = rhs(F0 + 0.5 * dt * k1F, m0 + 0.5 * dt * k1m, bm)
-    k3F, k3m = rhs(F0 + 0.5 * dt * k2F, m0 + 0.5 * dt * k2m, bm)
-    k4F, k4m = rhs(F0 + dt * k3F, m0 + dt * k3m, b1)
+    k1F, k1m = _frame_rhs(F0, m0, b0)
+    k2F, k2m = _frame_rhs(F0 + 0.5 * dt * k1F, m0 + 0.5 * dt * k1m, bm)
+    k3F, k3m = _frame_rhs(F0 + 0.5 * dt * k2F, m0 + 0.5 * dt * k2m, bm)
+    k4F, k4m = _frame_rhs(F0 + dt * k3F, m0 + dt * k3m, b1)
     F1 = F0 + dt / 6.0 * (k1F + 2 * k2F + 2 * k3F + k4F)
     m1 = m0 + dt / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
     out = Frame(frame.grid, F1.real, m1)
@@ -325,7 +303,6 @@ def reconstruct(
     for i, (frame, imm) in enumerate(zip(frames, immersions)):
         rec = traj[i]
         result.frame_defects.append(frame.invariant_defects(rec.g))
-        gap = 0.0
         tang = imm.tangents()
         gap = float(np.max(np.abs(tang - frame.F_alpha)))
         result.consistency_gap.append(gap)

@@ -25,8 +25,9 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
 
-    Every product is dealiased; cubic chains are nested binary products.
-    With breakdown=True a dict of the individual named terms is returned too.
+    The sum of the top-level terms is dealiased once (the truncation is
+    linear); the inner products of the cubic chains keep their own.  With
+    breakdown=True a dict of the untruncated named terms is returned too.
     """
     grid = s.grid
     m = s.metric
@@ -39,32 +40,26 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     div_form = grid.div(np.einsum("mn...,nab...->mab...", m.ginv, dlam))
     first = covariant_derivative(lam, m, valence="ll")  # [c, a, b]
     second = covariant_derivative(first, m, valence="lll")  # [e, c, a, b]
-    cov_lap = grid.dealias(np.einsum("ec...,ecab...->ab...", m.ginv, second))
-    term_pdiff = div_form - cov_lap
+    term_pdiff = div_form - np.einsum("ec...,ecab...->ab...", m.ginv, second)
 
     # i V^s nabla_s lam
-    term_adv = 1j * grid.dealias(np.einsum("s...,sab...->ab...", s.V, first))
+    term_adv = 1j * np.einsum("s...,sab...->ab...", s.V, first)
 
     # 2i A^s (nabla_s - d_s) lam, the covariant completion of the magnetic term
-    A_up = raise_first(m, s.A)
-    term_a_gamma = -2j * grid.dealias(np.einsum("s...,sab...->ab...", A_up, first - dlam))
+    term_a_gamma = -2j * np.einsum("s...,sab...->ab...", s.A_up, first - dlam)
 
     # -i (nabla_s A^s) lam + (B + A_s A^s - V_s A^s) lam
-    term_divA = -1j * grid.dealias(np.einsum("...,ab...->ab...", s.B, lam))
-    AA = grid.dealias(np.einsum("s...,s...->...", A_up, s.A))
-    VA = grid.dealias(np.einsum("s...,s...->...", s.V, s.A))
-    term_pot = grid.dealias(np.einsum("...,ab...->ab...", s.B + AA - VA, lam))
+    term_divA = -1j * np.einsum("...,ab...->ab...", s.B, lam)
+    term_pot = np.einsum("...,ab...->ab...", s.potential, lam)
 
     # i lam^g_a nabla_b V_g + i lam^g_b nabla_a V_g
     lam_up = raise_first(m, lam)
-    V_low = grid.dealias(np.einsum("gs...,s...->g...", m.g, s.V))
-    nabV = covariant_derivative(V_low, m, valence="l")  # [b, g]
-    half = grid.dealias(np.einsum("ga...,bg...->ab...", lam_up, nabV))
+    half = np.einsum("ga...,bg...->ab...", lam_up, s.nabla_V_low)
     term_lamV = 1j * (half + np.swapaxes(half, 0, 1))
 
     # psi Re(lam_{ad} lambar^d_b)
     quad = grid.dealias(np.real(np.einsum("as...,sb...->ab...", lam, np.conj(lam_up))))
-    term_psi = grid.dealias(np.einsum("...,ab...->ab...", psi, quad))
+    term_psi = np.einsum("...,ab...->ab...", psi, quad)
 
     # -Re(lam_{sd} lambar_{ab} - lam_{sb} lambar_{ad}) lam^{sd}
     lam_upup = grid.dealias(np.einsum("sc...,dm...,cm...->sd...", m.ginv, m.ginv, lam))
@@ -74,11 +69,11 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
             - np.einsum("sb...,ad...->sdab...", lam, np.conj(lam))
         )
     )
-    term_curv = -grid.dealias(np.einsum("sdab...,sd...->ab...", re_part, lam_upup))
+    term_curv = -np.einsum("sdab...,sd...->ab...", re_part, lam_upup)
 
     # -lam_{am} lambar^m_s lam^s_b
     chain = grid.dealias(np.einsum("am...,ms...->as...", lam, np.conj(lam_up)))
-    term_chain = -grid.dealias(np.einsum("as...,sb...->ab...", chain, lam_up))
+    term_chain = -np.einsum("as...,sb...->ab...", chain, lam_up)
 
     terms = {
         "principal_difference": term_pdiff,
@@ -91,7 +86,7 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
         "curvature_cubic": term_curv,
         "cubic_chain": term_chain,
     }
-    total = sum(terms.values())
+    total = grid.dealias(sum(terms.values()))
     total = 0.5 * (total + np.swapaxes(total, 0, 1))
     if breakdown:
         return total, terms
@@ -103,8 +98,7 @@ def _remainder(grid: Grid, s: GaugeState, lam, F):
     ginv_dev = s.metric.ginv - identity_metric(grid)
     dlam = grid.grad(lam)
     flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
-    A_up = raise_first(s.metric, s.A)
-    adv = grid.dealias(np.einsum("s...,sab...->ab...", A_up, dlam))
+    adv = grid.dealias(np.einsum("s...,sab...->ab...", s.A_up, dlam))
     return 1j * flux - 2.0 * adv - 1j * F
 
 

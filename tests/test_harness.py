@@ -91,7 +91,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("final_time_T", np.nan), ("final_time_T", np.inf), ("time_step_dt", -0.1), ("time_step_dt", np.inf)],
+        [
+            ("final_time_T", np.nan),
+            ("final_time_T", np.inf),
+            ("time_step_dt", -0.1),
+            ("time_step_dt", np.inf),
+            # a NaN threshold compares false, which would switch blow-up detection off
+            ("blowup_threshold", np.nan),
+            ("solver_tol", -1.0),
+            ("holonomy_tol", 0.0),
+            ("cliff_radius_r", np.inf),
+            ("picard_tol", -1e-3),
+            ("solver_max_iter", 0),
+        ],
     )
     def test_non_finite_or_negative_timing_rejected(self, tmp_path, key, value):
         with pytest.raises(SmcfValidationError):
@@ -100,6 +112,14 @@ class TestConfig:
         save_config(path, RunConfig(output_dir=str(tmp_path / "out"), **{key: value}))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_exits_2(self, tmp_path):
+        text = "grid_points_n = 8\n# note\ngrid_points_n = 16\n"
+        with pytest.raises(SmcfValidationError, match=r"'grid_points_n' set twice, on lines 1 and 3"):
+            config_from_text(text)
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("key, text", [("grid_points_n", "abc"), ("final_time_T", "x")])
     def test_unparsable_value_exits_2(self, tmp_path, key, text):
@@ -216,6 +236,16 @@ class TestExperiment:
         for key in calibration.ALL:
             assert key in text
         assert "time_step_dt" in text
+
+    def test_manifest_echoes_the_step_taken(self, tmp_path):
+        # T = 0.25 with dt = 1.0 takes one step of 0.25
+        path = tmp_path / "cfg.txt"
+        cfg = replace(small_cliff_config(tmp_path, scenario_kind="flat"), final_time_T=0.25, time_step_dt=1.0)
+        save_config(path, cfg)
+        assert main(["run", "--config", str(path)]) == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "time_step_dt = 0.25" in manifest
+        assert load_trajectory(str(tmp_path / "out" / "snapshots")).times.tolist() == [0.0, 0.25]
 
     def test_snapshots_reload(self, tmp_path):
         cfg = small_cliff_config(tmp_path)
