@@ -1,11 +1,14 @@
 """Initial-time gauge fixing.
 
 Harmonic coordinates on the initial surface, the Coulomb frame in its normal
-bundle, and the elliptic div-curl solve for the initial connection.  All
-elliptic problems are solved by plain Picard iteration with the spectral
-inverse Laplacian, mirroring the contraction-principle structure of the
-continuum construction; each solver records its per-sweep contraction factor
-instead of asserting a convergence radius.
+bundle, and the elliptic div-curl solve for the initial connection.  Each
+elliptic problem L u = f has the flat Laplacian as its principal part and is
+solved by plain Picard iteration, mirroring the contraction-principle
+structure of the continuum construction.  A sweep evaluates the residual
+field r = L u - f once and steps u <- u - Lap^{-1} r with the spatial mean
+removed, the same fixed point as u = Lap^{-1}(f - (L - Lap) u).  Each solver
+records its per-sweep contraction factor instead of asserting a convergence
+radius.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .geometry import (
     normal_connection,
     normal_part,
     pointwise_det,
-    pointwise_inverse,
     raise_first,
 )
 from .grid import Grid
@@ -44,7 +46,6 @@ class SolveReport:
     residual: float = np.inf
     residual_history: list = field(default_factory=list)
     contraction_factors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -54,7 +55,6 @@ class CoordinateChange:
     grid: Grid
     phi: np.ndarray  # (d, *shape)
     report: SolveReport
-    _inverse_samples: np.ndarray = None
 
     def __post_init__(self):
         grid = self.grid
@@ -69,21 +69,18 @@ class CoordinateChange:
         if np.min(det) <= 0:
             raise SmcfValidationError("coordinate change is not orientation preserving")
 
-    def inverse_samples(self, max_iter=60, tol=1e-13):
+    def inverse_samples(self):
         """x(y_j) on the uniform y-lattice by the fixed point x = y - phi(x)."""
-        if self._inverse_samples is not None:
-            return self._inverse_samples
         grid = self.grid
         y = np.stack([g.ravel() for g in grid.x], axis=-1)  # (P, d)
         x = y.copy()
-        for _ in range(max_iter):
+        for _ in range(60):
             phi_at = np.stack([grid.eval_at_points(self.phi[c], x) for c in range(grid.d)], axis=-1)
             x_new = y - phi_at
             delta = np.max(np.abs(x_new - x))
             x = x_new
-            if delta < tol * max(1.0, grid.L):
+            if delta < 1e-13 * max(1.0, grid.L):
                 break
-        self._inverse_samples = x
         return x
 
 
@@ -96,23 +93,28 @@ def fractional_sobolev(grid: Grid, fields, sigma, s):
     return float(np.sqrt(np.sum(weight * np.abs(grid.fft(flat)) ** 2) * meas))
 
 
-def _picard_loop(update, residual_of, tol, max_iter, label):
-    """Generic damped-free Picard iteration with divergence detection."""
+def _picard_loop(grid: Grid, residual_of, u0, tol, max_iter, label):
+    """Picard iteration u <- u - Lap^{-1}(L u - f) with divergence detection.
+
+    residual_of(u) returns the residual field L u - f; it is evaluated once
+    per sweep, and its norm is what the report records.
+    """
     report = SolveReport()
-    state = update(None)
-    res = residual_of(state)
+    u = u0
+    r = residual_of(u)
+    res = grid.l2(r)
     report.residual_history.append(res)
     for it in range(1, max_iter + 1):
-        state = update(state)
-        res_new = residual_of(state)
+        u = u - grid.inv_laplacian(r)
+        u = u - u.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
+        r = residual_of(u)
+        res_new = grid.l2(r)
         report.iterations = it
-        if report.residual_history:
-            prev = report.residual_history[-1]
-            report.contraction_factors.append(res_new / prev if prev > 0 else 0.0)
+        report.contraction_factors.append(res_new / res if res > 0 else 0.0)
         report.residual_history.append(res_new)
         if res_new <= tol:
             report.residual = res_new
-            return state, report
+            return u, report
         hist = report.residual_history
         if len(hist) >= 4 and hist[-1] > hist[-2] > hist[-3] > hist[-4]:
             raise ContractionFailureError(
@@ -141,31 +143,18 @@ def solve_harmonic_coordinates(
             f"metric deviation too large for the harmonic solve: {size:.3e} > {small_data_threshold}"
         )
     Vg = harmonic_defect(m)
-    ginv_dev = m.ginv - identity_metric(grid)
-
-    def update(phi):
-        if phi is None:
-            return np.zeros((grid.d,) + grid.shape)
-        d2 = grid.hessian(phi)  # [a, b, c, ...]
-        dphi = grid.grad(phi)  # [s, c, ...]
-        rhs = (
-            Vg
-            - grid.dealias(np.einsum("ab...,abc...->c...", ginv_dev, d2))
-            + grid.dealias(np.einsum("s...,sc...->c...", Vg, dphi))
-        )
-        out = grid.inv_laplacian(rhs)
-        return out - out.mean(axis=tuple(range(1, grid.d + 1)), keepdims=True)
 
     def residual_of(phi):
-        d2 = grid.hessian(phi)
-        dphi = grid.grad(phi)
+        d2 = grid.hessian(phi)  # [a, b, c, ...]
+        dphi = grid.grad(phi)  # [s, c, ...]
         lap_g = grid.dealias(
             np.einsum("ab...,abc...->c...", m.ginv, d2)
             - np.einsum("s...,sc...->c...", Vg, dphi)
         )
-        return grid.l2(lap_g - Vg)
+        return lap_g - Vg
 
-    phi, report = _picard_loop(update, residual_of, tol, max_iter, "harmonic coordinates")
+    phi0 = np.zeros((grid.d,) + grid.shape)
+    phi, report = _picard_loop(grid, residual_of, phi0, tol, max_iter, "harmonic coordinates")
     return CoordinateChange(grid=grid, phi=phi, report=report)
 
 
@@ -183,34 +172,6 @@ def pullback_immersion(F: Immersion, change: CoordinateChange) -> Immersion:
             diff = x_at[:, a].reshape(grid.shape) - grid.x[a]
             dev_new[a] = dev_new[a] + diff
     return Immersion(grid, grid.dealias(dev_new), graph=F.graph)
-
-
-def pullback_metric(m: MetricState, change: CoordinateChange):
-    """Metric components in y-coordinates on the uniform grid.
-
-    Returns (MetricState, report) where the report carries the harmonic
-    residual after pullback and a warning if phi's spectrum is truncated.
-    """
-    grid = m.grid
-    report = SolveReport()
-    mass_out = 0.0
-    for c in range(grid.d):
-        hat = grid.fft(change.phi[c])
-        mass_out = max(mass_out, np.sqrt(np.sum(np.abs(hat[~grid.dealias_mask]) ** 2) / max(np.sum(np.abs(hat) ** 2), 1e-300)))
-    if mass_out > 1e-8:
-        report.warnings.append(f"coordinate change spectrum truncated: relative mass {mass_out:.2e}")
-    jac_inv = pointwise_inverse(grid, change.jacobian)
-    # M(x) = Jinv^T g Jinv evaluated pointwise, then sampled at x(y)
-    M = np.einsum("ma...,mn...,nb...->ab...", jac_inv, m.g, jac_inv)
-    x_at = change.inverse_samples()
-    g_new = np.empty_like(m.g)
-    for a in range(grid.d):
-        for b in range(a, grid.d):
-            g_new[a, b] = grid.eval_at_points(M[a, b], x_at).reshape(grid.shape)
-            g_new[b, a] = g_new[a, b]
-    out = christoffel(MetricState(grid, g_new))
-    report.residual = grid.l2(harmonic_defect(out))
-    return out, report
 
 
 def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, initial_frame=None):
@@ -268,28 +229,14 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     A_tilde = normal_connection(grid, nu1_t, nu2_t)
     div_tilde = covariant_divergence(m, A_tilde)
     Vg = harmonic_defect(m)
-    ginv_dev = m.ginv - identity_metric(grid)
-
-    def update(b):
-        if b is None:
-            return np.zeros(grid.shape)
-        d2 = grid.hessian(b)
-        db = grid.grad(b)
-        rhs = (
-            div_tilde
-            - grid.dealias(np.einsum("ac...,ac...->...", ginv_dev, d2))
-            + grid.dealias(np.einsum("s...,s...->...", Vg, db))
-        )
-        out = grid.inv_laplacian(rhs)
-        return out - out.mean()
 
     def residual_of(b):
         d2 = grid.hessian(b)
         db = grid.grad(b)
         lap_g = grid.dealias(np.einsum("ac...,ac...->...", m.ginv, d2) - np.einsum("s...,s...->...", Vg, db))
-        return grid.l2(lap_g - div_tilde)
+        return lap_g - div_tilde
 
-    b, report = _picard_loop(update, residual_of, tol, max_iter, "Coulomb rotation")
+    b, report = _picard_loop(grid, residual_of, np.zeros(grid.shape), tol, max_iter, "Coulomb rotation")
     cb, sb = np.cos(b), np.sin(b)
     nu1 = cb * nu1_t - sb * nu2_t
     nu2 = sb * nu1_t + cb * nu2_t
@@ -311,47 +258,31 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
     div_w = grid.div(np.swapaxes(w, 0, 1))
     hinv = m.ginv - identity_metric(grid)
 
-    def update(A):
-        if A is None:
-            return np.zeros((grid.d,) + grid.shape)
-        dA = np.swapaxes(grid.grad(A), 0, 1)
-        # -d_a(h^{mu b} d_b A_mu) - (d^b w)_{ab}
-        inner = grid.dealias(np.einsum("mb...,mb...->...", hinv, dA))
-        rhs = -grid.grad(inner) - div_w
-        out = grid.inv_laplacian(rhs)
-        return out - out.mean(axis=tuple(range(1, grid.d + 1)), keepdims=True)
-
     def residual_of(A):
         dA = np.swapaxes(grid.grad(A), 0, 1)
-        lap = grid.laplacian(A)
+        # Lap A_a + d_a(h^{mu b} d_b A_mu) + (d^b w)_{ab}
         inner = grid.dealias(np.einsum("mb...,mb...->...", hinv, dA))
-        return grid.l2(lap + grid.grad(inner) + div_w)
+        return grid.laplacian(A) + grid.grad(inner) + div_w
 
-    A, report = _picard_loop(update, residual_of, tol, max_iter, "initial connection")
+    A0 = np.zeros((grid.d,) + grid.shape)
+    A, report = _picard_loop(grid, residual_of, A0, tol, max_iter, "initial connection")
 
     # gradient correction for the contracted divergence q = g^{ab} d_b A_a
-    def div_q(Af):
-        dA = np.swapaxes(grid.grad(Af), 0, 1)
+    def div_q(dA):
         return grid.dealias(np.einsum("ab...,ab...->...", m.ginv, dA))
 
-    def update_rho(rho):
-        if rho is None:
-            return np.zeros(grid.shape)
-        d2 = grid.hessian(rho)
-        rhs = -div_q(A) - grid.dealias(np.einsum("ab...,ab...->...", hinv, d2))
-        out = grid.inv_laplacian(rhs)
-        return out - out.mean()
+    q = div_q(np.swapaxes(grid.grad(A), 0, 1))
 
     def residual_rho(rho):
-        return grid.l2(div_q(A + grid.grad(rho)))
+        # q(A + d rho) = q(A) + g^{ab} d_a d_b rho
+        return q + grid.dealias(np.einsum("ab...,ab...->...", m.ginv, grid.hessian(rho)))
 
-    rho, rho_report = _picard_loop(update_rho, residual_rho, tol, max_iter, "divergence correction")
+    rho, _ = _picard_loop(grid, residual_rho, np.zeros(grid.shape), tol, max_iter, "divergence correction")
     A = A + grid.grad(rho)
 
     dA = np.swapaxes(grid.grad(A), 0, 1)  # dA[mu, b] = d_b A_mu
     curl_res = grid.l2((np.swapaxes(dA, 0, 1) - dA) - w)
-    report.residual = grid.l2(div_q(A))
-    report.warnings.extend(rho_report.warnings)
+    report.residual = grid.l2(div_q(dA))
     report.residual_history.append(report.residual)
     return A, report, {"div_l2": report.residual, "curl_l2": curl_res}
 

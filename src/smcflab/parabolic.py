@@ -205,7 +205,10 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeSt
 def time_grid(T, dt):
     """(nsteps, dt) of the uniform time grid on [0, T]: T/dt rounded to the
     nearest whole number of steps (at least one), and the step that divides T."""
-    nsteps = max(1, int(round(T / dt)))
+    ratio = T / dt
+    if not np.isfinite(ratio):
+        raise SmcfValidationError(f"final_time_T / time_step_dt = {T!r} / {dt!r} is not a finite step count")
+    nsteps = max(1, int(round(ratio)))
     return nsteps, T / nsteps
 
 

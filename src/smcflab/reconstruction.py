@@ -1,10 +1,12 @@
 """Rebuild the moving frame and immersion from a gauge-system trajectory.
 
-The frame is transported in time at every grid point by RK4 on the linear
-frame-motion system, with coefficients taken from stored snapshots (midpoints
-by averaging).  Spatial transport along coordinate lines is used to audit
-integrability (holonomy of the periodic loop) and to spread seed data.
-Invariants are checked, never re-imposed, so drift is a genuine error signal.
+The frame obeys one linear system along any direction,
+d F_a = M_a^g F_g + Re(c_a mbar) and d m = -i B m - c^g F_g, and time and
+space share one RK4 step on it.  In time it runs at every grid point, with
+coefficients taken from stored snapshots (midpoints by averaging).  Along the
+coordinate lines of one axis it audits integrability (holonomy of the
+periodic loop) and spreads seed data.  Invariants are checked, never
+re-imposed, so drift is a genuine error signal.
 
 The immersion integrates the displacement identity by the trapezoid rule over
 stored slices, and the final audit recomputes the mean curvature from the
@@ -64,7 +66,7 @@ def frame_from_normal_basis(F: Immersion, nu1, nu2) -> Frame:
 
 
 def _bundle(grid: Grid, rec) -> SimpleNamespace:
-    """What _frame_rhs reads at one record: B, M, z = dApsi - i lam V and z raised."""
+    """What _frame_rhs reads at one record: B, M, c = i(dApsi - i lam V) and c raised."""
     s = rec.gauge(grid)
     sf = rec.second_form(grid)
     m = s.metric
@@ -75,7 +77,7 @@ def _bundle(grid: Grid, rec) -> SimpleNamespace:
     lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
     M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(lam_up))) + nablaV
-    return SimpleNamespace(t=rec.t, B=s.B, M=M, z=dApsi - 1j * lamV, zu=dApsi_up - 1j * lamV_up)
+    return SimpleNamespace(t=rec.t, B=s.B, M=M, c=1j * (dApsi - 1j * lamV), cu=1j * (dApsi_up - 1j * lamV_up))
 
 
 def _bundle_midpoint(grid: Grid, rec0, rec1) -> SimpleNamespace:
@@ -90,23 +92,27 @@ def _bundle_midpoint(grid: Grid, rec0, rec1) -> SimpleNamespace:
 
 
 def _frame_rhs(frame_F, frame_m, b):
-    """Right side of the frame motion system at one coefficient bundle."""
-    Fdot = -np.imag(np.einsum("a...,i...->ai...", b.z, np.conj(frame_m)))
+    """d F_a = M_a^g F_g + Re(c_a mbar), d m = -i B m - c^g F_g at one coefficient bundle."""
+    Fdot = np.real(np.einsum("a...,i...->ai...", b.c, np.conj(frame_m)))
     Fdot = Fdot + np.einsum("ag...,gi...->ai...", b.M, frame_F)
-    mdot = -1j * b.B * frame_m - 1j * np.einsum("a...,ai...->i...", b.zu, frame_F)
+    mdot = -1j * b.B * frame_m - np.einsum("a...,ai...->i...", b.cu, frame_F)
     return Fdot, mdot
+
+
+def _rk4(F0, m0, h, b0, bm, b1):
+    """One RK4 step of length h of the frame system, with start, midpoint and end bundles."""
+    k1F, k1m = _frame_rhs(F0, m0, b0)
+    k2F, k2m = _frame_rhs(F0 + 0.5 * h * k1F, m0 + 0.5 * h * k1m, bm)
+    k3F, k3m = _frame_rhs(F0 + 0.5 * h * k2F, m0 + 0.5 * h * k2m, bm)
+    k4F, k4m = _frame_rhs(F0 + h * k3F, m0 + h * k3m, b1)
+    F1 = F0 + h / 6.0 * (k1F + 2 * k2F + 2 * k3F + k4F)
+    m1 = m0 + h / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
+    return F1, m1
 
 
 def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
     """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
-    b0, bm, b1 = bundles
-    F0, m0 = frame.F_alpha.astype(complex), frame.m
-    k1F, k1m = _frame_rhs(F0, m0, b0)
-    k2F, k2m = _frame_rhs(F0 + 0.5 * dt * k1F, m0 + 0.5 * dt * k1m, bm)
-    k3F, k3m = _frame_rhs(F0 + 0.5 * dt * k2F, m0 + 0.5 * dt * k2m, bm)
-    k4F, k4m = _frame_rhs(F0 + dt * k3F, m0 + dt * k3m, b1)
-    F1 = F0 + dt / 6.0 * (k1F + 2 * k2F + 2 * k3F + k4F)
-    m1 = m0 + dt / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
+    F1, m1 = _rk4(frame.F_alpha.astype(complex), frame.m, dt, *bundles)
     out = Frame(frame.grid, F1.real, m1)
     # the orthogonality invariants are protected by the skew structure; the
     # metric consistency mixes in the accuracy of the stored g and is audited
@@ -115,7 +121,7 @@ def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
     worst = max(defects.values())
     if worst > drift_tol:
         raise FrameDriftError(
-            f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={b1.t:.6g}: {defects}"
+            f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={bundles[2].t:.6g}: {defects}"
         )
     return out
 
@@ -156,9 +162,11 @@ def integrate_frame_space(
     h = grid.dx / substeps
 
     lam_up = raise_first(m_state, sf.lam)
-    # the transport reads only the axis slot of each coefficient, Gamma^g_{axis b},
-    # lam_{axis b}, lam_up^g_{axis} and A_axis; each is transformed once
-    coeff = {"gamma": m_state.gamma_u[:, axis], "lam": sf.lam[axis], "lam_up": lam_up[:, axis], "A": A[axis]}
+    # the transport reads only the axis slot of each coefficient; as a frame
+    # bundle M[a, g] = Gamma^g_{axis a}, c = lam_{axis .}, cu = lam_up^._{axis}
+    # and B = A_axis, each transformed once
+    M = np.swapaxes(m_state.gamma_u[:, axis], 0, 1)
+    coeff = {"M": M, "c": sf.lam[axis], "cu": lam_up[:, axis], "B": A[axis]}
     spectra = {key: (grid.fft(val), np.isrealobj(val)) for key, val in coeff.items()}
     # coefficient lattices at all substep shifts (whole and half)
     shifts = {}
@@ -168,22 +176,14 @@ def integrate_frame_space(
             key: _shifted(grid, hat, axis, shift, real) for key, (hat, real) in spectra.items()
         }
 
-    def take(fields, j):
-        # slice index j along the transport axis; fields indexed [..., spatial]
-        out = {}
-        for key, val in fields.items():
-            idx = [slice(None)] * val.ndim
-            idx[val.ndim - d + axis] = j
-            out[key] = val[tuple(idx)]
-        return out
+    def at(val, j):
+        # index of slice j along the transport axis; fields indexed [..., spatial]
+        idx = [slice(None)] * val.ndim
+        idx[val.ndim - d + axis] = j
+        return tuple(idx)
 
-    def rhs(Fa, mv, c):
-        # d_axis F_beta = Gamma^g_{axis beta} F_g + Re(lam_{axis beta} mbar)
-        Fdot = np.einsum("gb...,gi...->bi...", c["gamma"], Fa) + np.real(
-            np.einsum("b...,i...->bi...", c["lam"], np.conj(mv))
-        )
-        mdot = -1j * c["A"] * mv - np.einsum("g...,gi...->i...", c["lam_up"], Fa)
-        return Fdot, mdot
+    def take(fields, j):
+        return SimpleNamespace(**{key: val[at(val, j)] for key, val in fields.items()})
 
     Fa = seed_F.astype(complex)
     mv = seed_m.astype(complex)
@@ -191,12 +191,8 @@ def integrate_frame_space(
     frame_m = np.empty((d + 2,) + grid.shape, dtype=complex)
 
     def store(j, Fa, mv):
-        idx_f = [slice(None)] * frame_F.ndim
-        idx_f[frame_F.ndim - d + axis] = j
-        frame_F[tuple(idx_f)] = Fa.real
-        idx_m = [slice(None)] * frame_m.ndim
-        idx_m[frame_m.ndim - d + axis] = j
-        frame_m[tuple(idx_m)] = mv
+        frame_F[at(frame_F, j)] = Fa.real
+        frame_m[at(frame_m, j)] = mv
 
     store(0, Fa, mv)
     for j in range(n):
@@ -205,12 +201,7 @@ def integrate_frame_space(
             cm = take(shifts[(2 * s_ + 1) % (2 * substeps)], j)
             jn = j if 2 * s_ + 2 < 2 * substeps else (j + 1) % n
             c1 = take(shifts[(2 * s_ + 2) % (2 * substeps)], jn)
-            k1F, k1m = rhs(Fa, mv, c0)
-            k2F, k2m = rhs(Fa + 0.5 * h * k1F, mv + 0.5 * h * k1m, cm)
-            k3F, k3m = rhs(Fa + 0.5 * h * k2F, mv + 0.5 * h * k2m, cm)
-            k4F, k4m = rhs(Fa + h * k3F, mv + h * k3m, c1)
-            Fa = Fa + h / 6.0 * (k1F + 2 * k2F + 2 * k3F + k4F)
-            mv = mv + h / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            Fa, mv = _rk4(Fa, mv, h, c0, cm, c1)
         if j + 1 < n:
             store(j + 1, Fa, mv)
     holonomy = max(
@@ -285,21 +276,11 @@ def reconstruct(
 
     result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions)
     if spatial_audit:
-        rec0 = traj[0]
-        s0 = rec0.gauge(grid)
-        sf0 = rec0.second_form(grid)
-        axis = grid.d - 1
-        sl = (slice(None),) * (frame0.F_alpha.ndim - 1) + (0,)
-        _, holonomy = integrate_frame_space(
-            frame0.F_alpha[sl],
-            frame0.m[(slice(None),) * (frame0.m.ndim - 1) + (0,)],
-            s0.metric,
-            sf0,
-            s0.A,
-            axis=axis,
-            holonomy_tol=holonomy_tol,
+        # seed on the slice {x_last = 0}, transported along the last axis
+        s0, sf0 = traj[0].gauge(grid), traj[0].second_form(grid)
+        _, result.holonomy = integrate_frame_space(
+            frame0.F_alpha[..., 0], frame0.m[..., 0], s0.metric, sf0, s0.A, holonomy_tol=holonomy_tol
         )
-        result.holonomy = holonomy
     for i, (frame, imm) in enumerate(zip(frames, immersions)):
         rec = traj[i]
         result.frame_defects.append(frame.invariant_defects(rec.g))

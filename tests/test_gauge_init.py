@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from normal_frames import graph_normal_bundle
-from smcflab.errors import SmcfValidationError, TransversalityError
+from smcflab.errors import (
+    ContractionFailureError,
+    NoConvergenceError,
+    SmcfValidationError,
+    TransversalityError,
+)
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.gauge_init import (
     build_coulomb_frame,
     check_elliptic_h,
     covariant_divergence,
     harmonic_defect,
+    _picard_loop,
     pullback_immersion,
-    pullback_metric,
     solve_harmonic_coordinates,
     solve_initial_A,
 )
@@ -76,23 +81,29 @@ class TestHarmonicCoordinates:
         with pytest.raises(SmcfValidationError):
             solve_harmonic_coordinates(m, small_data_threshold=1e-12)
 
+    def test_each_sweep_evaluates_operator_once(self, transform_counts):
+        grid = Grid(d=2, n=16, L=16.0)
+        F, m = bump_metric(grid)
+        counts = {}
+        for k in (1, 2):
+            transform_counts.update(fft=0, ifft=0)
+            with pytest.raises(NoConvergenceError):
+                solve_harmonic_coordinates(m, tol=0.0, max_iter=k)
+            counts[k] = dict(transform_counts)
+        # one sweep: hessian, grad and dealias of the residual, and inv_laplacian
+        assert counts[2]["fft"] - counts[1]["fft"] == 4
+
+
+class TestPicardLoop:
+    def test_growing_error_raises_contraction_failure(self):
+        # residual 3 Lap u - f: each sweep maps the error e to -2 e
+        grid = Grid(d=2, n=16, L=2 * np.pi)
+        f = np.cos(grid.x[0]) + 0.5 * np.sin(2 * grid.x[1])
+        with pytest.raises(ContractionFailureError, match="toy problem: residual grew over three sweeps"):
+            _picard_loop(grid, lambda u: 3 * grid.laplacian(u) - f, np.zeros(grid.shape), 1e-12, 20, "toy problem")
+
 
 class TestPullback:
-    def test_identity_change_keeps_metric(self, bump_grid):
-        F, m = bump_metric(bump_grid)
-        from smcflab.gauge_init import CoordinateChange, SolveReport
-
-        change = CoordinateChange(bump_grid, np.zeros((2,) + bump_grid.shape), SolveReport())
-        out, report = pullback_metric(m, change)
-        assert maxabs(out.g - m.g) < 1e-10
-
-    def test_flat_stays_flat(self):
-        grid = Grid(d=2, n=16, L=2 * np.pi)
-        m = christoffel(MetricState(grid, identity_metric(grid)))
-        change = solve_harmonic_coordinates(m)
-        out, report = pullback_metric(m, change)
-        assert maxabs(out.g - identity_metric(grid)) < 1e-12
-
     def test_bump_pullback_reduces_harmonic_defect(self, bump_grid):
         F, m = bump_metric(bump_grid)
         before = bump_grid.l2(harmonic_defect(m))
@@ -101,9 +112,6 @@ class TestPullback:
         m2 = christoffel(induced_metric(F2))
         after = bump_grid.l2(harmonic_defect(m2))
         assert after < before / 10.0
-        out, report = pullback_metric(m, change)
-        assert report.residual < 1e-6
-        assert report.residual < before
 
 
 class TestCoulombFrame:

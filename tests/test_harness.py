@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,8 @@ class TestConfig:
             ("final_time_T", np.inf),
             ("time_step_dt", -0.1),
             ("time_step_dt", np.inf),
+            # finite, but T / dt overflows to inf
+            ("time_step_dt", 5e-324),
             # a NaN threshold compares false, which would switch blow-up detection off
             ("blowup_threshold", np.nan),
             ("solver_tol", -1.0),
@@ -143,7 +146,7 @@ def test_every_config_field_is_read():
     """A RunConfig field that no code outside config.py reads is a knob that does nothing."""
     src_dir = os.path.dirname(smcflab.__file__)
     source = "".join(
-        open(os.path.join(src_dir, name)).read()
+        Path(src_dir, name).read_text()
         for name in sorted(os.listdir(src_dir))
         if name.endswith(".py") and name != "config.py"
     )
@@ -223,8 +226,8 @@ class TestExperiment:
         run_experiment(cfg1)
         run_experiment(cfg2)
         for name in ("diagnostics.csv", "constraints.csv", "reconstruction.csv", "gauge_init.csv"):
-            a = open(os.path.join(cfg1.output_dir, name), "rb").read()
-            b = open(os.path.join(cfg2.output_dir, name), "rb").read()
+            a = Path(cfg1.output_dir, name).read_bytes()
+            b = Path(cfg2.output_dir, name).read_bytes()
             assert a == b, name
 
     def test_manifest_contains_calibration(self, tmp_path):
@@ -232,7 +235,7 @@ class TestExperiment:
 
         cfg = small_cliff_config(tmp_path, scenario_kind="flat")
         run_experiment(cfg)
-        text = open(os.path.join(cfg.output_dir, "manifest.txt")).read()
+        text = Path(cfg.output_dir, "manifest.txt").read_text()
         for key in calibration.ALL:
             assert key in text
         assert "time_step_dt" in text
@@ -279,10 +282,10 @@ class TestCLI:
         save_config(path, cfg)
         csv_path = os.path.join(cfg.output_dir, "reconstruction.csv")
         assert main(["run", "--config", str(path)]) == 0
-        from_run = open(csv_path, "rb").read()
+        from_run = Path(csv_path).read_bytes()
         os.remove(csv_path)
         assert main(["reconstruct", "--config", str(path)]) == 0
-        from_reconstruct = open(csv_path, "rb").read()
+        from_reconstruct = Path(csv_path).read_bytes()
         assert b",spatial_holonomy," in from_reconstruct
         assert from_reconstruct == from_run
 
@@ -303,7 +306,7 @@ class TestCLI:
             for dirpath, _, names in os.walk(root):
                 for name in names:
                     full = os.path.join(dirpath, name)
-                    out[os.path.relpath(full, root)] = open(full, "rb").read()
+                    out[os.path.relpath(full, root)] = Path(full).read_bytes()
             return out
 
         from_run, from_commands = tree(run_dir), tree(cfg.output_dir)
@@ -409,6 +412,16 @@ class TestCLI:
         assert "init_h00.smcf" in files
         assert "init_A0.smcf" in files
         assert "gauge_init.csv" in files
+
+    def test_solver_no_convergence_exits_3(self, tmp_path, capsys):
+        bump = os.path.join(os.path.dirname(__file__), "..", "configs", "bump_smalldata.txt")
+        cfg = replace(load_config(bump), output_dir=str(tmp_path / "out"), solver_tol=1e-30, solver_max_iter=2)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "[gauge-init] harmonic coordinates: residual" in err
+        assert "after 2 sweeps" in err
 
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.txt"
