@@ -45,7 +45,7 @@ class RunConfig:
     picard_sweeps: int = 3
     picard_tol: float = 0.0  # 0 -> sweep count only
     coupling_mode: str = "perstep"
-    sign_variant: str = "minus"
+    sign_variant: str = "plus"
     snapshot_every_steps: int = 1
     envelope_s: float = 2.0
     envelope_delta: float = 0.5

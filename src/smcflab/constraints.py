@@ -45,12 +45,19 @@ class ConstraintReport:
 
 
 def _norms(grid: Grid, res, constituents):
+    """Absolute norms of res and its ratio to the largest constituent.
+
+    Below the floor 1e3 eps L^(d/2), the grid L2 norm of roundoff on an O(1)
+    field, the constituents have no digits left to compare against and rel
+    reads 0.
+    """
     scale = max([grid.l2(c) for c in constituents] + [0.0])
     l2 = grid.l2(res)
+    floor = 1e3 * np.finfo(float).eps * grid.L ** (grid.d / 2)
     return ResidualNorms(
         l2=l2,
         linf=grid.linf(res),
-        rel=l2 / scale if scale > 0 else l2,
+        rel=l2 / scale if scale > floor else 0.0,
         scale=scale,
     )
 

@@ -75,8 +75,7 @@ class CoordinateChange:
         y = np.stack([g.ravel() for g in grid.x], axis=-1)  # (P, d)
         x = y.copy()
         for _ in range(60):
-            phi_at = np.stack([grid.eval_at_points(self.phi[c], x) for c in range(grid.d)], axis=-1)
-            x_new = y - phi_at
+            x_new = y - grid.eval_at_points(self.phi, x).T
             delta = np.max(np.abs(x_new - x))
             x = x_new
             if delta < 1e-13 * max(1.0, grid.L):
@@ -162,9 +161,7 @@ def pullback_immersion(F: Immersion, change: CoordinateChange) -> Immersion:
     """Resample the immersion in the new coordinates: F~(y) = F(x(y))."""
     grid = F.grid
     x_at = change.inverse_samples()
-    dev_new = np.stack(
-        [grid.eval_at_points(F.dev[i], x_at).reshape(grid.shape) for i in range(F.ambient_dim)]
-    )
+    dev_new = grid.eval_at_points(F.dev, x_at).reshape(F.dev.shape)
     if F.graph:
         # linear part: F = (x, u) and x(y) = y + (x(y) - y); fold the periodic
         # difference into the tangential deviation

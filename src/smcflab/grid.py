@@ -24,11 +24,13 @@ in the tests is deterministic.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, InvalidAxisError, SmcfValidationError
 
@@ -36,6 +38,17 @@ SNAPSHOT_MAGIC = b"SMCF"
 SNAPSHOT_VERSION = 1
 # version, d, n, L, parity flag (0 real, 1 complex), name length
 _HEADER = struct.Struct("<IIIdBI")
+
+# Type-2 NUFFT behind Grid.eval_at_points (Barnett, Magland & af Klinteberg,
+# SISC 41, 2019): the exponential-of-semicircle kernel spans _NUFFT_WIDTH points
+# of a grid oversampled _NUFFT_SIGMA times, with their shape parameter
+# beta = 2.30 w for sigma = 2.  Its Fourier factors take _NUFFT_NODES
+# Gauss-Legendre nodes; the gather runs in chunks of about _NUFFT_CHUNK values.
+_NUFFT_SIGMA = 2
+_NUFFT_WIDTH = 16
+_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
+_NUFFT_NODES = 3 * _NUFFT_WIDTH
+_NUFFT_CHUNK = 1 << 20
 
 
 def _smoothstep(t):
@@ -45,6 +58,11 @@ def _smoothstep(t):
         qa = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         qb = np.where(1.0 - t > 0.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
     return qa / (qa + qb)
+
+
+def _es_kernel(z):
+    """Exponential of semicircle exp(beta (sqrt(1 - z^2) - 1)) on [-1, 1]."""
+    return np.exp(_NUFFT_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
 
 
 def bump_profile(r):
@@ -84,22 +102,38 @@ class Grid:
             sh = [1] * self.d
             sh[a] = self.n
             self.k.append(k1.reshape(sh))
-        self.k_sq = sum(ka**2 for ka in self.k)
-        self.k_mag = np.sqrt(self.k_sq)
         self.k_nyq = 2.0 * np.pi / self.L * (self.n // 2)
+        self.x1d = np.arange(self.n) * self.dx
 
+        self._lp_bands = {}
+        self._spread_plans = {}
+
+    # The full-grid arrays are built on first use, so a grid that only
+    # transforms (the oversampled grid of eval_at_points) never holds them.
+
+    @cached_property
+    def k_sq(self):
+        return sum(ka**2 for ka in self.k)
+
+    @cached_property
+    def k_mag(self):
+        return np.sqrt(self.k_sq)
+
+    @cached_property
+    def dealias_mask(self):
         cut = self.dealias_fraction * self.k_nyq
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.d):
             mask &= np.abs(self.k[a]) <= cut + 1e-12 * self.k_nyq
-        self.dealias_mask = mask
+        return mask
 
-        x1 = np.arange(self.n) * self.dx
-        self.x1d = x1
-        self.x = np.meshgrid(*([x1] * self.d), indexing="ij")
+    @cached_property
+    def x(self):
+        return np.meshgrid(*([self.x1d] * self.d), indexing="ij")
 
-        self._lp_bands = {}
-        self._inv_lap_mult = np.where(self.k_sq > 0.0, -1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
+    @cached_property
+    def _inv_lap_mult(self):
+        return np.where(self.k_sq > 0.0, -1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
 
     # -- basic transforms ---------------------------------------------------
     # The only transform call sites: every spectral operator below reaches
@@ -270,21 +304,81 @@ class Grid:
 
     # -- nonuniform evaluation -------------------------------------------------
 
+    @cached_property
+    def _fine(self):
+        """The grid oversampled _NUFFT_SIGMA times that eval_at_points interpolates from."""
+        return Grid(self.d, _NUFFT_SIGMA * self.n, self.L, self.dealias_fraction)
+
+    @cached_property
+    def _kernel_factors(self):
+        """L / (n psi_hat(k)) per axis in FFT order, for the kernel psi(x) = es(x / alpha)
+        of half-width alpha = w dx_fine / 2; psi_hat by Gauss-Legendre quadrature."""
+        z, weights = np.polynomial.legendre.leggauss(_NUFFT_NODES)
+        alpha = _NUFFT_WIDTH * self._fine.dx / 2.0
+        psi_hat = alpha * np.cos(np.outer(self.k1d * alpha, z)) @ (weights * _es_kernel(z))
+        return self.L / (self.n * psi_hat)
+
+    def _spread_plan(self, real):
+        """(source slots, fine slots, multiplier) that move fft(arr, half=real),
+        divided by the kernel factors, onto the fine spectrum."""
+        if real not in self._spread_plans:
+            n = self.n
+            if real:
+                modes = [np.arange(-n // 2, n // 2 + 1)] * (self.d - 1) + [np.arange(n // 2 + 1)]
+            else:
+                modes = [np.fft.fftfreq(n, 1.0 / n).astype(int)] * self.d
+            mesh = np.ix_(*modes)
+            mult = math.prod(self._kernel_factors[m % n] for m in mesh)
+            if real:
+                # Re of the sum over the FFT box [-n/2, n/2)^d is the sum over the
+                # Hermitian box [-n/2, n/2]^d that halves each mode on a Nyquist
+                # face and drops the modes with both a +n/2 and a -n/2 index
+                no_plus = math.prod(m != n // 2 for m in mesh)
+                no_minus = math.prod(m != -n // 2 for m in mesh)
+                mult = mult * 0.5 * (no_plus + no_minus)
+            src = tuple(m % n for m in mesh)
+            dst = tuple(m % self._fine.n for m in mesh)
+            self._spread_plans[real] = src, dst, mult
+        return self._spread_plans[real]
+
     def eval_at_points(self, arr, pts):
         """Evaluate the band-limited interpolant at arbitrary points.
 
         pts: array (P, d) of physical coordinates (any real values; periodic).
-        Returns shape leading + (P,).  Direct O(P * n^d) spectral summation;
-        acceptable at desk scale.
+        Returns shape leading + (P,), one evaluation for the whole stack; a real
+        arr gives the real part of the Fourier sum over the FFT box.
+
+        Type-2 NUFFT (Barnett, Magland & af Klinteberg, SISC 41, 2019): the
+        spectrum is divided by the Fourier factors of the exponential-of-
+        semicircle kernel, zero-padded to a grid oversampled sigma = 2 times and
+        transformed once; each point then sums its w^d = 16^d nearest fine-grid
+        values weighted by the kernel.  It matches the direct O(P n^d) sum to
+        about 1e-14 relative and costs O(n^d log n + P w^d).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        hat = self.fft(arr) / (self.n**self.d)
-        phase = np.exp(1j * np.outer(pts[:, self.d - 1], self.k1d))  # (P, n)
-        out = np.tensordot(hat, phase, axes=([hat.ndim - 1], [1]))  # (..., P)
-        for a in reversed(range(self.d - 1)):
-            phase = np.exp(1j * np.outer(pts[:, a], self.k1d))
-            out = np.einsum("...xp,px->...p", out, phase)
-        return out.real if np.isrealobj(arr) else out
+        real = np.isrealobj(arr)
+        hat = self.fft(arr, half=real)
+        src, dst, mult = self._spread_plan(real)
+        fine = self._fine
+        lead = hat.shape[: hat.ndim - self.d]
+        spec = np.zeros(lead + fine.shape[:-1] + (fine.n // 2 + 1 if real else fine.n,), dtype=complex)
+        spec[(Ellipsis,) + dst] = hat[(Ellipsis,) + src] * mult
+        w = _NUFFT_WIDTH
+        # wrap-pad every axis by w - 1 so the w^d neighbours of a point are one window
+        u = np.pad(fine.ifft(spec, half=real), [(0, 0)] * len(lead) + [(0, w - 1)] * self.d, mode="wrap")
+        windows = sliding_window_view(u, (w,) * self.d, axis=self._axes(u))
+        out = np.empty(lead + (len(pts),), dtype=u.dtype)
+        step = max(1, _NUFFT_CHUNK // (w**self.d * math.prod(lead)))
+        for lo in range(0, len(pts), step):
+            t = pts[lo : lo + step] / fine.dx  # (p, d) in fine-grid units
+            first = np.floor(t - w / 2).astype(np.int64) + 1
+            ker = _es_kernel(((t - first)[..., None] - np.arange(w)) / (w / 2))  # (p, d, w)
+            vals = windows[(slice(None),) * len(lead) + tuple((first % fine.n).T)]  # (..., p, w, ..., w)
+            # the kernel is a product over axes: contract the window one axis at a time
+            for a in reversed(range(1, self.d)):
+                vals = np.matmul(vals, ker[:, a].reshape((len(t),) + (1,) * (a - 1) + (w, 1)))[..., 0]
+            out[..., lo : lo + step] = np.einsum("...pk,pk->...p", vals, ker[:, 0])
+        return out
 
 
 # -- GridField: the public field type ------------------------------------------

@@ -110,7 +110,7 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
-def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="minus"):
+def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus"):
     """Lower-order terms of the connection flow; the quadratic-curl term's sign
     is the configurable variant.  ric_rep is ricci_from_lambda(s.metric,
     sf.lam, sf.psi), as for heat_rhs_h."""
@@ -148,7 +148,7 @@ def _phi_factors(z):
     return phi1, phi2
 
 
-def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="minus") -> GaugeState:
+def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeState:
     """One exponential-integrator step of the (h, A) system.
 
     lam_path supplies the two second-form slices bracketing the step; the
@@ -212,7 +212,7 @@ def time_grid(T, dt):
     return nsteps, T / nsteps
 
 
-def gauge_path(gauge0: GaugeState, lam_path, times, sign_variant="minus"):
+def gauge_path(gauge0: GaugeState, lam_path, times, sign_variant="plus"):
     """Yield gauge0, then the (g, A) state stepped along the prescribed second
     forms lam_path[i] at times[i], one step_parabolic per interval."""
     s = gauge0

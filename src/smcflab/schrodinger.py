@@ -155,7 +155,7 @@ def evolve_coupled(
     gauge0: GaugeState,
     T,
     dt,
-    sign_variant="minus",
+    sign_variant="plus",
     snapshot_every=1,
     blowup_threshold=1e3,
 ) -> Trajectory:
@@ -186,7 +186,7 @@ def evolve_slab(
     dt,
     sweeps=3,
     tol=None,
-    sign_variant="minus",
+    sign_variant="plus",
     blowup_threshold=1e3,
 ) -> Trajectory:
     """Whole-slab Picard iteration with trivial initialization.
@@ -243,7 +243,7 @@ def picard_evolve(
     sweeps=3,
     tol=None,
     mode="perstep",
-    sign_variant="minus",
+    sign_variant="plus",
     snapshot_every=1,
     blowup_threshold=1e3,
 ) -> Trajectory:

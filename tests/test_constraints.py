@@ -249,3 +249,11 @@ class TestReports:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,name,l2,linf,rel,scale"
         assert len(lines) == 1 + sum(len(r.entries) for r in reports)
+
+    def test_cliff_roundoff_monitors_read_zero(self):
+        # flat metric, constant curvature: T1, T2 and T4 and their constituents
+        # sit at roundoff, where the relative residual carries no information
+        reports = constraint_reports(TestTimeResiduals()._cliff_traj(2e-3, T=0.01))
+        for rep in reports:
+            for name in ("T1", "T2", "T4"):
+                assert rep.entries[name].rel == 0.0

@@ -104,6 +104,21 @@ class TestPicardLoop:
 
 
 class TestPullback:
+    def test_one_evaluation_per_point_set(self, monkeypatch):
+        # three inverse sweeps evaluate the whole phi stack, the pullback all of F.dev
+        grid = Grid(d=2, n=32, L=16.0)
+        F, m = bump_metric(grid, eps=0.02)
+        stacks = []
+        original = Grid.eval_at_points
+
+        def counted(self, arr, pts):
+            stacks.append(np.shape(arr))
+            return original(self, arr, pts)
+
+        monkeypatch.setattr(Grid, "eval_at_points", counted)
+        pullback_immersion(F, solve_harmonic_coordinates(m, tol=1e-10))
+        assert stacks == [(2, 32, 32)] * 3 + [(4, 32, 32)]
+
     def test_bump_pullback_reduces_harmonic_defect(self, bump_grid):
         F, m = bump_metric(bump_grid)
         before = bump_grid.l2(harmonic_defect(m))

@@ -1,5 +1,7 @@
 """Spectral grid operators against analytic oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,25 @@ def grid2():
     return Grid(d=2, n=32, L=2 * np.pi)
 
 
-def random_field(grid, seed=0, real=True):
+def random_field(grid, seed=0, real=True, lead=()):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape)
+    vals = rng.standard_normal(lead + grid.shape)
     if not real:
-        vals = vals + 1j * rng.standard_normal(grid.shape)
+        vals = vals + 1j * rng.standard_normal(lead + grid.shape)
     return grid.dealias(vals)
+
+
+def direct_eval_at_points(grid, arr, pts):
+    """Reference for Grid.eval_at_points: the direct O(P n^d) Fourier sum over the
+    FFT box, taking the real part for real arr."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    hat = grid.fft(arr) / (grid.n**grid.d)
+    phase = np.exp(1j * np.outer(pts[:, grid.d - 1], grid.k1d))  # (P, n)
+    out = np.tensordot(hat, phase, axes=([hat.ndim - 1], [1]))  # (..., P)
+    for a in reversed(range(grid.d - 1)):
+        phase = np.exp(1j * np.outer(pts[:, a], grid.k1d))
+        out = np.einsum("...xp,px->...p", out, phase)
+    return out.real if np.isrealobj(arr) else out
 
 
 class TestGridConstruction:
@@ -292,3 +307,34 @@ class TestEvalAtPoints:
         vals = grid.eval_at_points(f, pts)
         exact = np.sin(3 * pts[:, 0]) * np.cos(2 * pts[:, 1])
         assert np.max(np.abs(vals - exact)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "d, n", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 64), (2, 128), (3, 8), (3, 32)]
+    )
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+    def test_matches_direct_sum(self, d, n, real, lead):
+        grid = Grid(d=d, n=n, L=2 * np.pi * 1.3)
+        f = random_field(grid, seed=17, real=real, lead=lead)
+        rng = np.random.default_rng(18)
+        pts = rng.uniform(-grid.L, 2 * grid.L, size=(200, d))
+        pts = np.vstack([pts, np.full((1, d), 0.0), np.full((1, d), -1e-14), np.full((1, d), grid.L - 1e-14)])
+        fast = grid.eval_at_points(f, pts)
+        direct = direct_eval_at_points(grid, f, pts)
+        assert fast.shape == direct.shape == lead + (len(pts),)
+        assert np.isrealobj(fast) == real
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_gather_memory_is_chunked(self):
+        # a (4, 128, 128) stack at every grid point: an unchunked gather would
+        # hold 4 * 16384 * 16^2 values at once
+        grid = Grid(d=2, n=128, L=16.0)
+        f = random_field(grid, seed=19, lead=(4,))
+        pts = np.stack([g.ravel() for g in grid.x], axis=-1) + 0.01
+        tracemalloc.start()
+        try:
+            grid.eval_at_points(f, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6
