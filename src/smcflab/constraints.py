@@ -49,7 +49,7 @@ def _norms(grid: Grid, res, constituents):
 
     Below the floor 1e3 eps L^(d/2), the grid L2 norm of roundoff on an O(1)
     field, the constituents have no digits left to compare against and rel
-    reads 0.
+    reads 0; a NaN scale reads rel = NaN.
     """
     scale = max([grid.l2(c) for c in constituents] + [0.0])
     l2 = grid.l2(res)
@@ -57,24 +57,20 @@ def _norms(grid: Grid, res, constituents):
     return ResidualNorms(
         l2=l2,
         linf=grid.linf(res),
-        rel=l2 / scale if scale > floor else 0.0,
+        rel=0.0 if scale <= floor else l2 / scale,
         scale=scale,
     )
 
 
-def residual_T1(m: MetricState, sf: SecondForm):
-    """Ricci of g against its second-fundamental-form representation."""
-    if m.ric is None:
-        m = curvature(m)
+def residual_T1(m: MetricState, sf: SecondForm, ric):
+    """Ricci tensor ric of g against its second-fundamental-form representation."""
     rep = ricci_from_lambda(m, sf.lam, sf.psi)
-    res = m.ric - rep
-    return res, _norms(m.grid, res, [m.ric, rep])
+    res = ric - rep
+    return res, _norms(m.grid, res, [ric, rep])
 
 
-def residual_T2(m: MetricState, sf: SecondForm):
-    """Full curvature tensor against the quadratic form of lambda."""
-    if m.riem is None:
-        m = curvature(m)
+def residual_T2(m: MetricState, sf: SecondForm, riem):
+    """Full curvature tensor riem of g against the quadratic form of lambda."""
     grid = m.grid
     lam = sf.lam
     rep = grid.dealias(
@@ -83,8 +79,8 @@ def residual_T2(m: MetricState, sf: SecondForm):
             - np.einsum("ac...,bs...->scab...", lam, np.conj(lam))
         )
     )
-    res = m.riem - rep
-    return res, _norms(grid, res, [m.riem, rep])
+    res = riem - rep
+    return res, _norms(grid, res, [riem, rep])
 
 
 def residual_T3(m: MetricState, sf: SecondForm, A):
@@ -143,11 +139,12 @@ def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     grid = traj.grid
     rec = traj[i]
     s = rec.gauge(grid)
-    m = curvature(s.metric)
+    m = s.metric
+    riem, ric = curvature(m)
     sf = rec.second_form(grid)
     report = ConstraintReport(t=rec.t)
-    _, report.entries["T1"] = residual_T1(m, sf)
-    _, report.entries["T2"] = residual_T2(m, sf)
+    _, report.entries["T1"] = residual_T1(m, sf, ric)
+    _, report.entries["T2"] = residual_T2(m, sf, riem)
     _, report.entries["T3"] = residual_T3(m, sf, s.A)
     _, report.entries["T4"] = residual_T4(m, sf, s.A)
     if 0 < i < len(traj) - 1:

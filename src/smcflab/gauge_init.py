@@ -27,7 +27,6 @@ from .geometry import (
     Immersion,
     MetricState,
     SecondForm,
-    christoffel,
     covariant_divergence,
     curl_source,
     harmonic_defect,
@@ -133,8 +132,6 @@ def solve_harmonic_coordinates(
 ) -> CoordinateChange:
     """Fixed-point solve of Lap_g phi = g^{ab} Gamma^g_{ab} with spectral inverse."""
     grid = m.grid
-    if m.gamma_u is None:
-        m = christoffel(m)
     sigma_d = grid.d / 2 - delta
     size = fractional_sobolev(grid, m.h, sigma_d, s + 1 - sigma_d)
     if size > small_data_threshold:
@@ -181,8 +178,6 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     constant transversal direction).
     """
     grid = F.grid
-    if m.gamma_u is None:
-        m = christoffel(m)
     t = F.tangents()
     amb = F.ambient_dim
 
@@ -287,8 +282,6 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
 def check_elliptic_h(m: MetricState, sf: SecondForm):
     """Residual of the harmonic-coordinate elliptic identity for the metric."""
     grid = m.grid
-    if m.gamma_u is None:
-        m = christoffel(m)
     d2g = grid.hessian(m.g)
     lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, d2g))
     dg = np.moveaxis(grid.grad(m.g), 0, 2)

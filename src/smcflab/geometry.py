@@ -3,10 +3,12 @@
 Index conventions: tensor component axes come first, the d spatial grid axes
 last, so einsum contractions broadcast pointwise over the grid.  Mixed-index
 tensors come from the shared contraction helpers below (raise_first,
-harmonic_defect, covariant_divergence, curl_source, ...).  The few that depend
-on a gauge state alone and that several right sides read (A^a, nabla V_low,
-the lambda-equation potential) are filled once per state, lazily, on
-parabolic.GaugeState; the rest are built at the use site.
+harmonic_defect, covariant_divergence, curl_source, ...).
+
+Derived fields are built on first read and kept by their state: Christoffel
+symbols and h on MetricState (ginv is eager: inverting is the degeneracy
+check), gauge sources and shared contractions on parabolic.GaugeState.  The
+curvature is returned by `curvature` and never kept.
 
 Orientation: the complex structure on the normal bundle is defined by the
 frame itself, J nu1 = nu2; reversing the orientation conjugates the complex
@@ -15,7 +17,8 @@ second fundamental form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,27 +76,36 @@ class Immersion:
 
 @dataclass
 class MetricState:
-    """Metric with progressively filled derived fields (Christoffel, curvature)."""
+    """Metric g with its inverse; Christoffel symbols and h are built on first read.
+
+    The cached fields must not change once set, so neither may g.
+    """
 
     grid: Grid
     g: np.ndarray  # (d, d, *shape) real symmetric
-    ginv: np.ndarray = None
-    h: np.ndarray = None
-    gamma_l: np.ndarray = None  # Gamma_{ab,s}
-    gamma_u: np.ndarray = None  # Gamma^c_{ab} indexed [c, a, b]
-    riem: np.ndarray = None  # R_{s c a b}
-    ric: np.ndarray = None
-    scal: np.ndarray = None
+    ginv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.grid.d
         self.g = np.asarray(self.g, dtype=float)
         if self.g.shape != (d, d) + self.grid.shape:
             raise SmcfValidationError(f"metric shape {self.g.shape} invalid for d={d}")
-        if self.ginv is None:
-            self.ginv = invert_metric(self.grid, self.g)
-        if self.h is None:
-            self.h = self.g - identity_metric(self.grid)
+        self.ginv = invert_metric(self.grid, self.g)
+
+    @cached_property
+    def h(self):
+        """h = g - delta, the deviation from the flat metric."""
+        return self.g - identity_metric(self.grid)
+
+    @cached_property
+    def gamma_l(self):
+        """Gamma_{ab,s}."""
+        return christoffel(self)
+
+    @cached_property
+    def gamma_u(self):
+        """Gamma^c_{ab} indexed [c, a, b]."""
+        return self.grid.dealias(np.einsum("cs...,abs...->cab...", self.ginv, self.gamma_l))
 
     def eig_min(self):
         return metric_eig_min(self.grid, self.g)
@@ -135,8 +147,9 @@ def pointwise_inverse(grid: Grid, mat):
 
 
 def invert_metric(grid: Grid, g):
-    """Pointwise inverse; raises on non-positive-definite metrics."""
-    if metric_eig_min(grid, g) <= 0.0:
+    """Pointwise inverse; raises on metrics that are not positive definite
+    (a NaN eigenvalue included)."""
+    if not metric_eig_min(grid, g) > 0.0:
         raise ImmersionDegeneracyError("metric is not positive definite on the grid")
     return pointwise_inverse(grid, g)
 
@@ -163,20 +176,15 @@ def induced_metric(F: Immersion) -> MetricState:
     return MetricState(grid, g)
 
 
-def christoffel(m: MetricState) -> MetricState:
-    grid = m.grid
-    dg = grid.grad(m.g)  # dg[c, a, b] = d_c g_{ab}
-    gamma_l = 0.5 * (dg + np.einsum("bas...->abs...", dg) - np.einsum("sab...->abs...", dg))
-    gamma_u = grid.dealias(np.einsum("cs...,abs...->cab...", m.ginv, gamma_l))
-    return replace(m, gamma_l=gamma_l, gamma_u=gamma_u)
+def christoffel(m: MetricState):
+    """Gamma_{ab,s} = (d_a g_{bs} + d_b g_{as} - d_s g_{ab}) / 2; read it as m.gamma_l."""
+    dg = m.grid.grad(m.g)  # dg[c, a, b] = d_c g_{ab}
+    return 0.5 * (dg + np.einsum("bas...->abs...", dg) - np.einsum("sab...->abs...", dg))
 
 
-def curvature(m: MetricState) -> MetricState:
-    """Fills R_{s c a b} and the Ricci tensor (plus scalar curvature in d=2)."""
-    if m.gamma_l is None:
-        m = christoffel(m)
+def curvature(m: MetricState):
+    """(R_{s c a b}, R_{ab}) of m, from its Christoffel symbols; not kept on m."""
     grid = m.grid
-    d = grid.d
     dG = grid.grad(m.gamma_l)  # dG[a, b, c, s] = d_a Gamma_{bc,s}
     quad = grid.dealias(np.einsum("mbs...,acm...->scab...", m.gamma_u, m.gamma_l))
     riem = (
@@ -186,8 +194,7 @@ def curvature(m: MetricState) -> MetricState:
         - np.einsum("scba...->scab...", quad)
     )
     ric = grid.dealias(np.einsum("sc...,casb...->ab...", m.ginv, riem))
-    scal = grid.dealias(np.einsum("ab...,ab...->...", m.ginv, ric)) if d >= 2 else None
-    return replace(m, riem=riem, ric=ric, scal=scal)
+    return riem, ric
 
 
 # -- covariant derivatives -----------------------------------------------------
@@ -201,8 +208,6 @@ def covariant_derivative(T, m: MetricState, valence, A=None):
     Output has a new leading axis for gamma.  With A supplied the result is
     the gauge-covariant derivative on complex sections: nabla + i A.
     """
-    if m.gamma_u is None:
-        m = christoffel(m)
     grid = m.grid
     T = np.asarray(T)
     rank = len(valence)
@@ -254,8 +259,6 @@ def raise_first(m: MetricState, T):
 
 def harmonic_defect(m: MetricState):
     """V^g = g^{ab} Gamma^g_{ab}: zero exactly in harmonic coordinates."""
-    if m.gamma_u is None:
-        m = christoffel(m)
     return m.grid.dealias(np.einsum("ab...,gab...->g...", m.ginv, m.gamma_u))
 
 

@@ -471,5 +471,7 @@ def read_field(path, grid: Grid | None = None) -> GridField:
     if len(payload) != expected:
         raise SmcfValidationError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
     pairs = np.frombuffer(payload, dtype="<f8").reshape((n,) * d + (2,))
+    if not np.all(np.isfinite(pairs)):
+        raise SmcfValidationError(f"{path}: payload holds a non-finite value")
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return GridField(grid, values, parity="real" if parity_flag == 0 else "complex", name=name)

@@ -22,8 +22,6 @@ from .gauge_init import (
 from .geometry import (
     Immersion,
     SecondForm,
-    christoffel,
-    harmonic_defect,
     induced_metric,
     second_form,
 )
@@ -36,7 +34,7 @@ from .norms import (
     y0_lo_norm_upper,
     y0_norm_upper,
 )
-from .parabolic import GaugeState, gauge_path, gauge_state_from, time_grid
+from .parabolic import GaugeState, gauge_path, time_grid
 from .reconstruction import frame_from_normal_basis, reconstruct, write_reconstruction_csv
 from .schrodinger import picard_evolve
 from .trajectory import Trajectory, TrajectoryRecord, save_trajectory
@@ -70,28 +68,27 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
 
     if cfg.scenario_kind == "flat":
         F = flat_immersion(grid)
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         nu1 = np.zeros((d + 2,) + grid.shape)
         nu2 = np.zeros((d + 2,) + grid.shape)
         nu1[d] = 1.0
         nu2[d + 1] = 1.0
         sf = second_form(F, (nu1, nu2), m)
-        gauge = gauge_state_from(grid, m.g, np.zeros((d,) + grid.shape))
+        gauge = GaugeState(m, np.zeros((d,) + grid.shape))
         return ScenarioBundle(grid, F, nu1, nu2, gauge, sf, residuals={"harmonic_defect_l2": 0.0})
 
     if cfg.scenario_kind == "cliff":
         fix = cliff_fixture(grid, cfg.cliff_radius_r)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
-        gauge = gauge_state_from(grid, m.g, np.zeros((d,) + grid.shape))
-        res = {"harmonic_defect_l2": grid.l2(harmonic_defect(m))}
+        gauge = GaugeState(m, np.zeros((d,) + grid.shape))
+        res = {"harmonic_defect_l2": grid.l2(gauge.V)}
         return ScenarioBundle(grid, fix.immersion, fix.nu1, fix.nu2, gauge, sf, residuals=res)
 
     # bump: graph data -> harmonic coordinates -> Coulomb frame
     fix = bump_immersion(grid, cfg.bump_epsilon, cfg.bump_delta, cfg.bump_profile_width_w)
-    m0 = christoffel(induced_metric(fix.immersion))
     change = solve_harmonic_coordinates(
-        m0,
+        induced_metric(fix.immersion),
         tol=cfg.solver_tol,
         max_iter=cfg.solver_max_iter,
         small_data_threshold=cfg.small_data_threshold,
@@ -99,17 +96,17 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
         delta=cfg.envelope_delta,
     )
     F = pullback_immersion(fix.immersion, change)
-    m = christoffel(induced_metric(F))
+    m = induced_metric(F)
     nu1, nu2, A, coulomb_report = build_coulomb_frame(
         F, m, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
     )
     sf = second_form(F, (nu1, nu2), m)
-    gauge = gauge_state_from(grid, m.g, A)
+    gauge = GaugeState(m, A)
     A_solve, _, divcurl = solve_initial_A(sf, m, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     A_cent = A - A.mean(axis=tuple(range(1, d + 1)), keepdims=True)
     _, elliptic = check_elliptic_h(m, sf)
     residuals = {
-        "harmonic_defect_l2": grid.l2(harmonic_defect(m)),
+        "harmonic_defect_l2": grid.l2(gauge.V),
         "harmonic_iterations": change.report.iterations,
         "coulomb_divergence_l2": coulomb_report.residual,
         "initial_A_div_l2": divcurl["div_l2"],

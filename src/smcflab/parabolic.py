@@ -8,8 +8,9 @@ the caller.  On spatially homogeneous states the scheme degenerates to Heun's
 method on the reduced ODE system, which the tests exploit.
 
 The advection field V and temporal connection component B are never
-integrated; they are recomputed from their defining contractions each time a
-state is published, so the gauge identities hold on exit by construction.
+integrated; every state builds them from their defining contractions of
+(g, A) when they are first read, so the gauge identities hold on exit by
+construction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import SmcfValidationError, StepRejectedError
 from .geometry import (
     MetricState,
     SecondForm,
-    christoffel,
     covariant_derivative,
     covariant_divergence,
     curl_source,
@@ -40,23 +40,28 @@ SIGN_VARIANTS = ("minus", "plus")
 
 @dataclass
 class GaugeState:
-    """Metric with Christoffel symbols, connection A, and the derived gauge sources V, B.
-
-    The curvature is left unfilled: the flows read it only through its
-    second-fundamental-form representation, and the T1/T2 monitors build it.
-    Contractions of the state alone are filled on first use and shared by
-    every right side evaluated at it, so the fields must not change once set.
-    """
+    """Metric and connection A; V, B, the contractions several right sides share
+    and the lambda-free part of the parabolic right side are built on first read
+    and kept, so g and A must not change.  The flows read the curvature only
+    through lambda; the T1/T2 monitors build it."""
 
     metric: MetricState
     A: np.ndarray  # (d, *shape) real
-    B: np.ndarray  # (*shape,) real
-    V: np.ndarray  # (d, *shape) real, upper index
     t: float = 0.0
 
     @property
     def grid(self) -> Grid:
         return self.metric.grid
+
+    @cached_property
+    def V(self):
+        """V^g = g^{ab} Gamma^g_{ab}, upper index."""
+        return harmonic_defect(self.metric)
+
+    @cached_property
+    def B(self):
+        """B = nabla^a A_a."""
+        return covariant_divergence(self.metric, self.A)
 
     @cached_property
     def A_up(self):
@@ -75,20 +80,32 @@ class GaugeState:
         AA, VA = (self.grid.dealias(np.einsum("s...,s...->...", X, self.A)) for X in (self.A_up, self.V))
         return self.B + AA - VA
 
+    @cached_property
+    def gamma_terms(self):
+        """The Gamma.Gamma and d(g^{-1}).Gamma terms of heat_rhs_h, untruncated; a
+        pair, so heat_rhs_h adds them to its lambda term in a fixed order."""
+        m = self.metric
+        term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
+        dginv = self.grid.grad(m.ginv)  # dginv[mu, a, b] = d_mu g^{ab}
+        term_dg = np.einsum("mab...,abn...->mn...", dginv, m.gamma_l)
+        return term_gg, term_dg + np.einsum("mn...->nm...", term_dg)
 
-def compute_gauge_sources(metric: MetricState, A):
-    """V^g = g^{ab} Gamma^g_{ab} and B = nabla^a A_a (heat-gauge contractions)."""
-    if metric.gamma_u is None:
-        metric = christoffel(metric)
-    return harmonic_defect(metric), covariant_divergence(metric, A)
+    @cached_property
+    def principal_remainder(self):
+        """(g^{ab} - delta^{ab}) d_a d_b g and nabla_s nabla^s A - Lap A: the parts
+        of the principal terms that the exponential step leaves to its stages."""
+        grid, m = self.grid, self.metric
+        d2g = grid.hessian(m.g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
+        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", m.ginv - identity_metric(grid), d2g))
+        first = covariant_derivative(self.A, m, valence="l")  # [b, a]
+        second = covariant_derivative(first, m, valence="ll")  # [c, b, a]
+        cov_lap = grid.dealias(np.einsum("cb...,cba...->a...", m.ginv, second))
+        return Nh, cov_lap - grid.laplacian(self.A)
 
 
 def gauge_state_from(grid: Grid, g, A, t=0.0) -> GaugeState:
-    """Build a state with Christoffel symbols, V and B from (g, A); no curvature."""
-    metric = christoffel(MetricState(grid, np.asarray(g, dtype=float)))
-    A = np.asarray(A, dtype=float)
-    V, B = compute_gauge_sources(metric, A)
-    return GaugeState(metric=metric, A=A, B=B, V=V, t=t)
+    """The state of (g, A); its derived fields are built when first read."""
+    return GaugeState(MetricState(grid, np.asarray(g, dtype=float)), np.asarray(A, dtype=float), t)
 
 
 def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
@@ -99,14 +116,9 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
     right side quadratic; its defect against the curvature of g is exactly the
     T1 monitor.
     """
-    m = s.metric
-    grid = s.grid
     term_im = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
-    term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
-    dginv = grid.grad(m.ginv)  # dginv[mu, a, b] = d_mu g^{ab}
-    term_dg = np.einsum("mab...,abn...->mn...", dginv, m.gamma_l)
-    term_dg = term_dg + np.einsum("mn...->nm...", term_dg)
-    out = 2.0 * ric_rep + grid.dealias(term_im + term_gg + term_dg)
+    term_gg, term_dg = s.gamma_terms
+    out = 2.0 * ric_rep + s.grid.dealias(term_im + term_gg + term_dg)
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
@@ -131,13 +143,6 @@ def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus"):
     return grid.dealias(sign * div_w - ric_term + re_term - v_term)
 
 
-def _cov_laplacian_oneform(m: MetricState, A):
-    """nabla_s nabla^s A_a for a real one-form."""
-    first = covariant_derivative(A, m, valence="l")  # [b, a]
-    second = covariant_derivative(first, m, valence="ll")  # [c, b, a]
-    return m.grid.dealias(np.einsum("cb...,cba...->a...", m.ginv, second))
-
-
 def _phi_factors(z):
     """phi1 = (e^z - 1)/z, phi2 = (e^z - 1 - z)/z^2 with stable small-z limits."""
     z = np.asarray(z, dtype=float)
@@ -160,22 +165,15 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
     sf_a, sf_b = lam_path
     lam_mid = 0.5 * (sf_a.lam + sf_b.lam)
 
-    ident = identity_metric(grid)
-
     def nonlinear(state: GaugeState):
-        m, g, A = state.metric, state.metric.g, state.A
+        m = state.metric
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
         ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi)
-        d2g = grid.hessian(g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
-        coeff = m.ginv - ident
-        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", coeff, d2g)) + heat_rhs_h(state, sf_mid, ric_rep)
-        NA = (
-            _cov_laplacian_oneform(m, A)
-            - grid.laplacian(A)
-            + heat_rhs_A(state, sf_mid, ric_rep, sign_variant)
-        )
+        Nh_free, NA_free = state.principal_remainder
+        Nh = Nh_free + heat_rhs_h(state, sf_mid, ric_rep)
+        NA = NA_free + heat_rhs_A(state, sf_mid, ric_rep, sign_variant)
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 
     # g, A and their right sides are real: the factors act on r2c half spectra

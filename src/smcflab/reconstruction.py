@@ -25,7 +25,7 @@ from .errors import (
     IntegrabilityError,
     ReconstructionInconsistencyError,
 )
-from .geometry import Immersion, MetricState, christoffel, covariant_derivative, normal_part, raise_first
+from .geometry import Immersion, MetricState, covariant_derivative, normal_part, raise_first
 from .grid import Grid
 from .trajectory import Trajectory, TrajectoryRecord
 
@@ -153,8 +153,6 @@ def integrate_frame_space(
     holonomy is the worst mismatch after closing the periodic loop.
     """
     grid = m_state.grid
-    if m_state.gamma_u is None:
-        m_state = christoffel(m_state)
     d = grid.d
     if axis is None:
         axis = d - 1
@@ -315,7 +313,7 @@ def _verify_smcf_into(result: ReconstructionResult, traj: Trajectory):
         # rebuild the geometry of the reconstructed surface from scratch
         tang = imm.tangents()
         g = np.einsum("ai...,bi...->ab...", tang, tang)
-        mst = christoffel(MetricState(grid, 0.5 * (g + np.swapaxes(g, 0, 1))))
+        mst = MetricState(grid, 0.5 * (g + np.swapaxes(g, 0, 1)))
         d2F = imm.second_partials()
         H = grid.dealias(
             np.einsum("ab...,abi...->i...", mst.ginv, d2F)

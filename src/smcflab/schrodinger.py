@@ -20,7 +20,7 @@ from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic,
 from .trajectory import Trajectory, TrajectoryRecord
 
 
-def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
+def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=None):
     """The nonlinearity F of the iteration form of the lambda equation:
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
@@ -28,13 +28,15 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     The sum of the top-level terms is dealiased once (the truncation is
     linear); the inner products of the cubic chains keep their own.  With
     breakdown=True a dict of the untruncated named terms is returned too.
+    dlam, if given, is grid.grad(sf.lam), which the caller has already taken.
     """
     grid = s.grid
     m = s.metric
     lam = sf.lam
     psi = sf.psi
 
-    dlam = grid.grad(lam)  # [c, a, b]
+    if dlam is None:
+        dlam = grid.grad(lam)  # [c, a, b]
 
     # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam
     div_form = grid.div(np.einsum("mn...,nab...->mab...", m.ginv, dlam))
@@ -93,10 +95,9 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     return total
 
 
-def _remainder(grid: Grid, s: GaugeState, lam, F):
-    """W(lam) with d_t lam = i Lap lam + W; the flat phase is handled exactly."""
+def _remainder(grid: Grid, s: GaugeState, dlam, F):
+    """W(lam) from dlam = grad lam, with d_t lam = i Lap lam + W; the flat phase is handled exactly."""
     ginv_dev = s.metric.ginv - identity_metric(grid)
-    dlam = grid.grad(lam)
     flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
     adv = grid.dealias(np.einsum("s...,sab...->ab...", s.A_up, dlam))
     return 1j * flux - 2.0 * adv - 1j * F
@@ -121,11 +122,12 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
         F_frozen = assemble_nonlinearity(frozen_source, s_mid)
 
     def W(lam):
+        dlam = grid.grad(lam)
         if frozen_source is not None:
             F = F_frozen
         else:
-            F = assemble_nonlinearity(SecondForm.from_lambda(grid, lam, s_mid.metric), s_mid)
-        return _remainder(grid, s_mid, lam, F)
+            F = assemble_nonlinearity(SecondForm.from_lambda(grid, lam, s_mid.metric), s_mid, dlam=dlam)
+        return _remainder(grid, s_mid, dlam, F)
 
     lam1 = free_half(sf.lam)
     k1 = W(lam1)

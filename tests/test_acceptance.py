@@ -23,7 +23,6 @@ from smcflab.constraints import (
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.geometry import (
     SecondForm,
-    christoffel,
     curvature,
     induced_metric,
     second_form,
@@ -51,7 +50,7 @@ def static_bundle(kind, n=16, **kw):
     grid = Grid(d=2, n=n, L=kw.get("L", 2 * np.pi))
     if kind == "flat":
         F = flat_immersion(grid)
-        m = curvature(christoffel(induced_metric(F)))
+        m = induced_metric(F)
         sf = SecondForm(
             grid,
             np.zeros((2, 2) + grid.shape, dtype=complex),
@@ -60,11 +59,11 @@ def static_bundle(kind, n=16, **kw):
         return grid, m, sf, np.zeros((2,) + grid.shape)
     if kind == "cliff":
         fix = cliff_fixture(grid, 1.0)
-        m = curvature(christoffel(induced_metric(fix.immersion)))
+        m = induced_metric(fix.immersion)
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
         return grid, m, sf, np.zeros((2,) + grid.shape)
     F = bump_immersion(grid, kw["eps"], 0.5, width=kw.get("width")).immersion
-    m = curvature(christoffel(induced_metric(F)))
+    m = induced_metric(F)
     nu1, nu2, A = graph_normal_bundle(F, m)
     sf = second_form(F, (nu1, nu2), m)
     return grid, m, sf, A
@@ -125,9 +124,10 @@ class TestAcceptance:
         worst_exact = 0.0
         for kind in ("flat", "cliff"):
             grid, m, sf, A = static_bundle(kind)
+            riem, ric = curvature(m)
             for fn, args in (
-                (residual_T1, (m, sf)),
-                (residual_T2, (m, sf)),
+                (residual_T1, (m, sf, ric)),
+                (residual_T2, (m, sf, riem)),
                 (residual_T3, (m, sf, A)),
                 (residual_T4, (m, sf, A)),
             ):
@@ -135,9 +135,10 @@ class TestAcceptance:
         rels = {}
         for n in (64, 128):
             grid, m, sf, A = static_bundle("bump", n=n, L=16.0, eps=0.1, width=0.8)
+            riem, ric = curvature(m)
             rels[n] = [
-                residual_T1(m, sf)[1].rel,
-                residual_T2(m, sf)[1].rel,
+                residual_T1(m, sf, ric)[1].rel,
+                residual_T2(m, sf, riem)[1].rel,
                 residual_T3(m, sf, A)[1].rel,
                 residual_T4(m, sf, A)[1].rel,
             ]
@@ -187,7 +188,7 @@ class TestAcceptance:
         mu = 2.0
         grid1 = Grid(d=2, n=32, L=16.0)
         F = bump_immersion(grid1, 0.05, 0.5).immersion
-        m1 = curvature(christoffel(induced_metric(F)))
+        m1 = induced_metric(F)
         nu1, nu2, A1 = graph_normal_bundle(F, m1)
         sf1 = second_form(F, (nu1, nu2), m1)
         gauge1 = gauge_state_from(grid1, m1.g, A1)

@@ -4,6 +4,7 @@ import numpy as np
 
 from normal_frames import graph_normal_bundle
 from smcflab.constraints import (
+    _norms,
     constraint_report,
     constraint_reports,
     residual_T1,
@@ -17,7 +18,6 @@ from smcflab.constraints import (
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.geometry import (
     SecondForm,
-    christoffel,
     curvature,
     gauge_rotate,
     identity_metric,
@@ -46,7 +46,7 @@ def _smooth_gauge_angle(grid, seed, amplitude=0.05, kmax=1.5):
 
 def flat_bundle(grid):
     F = flat_immersion(grid)
-    m = curvature(christoffel(induced_metric(F)))
+    m = induced_metric(F)
     sf = SecondForm(
         grid,
         np.zeros((2, 2) + grid.shape, dtype=complex),
@@ -57,7 +57,7 @@ def flat_bundle(grid):
 
 def cliff_bundle(grid, r=1.0):
     fix = cliff_fixture(grid, r)
-    m = curvature(christoffel(induced_metric(fix.immersion)))
+    m = induced_metric(fix.immersion)
     sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
     return m, sf, np.zeros((2,) + grid.shape)
 
@@ -65,7 +65,7 @@ def cliff_bundle(grid, r=1.0):
 def bump_bundle(grid, eps=0.05, delta=0.5, width=None):
     fix = bump_immersion(grid, eps=eps, delta=delta, width=width)
     F = fix.immersion
-    m = curvature(christoffel(induced_metric(F)))
+    m = induced_metric(F)
     nu1, nu2, A = graph_normal_bundle(F, m)
     sf = second_form(F, (nu1, nu2), m)
     return m, sf, A
@@ -75,9 +75,10 @@ class TestStaticResiduals:
     def test_flat_all_zero(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         m, sf, A = flat_bundle(grid)
+        riem, ric = curvature(m)
         for fn, args in (
-            (residual_T1, (m, sf)),
-            (residual_T2, (m, sf)),
+            (residual_T1, (m, sf, ric)),
+            (residual_T2, (m, sf, riem)),
             (residual_T3, (m, sf, A)),
             (residual_T4, (m, sf, A)),
         ):
@@ -87,17 +88,19 @@ class TestStaticResiduals:
     def test_cliff_analytic_zeros(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         m, sf, A = cliff_bundle(grid)
-        assert residual_T1(m, sf)[1].l2 < 1e-10
-        assert residual_T2(m, sf)[1].l2 < 1e-10
+        riem, ric = curvature(m)
+        assert residual_T1(m, sf, ric)[1].l2 < 1e-10
+        assert residual_T2(m, sf, riem)[1].l2 < 1e-10
         assert residual_T3(m, sf, A)[1].l2 < 1e-10
         assert residual_T4(m, sf, A)[1].l2 < 1e-10
 
     def test_bump_residuals_at_truncation(self):
         grid = Grid(d=2, n=64, L=16.0)
         m, sf, A = bump_bundle(grid, eps=0.05)
+        riem, ric = curvature(m)
         for fn, args in (
-            (residual_T1, (m, sf)),
-            (residual_T2, (m, sf)),
+            (residual_T1, (m, sf, ric)),
+            (residual_T2, (m, sf, riem)),
             (residual_T3, (m, sf, A)),
             (residual_T4, (m, sf, A)),
         ):
@@ -110,9 +113,10 @@ class TestStaticResiduals:
         for n in (32, 64):
             grid = Grid(d=2, n=n, L=16.0)
             m, sf, A = bump_bundle(grid, eps=0.05, width=1.3)
+            riem, ric = curvature(m)
             rels[n] = max(
-                residual_T1(m, sf)[1].rel,
-                residual_T2(m, sf)[1].rel,
+                residual_T1(m, sf, ric)[1].rel,
+                residual_T2(m, sf, riem)[1].rel,
             )
         assert rels[32] > 1e4 * rels[64]
 
@@ -125,11 +129,12 @@ class TestStaticResiduals:
     def test_gauge_invariance_of_norms(self):
         grid = Grid(d=2, n=64, L=16.0)
         m, sf, A = bump_bundle(grid)
+        riem, ric = curvature(m)
         theta = _smooth_gauge_angle(grid, seed=4)
         sf2, A2, _ = gauge_rotate(sf, A, None, theta)
         for fn, args, args2 in (
-            (residual_T1, (m, sf), (m, sf2)),
-            (residual_T2, (m, sf), (m, sf2)),
+            (residual_T1, (m, sf, ric), (m, sf2, ric)),
+            (residual_T2, (m, sf, riem), (m, sf2, riem)),
             (residual_T3, (m, sf, A), (m, sf2, A2)),
             (residual_T4, (m, sf, A), (m, sf2, A2)),
         ):
@@ -142,6 +147,7 @@ class TestStaticResiduals:
         # must still agree under a gauge rotation, now in relative terms
         grid = Grid(d=2, n=64, L=16.0)
         m, sf, A = bump_bundle(grid)
+        riem, ric = curvature(m)
         # spatially varying distortion: breaks every identity including Codazzi
         warp = 1.0 + 0.3 * np.cos(2 * np.pi * grid.x[0] / grid.L)
         lam_bad = sf.lam * warp * (1.0 + 0.5j)
@@ -149,8 +155,8 @@ class TestStaticResiduals:
         theta = _smooth_gauge_angle(grid, seed=5)
         sf2, A2, _ = gauge_rotate(sf_bad, A, None, theta)
         for fn, args, args2 in (
-            (residual_T1, (m, sf_bad), (m, sf2)),
-            (residual_T2, (m, sf_bad), (m, sf2)),
+            (residual_T1, (m, sf_bad, ric), (m, sf2, ric)),
+            (residual_T2, (m, sf_bad, riem), (m, sf2, riem)),
             (residual_T3, (m, sf_bad, A), (m, sf2, A2)),
             (residual_T4, (m, sf_bad, A), (m, sf2, A2)),
         ):
@@ -257,3 +263,9 @@ class TestReports:
         for rep in reports:
             for name in ("T1", "T2", "T4"):
                 assert rep.entries[name].rel == 0.0
+
+    def test_nan_scale_reads_nan(self):
+        # a NaN constituent must not pass for one below the roundoff floor
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        bad = np.full(grid.shape, np.nan)
+        assert np.isnan(_norms(grid, bad, [bad]).rel)

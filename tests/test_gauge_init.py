@@ -23,8 +23,6 @@ from smcflab.gauge_init import (
 )
 from smcflab.geometry import (
     SecondForm,
-    christoffel,
-    curvature,
     gauge_rotate,
     identity_metric,
     induced_metric,
@@ -45,13 +43,13 @@ def bump_grid():
 
 def bump_metric(bump_grid, eps=0.05, delta=0.5):
     F = bump_immersion(bump_grid, eps=eps, delta=delta).immersion
-    return F, christoffel(induced_metric(F))
+    return F, induced_metric(F)
 
 
 class TestHarmonicCoordinates:
     def test_flat_is_already_harmonic(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
-        m = christoffel(MetricState(grid, identity_metric(grid)))
+        m = MetricState(grid, identity_metric(grid))
         change = solve_harmonic_coordinates(m)
         assert maxabs(change.phi) < 1e-13
         assert change.report.iterations <= 1
@@ -59,7 +57,7 @@ class TestHarmonicCoordinates:
     def test_cliff_needs_no_change(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix = cliff_fixture(grid, 1.0)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         change = solve_harmonic_coordinates(m)
         assert maxabs(change.phi) < 1e-11
 
@@ -84,6 +82,7 @@ class TestHarmonicCoordinates:
     def test_each_sweep_evaluates_operator_once(self, transform_counts):
         grid = Grid(d=2, n=16, L=16.0)
         F, m = bump_metric(grid)
+        m.gamma_u  # the Christoffel symbols are built on first read, outside the count
         counts = {}
         for k in (1, 2):
             transform_counts.update(fft=0, ifft=0)
@@ -124,7 +123,7 @@ class TestPullback:
         before = bump_grid.l2(harmonic_defect(m))
         change = solve_harmonic_coordinates(m, tol=1e-10)
         F2 = pullback_immersion(F, change)
-        m2 = christoffel(induced_metric(F2))
+        m2 = induced_metric(F2)
         after = bump_grid.l2(harmonic_defect(m2))
         assert after < before / 10.0
 
@@ -133,7 +132,7 @@ class TestCoulombFrame:
     def test_flat_constant_frame(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         F = flat_immersion(grid)
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         nu1, nu2, A, report = build_coulomb_frame(F, m)
         assert maxabs(A) < 1e-12
         assert maxabs(nu1 - nu1.mean(axis=(1, 2), keepdims=True)) < 1e-12
@@ -142,7 +141,7 @@ class TestCoulombFrame:
         # the product-of-circles normal bundle admits no constant transversal
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix = cliff_fixture(grid, 1.0)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         with pytest.raises(TransversalityError):
             build_coulomb_frame(fix.immersion, m)
 
@@ -151,7 +150,7 @@ class TestCoulombFrame:
         # rotation angle solves to zero and the frame comes back unchanged
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix = cliff_fixture(grid, 1.0)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         nu1, nu2, A, report = build_coulomb_frame(
             fix.immersion, m, initial_frame=(fix.nu1, fix.nu2)
         )
@@ -164,7 +163,7 @@ class TestCoulombFrame:
         F, m = bump_metric(bump_grid)
         change = solve_harmonic_coordinates(m, tol=1e-10)
         F2 = pullback_immersion(F, change)
-        m2 = christoffel(induced_metric(F2))
+        m2 = induced_metric(F2)
         nu1, nu2, A, report = build_coulomb_frame(F2, m2, tol=1e-10)
         assert report.residual < 1e-9
         # frame orthonormality and normality
@@ -179,7 +178,7 @@ class TestCoulombFrame:
         F, m = bump_metric(bump_grid)
         change = solve_harmonic_coordinates(m, tol=1e-10)
         F2 = pullback_immersion(F, change)
-        m2 = christoffel(induced_metric(F2))
+        m2 = induced_metric(F2)
         nu1, nu2, A, _ = build_coulomb_frame(F2, m2, tol=1e-10)
         sf = second_form(F2, (nu1, nu2), m2)
         rng = np.random.default_rng(2)
@@ -204,7 +203,7 @@ class TestCoulombFrame:
 class TestInitialA:
     def test_zero_lambda_gives_zero(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
-        m = christoffel(MetricState(grid, identity_metric(grid)))
+        m = MetricState(grid, identity_metric(grid))
         sf = SecondForm(grid, np.zeros((2, 2) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
         A, report, res = solve_initial_A(sf, m)
         assert maxabs(A) < 1e-13
@@ -212,7 +211,7 @@ class TestInitialA:
     def test_cliff_source_vanishes(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix = cliff_fixture(grid, 1.0)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
         A, report, res = solve_initial_A(sf, m)
         assert maxabs(A) < 1e-11
@@ -221,7 +220,7 @@ class TestInitialA:
         F, m0 = bump_metric(bump_grid)
         change = solve_harmonic_coordinates(m0, tol=1e-10)
         F2 = pullback_immersion(F, change)
-        m = curvature(christoffel(induced_metric(F2)))
+        m = induced_metric(F2)
         nu1, nu2, A_frame, _ = build_coulomb_frame(F2, m, tol=1e-10)
         sf = second_form(F2, (nu1, nu2), m)
         A, report, res = solve_initial_A(sf, m, tol=1e-10)
@@ -236,7 +235,7 @@ class TestInitialA:
 class TestEllipticH:
     def test_flat_zero(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
-        m = christoffel(MetricState(grid, identity_metric(grid)))
+        m = MetricState(grid, identity_metric(grid))
         sf = SecondForm(grid, np.zeros((2, 2) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
         _, norms = check_elliptic_h(m, sf)
         assert norms["l2"] < 1e-12
@@ -246,7 +245,7 @@ class TestEllipticH:
         # on the product of circles, so the whole identity balances to zero
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix = cliff_fixture(grid, 1.0)
-        m = christoffel(induced_metric(fix.immersion))
+        m = induced_metric(fix.immersion)
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
         _, norms = check_elliptic_h(m, sf)
         assert norms["l2"] < 1e-10
@@ -257,14 +256,14 @@ class TestEllipticH:
         # harmonic defect (the eps^3 scaling is invisible below truncation)
         eps = 0.05
         F = bump_immersion(bump_grid, eps=eps, delta=0.5).immersion
-        m0 = christoffel(induced_metric(F))
+        m0 = induced_metric(F)
         nu1, nu2, _ = graph_normal_bundle(F, m0)
         sf0 = second_form(F, (nu1, nu2), m0)
         _, norms_raw = check_elliptic_h(m0, sf0)
 
         change = solve_harmonic_coordinates(m0, tol=1e-11)
         F2 = pullback_immersion(F, change)
-        m = christoffel(induced_metric(F2))
+        m = induced_metric(F2)
         nu1, nu2, _, _ = build_coulomb_frame(F2, m, tol=1e-10)
         sf = second_form(F2, (nu1, nu2), m)
         _, norms_harm = check_elliptic_h(m, sf)

@@ -13,7 +13,6 @@ from smcflab.fixtures import (
 )
 from smcflab.geometry import (
     MetricState,
-    christoffel,
     covariant_derivative,
     curvature,
     gauge_rotate,
@@ -65,10 +64,11 @@ class TestInducedMetric:
         assert maxabs(prod - identity_metric(bump_grid)) < 1e-10
 
     def test_degenerate_metric_rejected(self, grid):
-        g = identity_metric(grid)
-        g[0, 0] = -1.0
-        with pytest.raises(ImmersionDegeneracyError):
-            MetricState(grid, g)
+        for bad in (-1.0, np.nan):
+            g = identity_metric(grid)
+            g[0, 0] = bad
+            with pytest.raises(ImmersionDegeneracyError):
+                MetricState(grid, g)
 
 
 class TestPointwiseMatrices:
@@ -112,7 +112,7 @@ class TestPointwiseMatrices:
 
 class TestChristoffel:
     def test_flat_vanishes(self, grid):
-        m = christoffel(MetricState(grid, identity_metric(grid)))
+        m = MetricState(grid, identity_metric(grid))
         assert maxabs(m.gamma_u) < 1e-14
 
     def test_conformal_1d_profile_closed_form(self):
@@ -125,7 +125,7 @@ class TestChristoffel:
         g = np.zeros((2, 2) + grid.shape)
         g[0, 0] = np.exp(2 * phi)
         g[1, 1] = np.exp(2 * phi)
-        m = christoffel(MetricState(grid, g))
+        m = MetricState(grid, g)
         exact = np.zeros_like(m.gamma_u)
         exact[0, 0, 0] = dphi
         exact[0, 1, 1] = -dphi
@@ -135,60 +135,61 @@ class TestChristoffel:
 
     def test_symmetry_in_lower_indices(self, bump_grid):
         F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         assert maxabs(m.gamma_u - np.swapaxes(m.gamma_u, 1, 2)) < 1e-13
 
 
 class TestCurvature:
     def test_flat_vanishes(self, grid):
-        m = curvature(christoffel(MetricState(grid, identity_metric(grid))))
-        assert maxabs(m.riem) < 1e-13
-        assert maxabs(m.ric) < 1e-13
+        riem, ric = curvature(MetricState(grid, identity_metric(grid)))
+        assert maxabs(riem) < 1e-13
+        assert maxabs(ric) < 1e-13
 
     def test_sphere_cap_gauss_curvature(self):
         grid = Grid(d=2, n=256, L=20.0)
         radius = 2.0
-        m = curvature(christoffel(sphere_cap_metric(grid, radius=radius, cap_width=5.0)))
+        m = sphere_cap_metric(grid, radius=radius, cap_width=5.0)
         # Gauss curvature K = R_1212 / det g; compare on the interior of the cap
         X, Y = grid.x
         rho = np.sqrt((X - 10.0) ** 2 + (Y - 10.0) ** 2)
         interior = rho < 1.5
         det = m.g[0, 0] * m.g[1, 1] - m.g[0, 1] ** 2
-        K = m.riem[0, 1, 0, 1] / det
+        riem, _ = curvature(m)
+        K = riem[0, 1, 0, 1] / det
         assert np.max(np.abs(K[interior] - 1.0 / radius**2)) < 1e-4
 
     def test_antisymmetry_first_pair(self, bump_grid):
         F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
-        m = curvature(christoffel(induced_metric(F)))
-        swap = np.einsum("scab...->csab...", m.riem)
-        scale = max(maxabs(m.riem), 1e-30)
-        assert maxabs(m.riem + swap) < 1e-8 * scale
+        riem, _ = curvature(induced_metric(F))
+        swap = np.einsum("scab...->csab...", riem)
+        scale = max(maxabs(riem), 1e-30)
+        assert maxabs(riem + swap) < 1e-8 * scale
 
 
 class TestCovariantDerivative:
     def test_scalar_is_partial(self, bump_grid):
         F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         f = np.sin(2 * np.pi * bump_grid.x[0] / bump_grid.L)
         nab = covariant_derivative(f, m, valence="")
         assert maxabs(nab - bump_grid.grad(f)) < 1e-13
 
     def test_metric_compatibility(self, bump_grid):
         F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         nab_g = covariant_derivative(m.g, m, valence="ll")
         assert maxabs(nab_g) < 1e-10
 
     def test_gauge_covariant_reduces_at_zero_connection(self, bump_grid):
         F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
-        m = christoffel(induced_metric(F))
+        m = induced_metric(F)
         lam = np.einsum("ab...,...->ab...", identity_metric(bump_grid) + 0j, np.exp(1j * bump_grid.x[0]))
         a = covariant_derivative(lam, m, valence="ll", A=np.zeros((2,) + bump_grid.shape))
         b = covariant_derivative(lam, m, valence="ll")
         assert maxabs(a - b) == 0.0
 
     def test_valence_mismatch(self, grid):
-        m = christoffel(MetricState(grid, identity_metric(grid)))
+        m = MetricState(grid, identity_metric(grid))
         with pytest.raises(ValenceMismatchError):
             covariant_derivative(np.zeros((2,) + grid.shape), m, valence="ll")
 

@@ -387,9 +387,9 @@ class TestCLI:
         assert "[heat-gauge]" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cfg.output_dir, "gauge_snapshots"))
 
-    @pytest.mark.parametrize("keep", [20, 40, -3])
-    def test_truncated_snapshot_exits_2(self, tmp_path, capsys, keep):
-        # 20 bytes cuts the header, 40 the payload after 6 bytes, -3 its last float
+    @staticmethod
+    def _two_snapshots(tmp_path):
+        """A cliff config file and a snapshot directory holding its initial state twice."""
         cfg = small_cliff_config(tmp_path)
         path = tmp_path / "cfg.txt"
         save_config(path, cfg)
@@ -397,10 +397,26 @@ class TestCLI:
         snapdir = tmp_path / "snaps"
         records = [TrajectoryRecord.from_state(t, bundle.gauge, bundle.sf) for t in (0.0, cfg.time_step_dt)]
         save_trajectory(str(snapdir), Trajectory(grid=bundle.grid, records=records))
+        return path, snapdir
+
+    @pytest.mark.parametrize("keep", [20, 40, -3])
+    def test_truncated_snapshot_exits_2(self, tmp_path, capsys, keep):
+        # 20 bytes cuts the header, 40 the payload after 6 bytes, -3 its last float
+        path, snapdir = self._two_snapshots(tmp_path)
         field = snapdir / "snap_000001_lam01.smcf"
         data = field.read_bytes()
         field.write_bytes(data[:keep])
         assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["norms", "check-constraints", "reconstruct"])
+    def test_non_finite_snapshot_exits_2(self, tmp_path, capsys, command):
+        # a NaN in the real part of the last stored value of the metric deviation
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / "snap_000001_h00.smcf"
+        data = field.read_bytes()
+        field.write_bytes(data[:-16] + np.array([np.nan], dtype="<f8").tobytes() + data[-8:])
+        assert main([command, "--config", str(path), "--snapshots", str(snapdir)]) == 2
         assert f"smcf: error: {field}: " in capsys.readouterr().err
 
     def test_gauge_init_outputs(self, tmp_path):

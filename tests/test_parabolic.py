@@ -8,6 +8,8 @@ from smcflab import calibration
 from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import (
     SecondForm,
+    covariant_divergence,
+    harmonic_defect,
     identity_metric,
     induced_metric,
     ricci_from_lambda,
@@ -15,7 +17,6 @@ from smcflab.geometry import (
 )
 from smcflab.grid import Grid
 from smcflab.parabolic import (
-    compute_gauge_sources,
     gauge_path,
     gauge_state_from,
     heat_rhs_A,
@@ -95,21 +96,35 @@ class TestGaugeSources:
     def test_flat(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
-        V, B = compute_gauge_sources(s.metric, s.A)
-        assert maxabs(V) < 1e-13 and maxabs(B) < 1e-13
+        assert maxabs(s.V) < 1e-13 and maxabs(s.B) < 1e-13
 
     def test_cliff(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s, _ = cliff_state_and_sf(grid)
         assert maxabs(s.V) < 1e-11 and maxabs(s.B) < 1e-11
 
-    def test_state_carries_no_curvature(self):
-        # the flows read curvature only through lambda; the monitors build it
+    def test_state_carries_no_curvature(self, monkeypatch):
+        # the flows read curvature only through lambda; the monitors build it.
+        # Christoffel symbols are built on first read, once, and kept
+        import smcflab.geometry as geometry
+
+        calls = {"christoffel": 0, "curvature": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _original=getattr(geometry, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(geometry, name, counting)
         grid = Grid(d=2, n=16, L=16.0)
-        s, _ = bump_state_and_sf(grid)
-        assert s.metric.gamma_u is not None
-        assert s.metric.riem is None
-        assert s.metric.ric is None
+        s, sf = bump_state_and_sf(grid)
+        assert calls["christoffel"] == 0
+        assert s.metric.gamma_u is s.metric.gamma_u and s.metric.gamma_l.shape == s.metric.gamma_u.shape
+        assert calls["christoffel"] == 1
+        # the stage-1 state reads its symbols, the published result not yet
+        step_parabolic(s, (sf, sf), 0.005)
+        assert calls == {"christoffel": 2, "curvature": 0}
+        assert not any(hasattr(s.metric, name) for name in ("riem", "ric"))
 
     def test_bump_fd_oracle(self):
         grid = Grid(d=2, n=64, L=16.0)
@@ -280,7 +295,7 @@ class TestStepParabolic:
         grid = Grid(d=2, n=32, L=16.0)
         s0, sf = bump_state_and_sf(grid, eps=0.1)
         s = step_parabolic(s0, (sf, sf), 0.005)
-        V, B = compute_gauge_sources(s.metric, s.A)
+        V, B = harmonic_defect(s.metric), covariant_divergence(s.metric, s.A)
         assert maxabs(s.V - V) < 1e-13
         assert maxabs(s.B - B) < 1e-13
         assert maxabs(s.metric.g - np.swapaxes(s.metric.g, 0, 1)) == 0.0

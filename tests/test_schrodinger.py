@@ -235,13 +235,45 @@ class TestPicardEvolve:
         drift = abs(grid.l2(traj[-1].lam) - grid.l2(traj[0].lam)) / grid.l2(traj[0].lam)
         assert drift <= calibration.L2_DRIFT_CONSTANT * dt**2 * T / T
 
-    def test_one_cliff_step_stays_under_210_forward_transforms(self, transform_counts):
+    def test_one_cliff_step_stays_under_182_forward_transforms(self, transform_counts):
         # the cliff config at n=8, where per-call overhead sets the cost
         grid = Grid(d=2, n=8, L=2 * np.pi)
         sf, gauge = cliff_setup(grid)
         transform_counts.update(fft=0, ifft=0)
         evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
-        assert transform_counts["fft"] <= 210
+        assert transform_counts["fft"] <= 182
+
+    def test_steady_step_builds_four_christoffel_and_two_divergences(self, monkeypatch):
+        # per step the start state, both parabolic stage-1 states and the
+        # midpoint gauge read their Christoffel symbols; only the start state
+        # and the midpoint gauge, which the Schroedinger steps read, build B.
+        # The predicted gauge is only averaged and builds neither.
+        import sys
+
+        from smcflab import geometry
+
+        counts = {"christoffel": 0, "covariant_divergence": 0}
+        for name in counts:
+            original = getattr(geometry, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            # every module that binds the function, wherever it is called from
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("smcflab"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, counting)
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        totals = []
+        for nsteps in (1, 2):
+            sf, gauge = cliff_setup(grid)
+            counts.update(christoffel=0, covariant_divergence=0)
+            evolve_coupled(sf, gauge, nsteps * 1e-3, 1e-3)
+            totals.append(dict(counts))
+        assert {key: totals[1][key] - totals[0][key] for key in counts} == {"christoffel": 4, "covariant_divergence": 2}
 
     def test_blowup_detected(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
