@@ -80,7 +80,7 @@ def cmd_heat_gauge(args):
     bundle = harness.gauge_init_and_write(cfg)
     lam_traj = load_trajectory(args.snapshots, grid=bundle.grid) if args.snapshots else None
     traj = harness.heat_gauge_and_write(cfg, bundle, lam_traj)
-    print(f"heat-gauge: evolved (h, A) along frozen lambda for {len(traj) - 1} stored steps")
+    print(f"heat-gauge: evolved (h, A) in {traj.meta['mode']} mode for {len(traj) - 1} stored steps")
 
 
 def cmd_evolve(args):
@@ -134,7 +134,7 @@ def build_parser():
         (
             "heat-gauge",
             cmd_heat_gauge,
-            "run the parabolic system alone on frozen lambda",
+            "run the parabolic system alone on frozen or prescribed lambda",
             "snapshot directory whose stored lambda path drives the gauge system "
             "(default: none, lambda stays frozen at its t = 0 value)",
         ),

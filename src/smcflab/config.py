@@ -141,8 +141,14 @@ def config_from_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SmcfValidationError(f"{path}: cannot read config: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise SmcfValidationError(f"{path}: config is not UTF-8 text") from None
+    return config_from_text(text)
 
 
 def save_config(path, cfg: RunConfig):

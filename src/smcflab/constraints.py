@@ -113,8 +113,8 @@ def residual_T5(grid: Grid, rec_prev, rec, rec_next):
     lam_up = raise_first(m, sf.lam)
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
     re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
-    w2 = grid.dealias(np.imag(np.einsum("ga...,gs...->as...", lam_up, np.conj(sf.lam))))
-    v_term = grid.dealias(np.einsum("as...,s...->a...", w2, s.V))
+    w = curl_source(grid, lam_up, sf.lam)
+    v_term = grid.dealias(np.einsum("as...,s...->a...", w, s.V))
     res = dtA - dB - re_term + v_term
     return res, _norms(grid, res, [dtA, dB, re_term, v_term])
 
@@ -128,10 +128,6 @@ def residual_metric_evolution(grid: Grid, rec_prev, rec, rec_next):
     sym = s.nabla_V_low + np.swapaxes(s.nabla_V_low, 0, 1)
     res = dtg - grid.dealias(im_term) - sym
     return res, _norms(grid, res, [dtg, im_term, sym])
-
-
-STATIC_RESIDUALS = ("T1", "T2", "T3", "T4")
-TIME_RESIDUALS = ("T5", "metric_evolution")
 
 
 def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:

@@ -41,10 +41,6 @@ class TransversalityError(SmcfValidationError):
     """No constant vector is uniformly transversal to the tangent planes."""
 
 
-class ScaleExceedsBoxError(SmcfValidationError):
-    pass
-
-
 class SmcfNumericalError(SmcfError):
     exit_code = 3
 

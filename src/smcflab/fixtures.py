@@ -1,4 +1,4 @@
-"""Reference submanifolds used by tests and the CLI.
+"""The initial surfaces a run can start from (scenario_kind in the config).
 
 FLAT   : the standard plane, everything vanishes.
 CLIFF  : product of two circles of radius r in R^4 (d = 2 only); flat metric,
@@ -6,6 +6,9 @@ CLIFF  : product of two circles of radius r in R^4 (d = 2 only); flat metric,
 BUMP   : graph over the plane with two Gaussian defining functions whose
          curvature amplitude follows the eps^{d/2+delta} law; width is fixed
          in box units (the box is the only unit carrier).
+
+The closed forms the tests check these against (graph metric, cliff second
+form, sphere-cap metric) are test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SmcfValidationError
-from .geometry import Immersion, MetricState, SecondForm, identity_metric
+from .geometry import Immersion
 from .grid import Grid
 
 
@@ -28,16 +31,6 @@ class CliffFixture:
     immersion: Immersion
     nu1: np.ndarray
     nu2: np.ndarray
-    r: float
-
-    def analytic_second_form(self):
-        """lambda_11 = -1/r, lambda_22 = -i/r, lambda_12 = 0, psi = -(1+i)/r."""
-        grid = self.immersion.grid
-        lam = np.zeros((2, 2) + grid.shape, dtype=complex)
-        lam[0, 0] = -1.0 / self.r
-        lam[1, 1] = -1j / self.r
-        psi = np.full(grid.shape, -(1.0 + 1j) / self.r, dtype=complex)
-        return SecondForm(grid, lam, psi)
 
 
 def cliff_fixture(grid: Grid, r: float = 1.0) -> CliffFixture:
@@ -55,7 +48,7 @@ def cliff_fixture(grid: Grid, r: float = 1.0) -> CliffFixture:
     )
     nu1 = np.stack([np.cos(X / r), np.sin(X / r), np.zeros(grid.shape), np.zeros(grid.shape)])
     nu2 = np.stack([np.zeros(grid.shape), np.zeros(grid.shape), np.cos(Y / r), np.sin(Y / r)])
-    return CliffFixture(Immersion(grid, dev, graph=False), nu1, nu2, r)
+    return CliffFixture(Immersion(grid, dev, graph=False), nu1, nu2)
 
 
 def periodized_gaussian(grid: Grid, center, width):
@@ -73,15 +66,7 @@ def periodized_gaussian(grid: Grid, center, width):
 @dataclass
 class BumpFixture:
     immersion: Immersion
-    eps: float
-    delta: float
-    width: float
     amplitude: float
-
-    @property
-    def u(self):
-        """The two defining functions (graph components)."""
-        return self.immersion.dev[self.immersion.grid.d :]
 
 
 def bump_immersion(grid: Grid, eps: float, delta: float, width: float | None = None) -> BumpFixture:
@@ -112,38 +97,4 @@ def bump_immersion(grid: Grid, eps: float, delta: float, width: float | None = N
     dev = np.zeros((grid.d + 2,) + grid.shape)
     dev[grid.d] = grid.dealias(u1)
     dev[grid.d + 1] = grid.dealias(u2)
-    return BumpFixture(Immersion(grid, dev, graph=True), eps, delta, width, amp)
-
-
-def graph_metric_oracle(F: Immersion) -> np.ndarray:
-    """Closed-form induced metric of a graph: delta_ab + du_a . du_b."""
-    grid = F.grid
-    if not F.graph:
-        raise SmcfValidationError("oracle applies to graph immersions only")
-    du = grid.grad(F.dev[grid.d :])  # (d, 2, *shape)
-    return np.einsum("aj...,bj...->ab...", du, du) + identity_metric(grid)
-
-
-def sphere_cap_metric(grid: Grid, radius: float, cap_width: float) -> MetricState:
-    """Round-sphere metric on a small cap, smoothly cut off into the flat plane.
-
-    Conformal form g = phi(x)^2 I with phi interpolating between the
-    stereographic sphere factor near the center and 1 outside; the interior
-    region has Gauss curvature 1/radius^2 up to the cutoff.
-    """
-    if grid.d != 2:
-        raise SmcfValidationError("sphere cap fixture needs d = 2")
-    X, Y = grid.x
-    cx = cy = grid.L / 2
-    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
-    conf = 1.0 / (1.0 + rho2 / (4 * radius**2))
-    # C-infinity cutoff: keep the sphere factor within the cap, relax to 1 outside
-    from .grid import _smoothstep
-
-    t = np.clip((np.sqrt(rho2) - cap_width) / cap_width, 0.0, 1.0)
-    blend = _smoothstep(t)
-    phi = conf * (1 - blend) + 1.0 * blend
-    g = np.zeros((2, 2) + grid.shape)
-    g[0, 0] = phi**2
-    g[1, 1] = phi**2
-    return MetricState(grid, g)
+    return BumpFixture(Immersion(grid, dev, graph=True), amp)

@@ -29,7 +29,6 @@ from .geometry import (
     SecondForm,
     covariant_divergence,
     curl_source,
-    harmonic_defect,
     identity_metric,
     normal_connection,
     normal_part,
@@ -58,13 +57,13 @@ class CoordinateChange:
     def __post_init__(self):
         grid = self.grid
         dphi = np.swapaxes(grid.grad(self.phi), 0, 1)  # dphi[c, a] = d_a phi_c
-        self.jacobian = dphi.copy()
+        jacobian = dphi.copy()
         for a in range(grid.d):
-            self.jacobian[a, a] += 1.0
+            jacobian[a, a] += 1.0
         sup = float(np.max(np.sqrt(np.sum(dphi**2, axis=(0, 1)))))
         if sup >= 0.5:
             raise SmcfValidationError(f"coordinate change too large: sup|dphi| = {sup:.3f} >= 0.5")
-        det = pointwise_det(grid, self.jacobian)
+        det = pointwise_det(grid, jacobian)
         if np.min(det) <= 0:
             raise SmcfValidationError("coordinate change is not orientation preserving")
 
@@ -138,7 +137,7 @@ def solve_harmonic_coordinates(
         raise SmcfValidationError(
             f"metric deviation too large for the harmonic solve: {size:.3e} > {small_data_threshold}"
         )
-    Vg = harmonic_defect(m)
+    Vg = m.V
 
     def residual_of(phi):
         d2 = grid.hessian(phi)  # [a, b, c, ...]
@@ -220,7 +219,7 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
 
     A_tilde = normal_connection(grid, nu1_t, nu2_t)
     div_tilde = covariant_divergence(m, A_tilde)
-    Vg = harmonic_defect(m)
+    Vg = m.V
 
     def residual_of(b):
         d2 = grid.hessian(b)

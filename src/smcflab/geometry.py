@@ -6,7 +6,7 @@ tensors come from the shared contraction helpers below (raise_first,
 harmonic_defect, covariant_divergence, curl_source, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
-symbols and h on MetricState (ginv is eager: inverting is the degeneracy
+symbols, h and V on MetricState (ginv is eager: inverting is the degeneracy
 check), gauge sources and shared contractions on parabolic.GaugeState.  The
 curvature is returned by `curvature` and never kept.
 
@@ -76,7 +76,7 @@ class Immersion:
 
 @dataclass
 class MetricState:
-    """Metric g with its inverse; Christoffel symbols and h are built on first read.
+    """Metric g with its inverse; Christoffel symbols, h and V are built on first read.
 
     The cached fields must not change once set, so neither may g.
     """
@@ -106,6 +106,11 @@ class MetricState:
     def gamma_u(self):
         """Gamma^c_{ab} indexed [c, a, b]."""
         return self.grid.dealias(np.einsum("cs...,abs...->cab...", self.ginv, self.gamma_l))
+
+    @cached_property
+    def V(self):
+        """V^g = g^{ab} Gamma^g_{ab}, upper index; see harmonic_defect."""
+        return harmonic_defect(self)
 
     def eig_min(self):
         return metric_eig_min(self.grid, self.g)
@@ -351,21 +356,3 @@ def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
     mvec = nu1 + 1j * nu2
     lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))
     return SecondForm.from_lambda(F.grid, lam, m)
-
-
-def gauge_rotate(sf: SecondForm, A, m_vec, theta):
-    """Apply the unit-circle gauge action with real angle theta.
-
-    lambda -> e^{i theta} lambda, m -> e^{i theta} m, A -> A - grad theta.
-    """
-    grid = sf.grid
-    theta = np.asarray(theta)
-    if np.iscomplexobj(theta) and np.max(np.abs(theta.imag)) > 1e-14:
-        raise SmcfValidationError("gauge angle must be real")
-    theta = theta.real
-    phase = np.exp(1j * theta)
-    lam = sf.lam * phase
-    psi = sf.psi * phase
-    A_new = None if A is None else A - grid.grad(theta)
-    m_new = None if m_vec is None else m_vec * phase
-    return SecondForm(grid, lam, psi), A_new, m_new

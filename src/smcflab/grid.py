@@ -445,7 +445,11 @@ def write_field(path, field: GridField):
 
 
 def read_field(path, grid: Grid | None = None) -> GridField:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise SmcfValidationError(f"{path}: cannot open snapshot: {exc.strerror}") from None
+    with fh:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise SmcfValidationError(f"{path}: bad magic {magic!r}")

@@ -238,7 +238,8 @@ def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Traje
             elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
                 sf = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
                 records.append(TrajectoryRecord.from_state(times[i], s, sf))
-    traj = Trajectory(grid=grid, records=records, meta={"mode": "frozen-lambda"})
+    mode = "frozen-lambda" if lam_traj is None else "prescribed-lambda"
+    traj = Trajectory(grid=grid, records=records, meta={"mode": mode})
     save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
     return traj
 

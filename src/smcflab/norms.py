@@ -1,4 +1,8 @@
-"""Discrete norms and frequency envelopes used as diagnostics and assertions.
+"""The norms and frequency envelopes a run writes to diagnostics.csv.
+
+H^s norms, dyadic block norms, the Y-norm upper-bound surrogates and the
+frequency envelopes, plus the CSV writer for their rows.  The Z norm and the
+general l^p cube-partition norm are test oracles and live with the tests.
 
 The Y-type norms are infima over atomic decompositions and cannot be computed
 exactly; every function here with an ``_upper`` suffix evaluates the canonical
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScaleExceedsBoxError, SmcfValidationError
+from .errors import SmcfValidationError
 from .grid import Grid, GridField, _smoothstep
 
 
@@ -74,18 +78,6 @@ def sobolev_norm(f: GridField, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def _as_field_series(series):
-    out = []
-    for item in series:
-        if isinstance(item, GridField):
-            out.append(item)
-        else:
-            out.append(item[1])
-    if not out:
-        raise SmcfValidationError("empty time series")
-    return out
-
-
 def s_block_norms(f: GridField, s_weight=None):
     """L2 norms of the S_j blocks, j = 0..J (J covers the resolvable spectrum)."""
     grid = f.grid
@@ -98,21 +90,6 @@ def s_block_norms(f: GridField, s_weight=None):
 def _spectral_sums(grid: Grid, w):
     """Grid-measure sums of a stack of spectral densities, one per leading index."""
     return np.sum(w, axis=tuple(range(1, grid.d + 1))) * grid.L**grid.d / grid.n ** (2 * grid.d)
-
-
-def z_norm(series, sigma: float, s: float) -> float:
-    """Time-sup inside each dyadic block, then weighted l2 across blocks."""
-    fields = _as_field_series(series)
-    grid = fields[0].grid
-    mults = grid.lp_bands("S")
-    if sigma != 0.0:
-        mag = np.where(grid.k_mag > 0, grid.k_mag, 1.0)
-        frac = np.where(grid.k_mag > 0, mag**sigma, 0.0)
-        mults = np.concatenate([mults[:1] * frac, mults[1:]])
-    sup = np.max([np.sqrt(_spectral_sums(grid, np.abs(mults * f.hat) ** 2)) for f in fields], axis=0)
-    J = len(sup) - 1
-    weights = np.array([1.0] + [2.0 ** (2 * s * j) for j in range(1, J + 1)])
-    return float(np.sqrt(np.sum(weights * sup**2)))
 
 
 # -- cube partitions -------------------------------------------------------
@@ -155,36 +132,17 @@ def cube_weights(grid: Grid, scale: float):
     return np.einsum("ix,jy,kz->ijkxyz", per, per, per).reshape(-1, *grid.shape)
 
 
-def cube_partition_norm(f: GridField, j: int, p, inner: str = "l2") -> float:
-    """l^p over cubes of side ~2^j of the inner norm of chi_Q * f."""
-    grid = f.grid
-    scale = 2.0**j
-    if scale > grid.L * (1 + 1e-12):
-        raise ScaleExceedsBoxError(f"cube scale 2^{j} exceeds box length {grid.L}")
-    return _lp_cubes(grid, f.values, scale, p, inner)
+def _cube_l2(grid: Grid, values, scale):
+    """Per-cube l2 norms ||chi_Q f||, one per cube of the partition at `scale`.
 
-
-def _lp_cubes(grid: Grid, values, scale, p, inner):
-    vals = np.abs(np.asarray(values))
-    if inner == "l2":
-        # chi_Q^2 = prod_a w_{i_a}(x_a)^2 is separable: contract one axis at a
-        # time instead of building the (m^d, *shape) stack of cube weights
-        w_sq = _axis_weights(grid, scale) ** 2
-        per = vals**2
-        for _ in range(grid.d):
-            per = np.tensordot(per, w_sq, axes=([0], [1]))
-        per = np.sqrt(per * grid.cell_volume)
-    elif inner == "linf":
-        per = np.max(cube_weights(grid, scale) * vals, axis=tuple(range(1, grid.d + 1)))
-    else:
-        raise SmcfValidationError(f"inner norm must be 'l2' or 'linf', got {inner!r}")
-    if p in (np.inf, "inf"):
-        return float(np.max(per))
-    if p == 1:
-        return float(np.sum(per))
-    if p == 2:
-        return float(np.sqrt(np.sum(per**2)))
-    raise SmcfValidationError(f"p must be 1, 2 or 'inf', got {p!r}")
+    chi_Q^2 = prod_a w_{i_a}(x_a)^2 is separable: contract one axis at a time
+    instead of building the (m^d, *shape) stack of cube weights.
+    """
+    w_sq = _axis_weights(grid, scale) ** 2
+    per = np.abs(np.asarray(values)) ** 2
+    for _ in range(grid.d):
+        per = np.tensordot(per, w_sq, axes=([0], [1]))
+    return np.sqrt(per * grid.cell_volume)
 
 
 # -- Y-norm upper-bound surrogates -------------------------------------------
@@ -197,7 +155,7 @@ def _y0j_upper(grid: Grid, pj_values, j: int) -> float:
     weight.  Cube scales beyond the box collapse to a single cube.
     """
     scale = min(2.0 ** abs(j), grid.L)
-    return _lp_cubes(grid, pj_values, scale, 1, "l2")
+    return float(np.sum(_cube_l2(grid, pj_values, scale)))
 
 
 def y0_norm_upper(f: GridField, s: float, delta: float) -> float:
@@ -254,10 +212,6 @@ class DiagnosticsCSV:
         self.path = path
         with open(self.path, "w") as fh:
             fh.write("t,name,value\n")
-
-    def append(self, t, name, value):
-        with open(self.path, "a") as fh:
-            fh.write(f"{t:.17g},{name},{value:.17g}\n")
 
     def append_many(self, t, pairs):
         with open(self.path, "a") as fh:

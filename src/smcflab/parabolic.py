@@ -27,7 +27,6 @@ from .geometry import (
     covariant_derivative,
     covariant_divergence,
     curl_source,
-    harmonic_defect,
     identity_metric,
     metric_eig_min,
     raise_first,
@@ -40,10 +39,10 @@ SIGN_VARIANTS = ("minus", "plus")
 
 @dataclass
 class GaugeState:
-    """Metric and connection A; V, B, the contractions several right sides share
+    """Metric and connection A; B, the contractions several right sides share
     and the lambda-free part of the parabolic right side are built on first read
-    and kept, so g and A must not change.  The flows read the curvature only
-    through lambda; the T1/T2 monitors build it."""
+    and kept, so g and A must not change (V is kept by the metric).  The flows
+    read the curvature only through lambda; the T1/T2 monitors build it."""
 
     metric: MetricState
     A: np.ndarray  # (d, *shape) real
@@ -53,10 +52,10 @@ class GaugeState:
     def grid(self) -> Grid:
         return self.metric.grid
 
-    @cached_property
+    @property
     def V(self):
-        """V^g = g^{ab} Gamma^g_{ab}, upper index."""
-        return harmonic_defect(self.metric)
+        """V^g = g^{ab} Gamma^g_{ab}, upper index; kept on the metric."""
+        return self.metric.V
 
     @cached_property
     def B(self):

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .geometry import Immersion, MetricState, covariant_derivative, normal_part, raise_first
 from .grid import Grid
+from .norms import DiagnosticsCSV
 from .trajectory import Trajectory, TrajectoryRecord
 
 
@@ -37,9 +38,6 @@ class Frame:
     grid: Grid
     F_alpha: np.ndarray  # (d, d+2, *shape) real
     m: np.ndarray  # (d+2, *shape) complex
-
-    def copy(self):
-        return Frame(self.grid, self.F_alpha.copy(), self.m.copy())
 
     def invariant_defects(self, g=None):
         """Worst pointwise violations of orthogonality/normalization/metric."""
@@ -129,9 +127,9 @@ def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
 # -- spatial transport (integrability audit) --------------------------------------
 
 
-def _shifted(grid: Grid, hat, axis, shift, real):
-    """A field on the lattice shifted by `shift` along one axis, from its spectrum `hat`."""
-    phase = np.exp(1j * grid.k[axis] * shift)
+def _shifted(grid: Grid, hat, shift, real):
+    """A field on the lattice shifted by `shift` along the last axis, from its spectrum `hat`."""
+    phase = np.exp(1j * grid.k[-1] * shift)
     out = grid.ifft(hat * phase)
     return out.real if real else out
 
@@ -142,57 +140,45 @@ def integrate_frame_space(
     m_state: MetricState,
     sf,
     A,
-    axis=None,
     substeps=16,
     holonomy_tol=1e-4,
 ):
-    """Transport the frame along coordinate lines of one axis across the grid.
+    """Transport the frame along the coordinate lines of the last axis across the grid.
 
-    seed_F, seed_m: frame values on the slice {x_axis = 0} (shapes like the
-    full frame with that axis removed).  Returns (Frame, holonomy) where the
-    holonomy is the worst mismatch after closing the periodic loop.
+    seed_F, seed_m: frame values on the slice {x_last = 0} (shapes like the
+    full frame with the last axis removed).  Returns (Frame, holonomy) where
+    the holonomy is the worst mismatch after closing the periodic loop.
     """
     grid = m_state.grid
     d = grid.d
-    if axis is None:
-        axis = d - 1
+    last = d - 1
     n = grid.n
     h = grid.dx / substeps
 
     lam_up = raise_first(m_state, sf.lam)
-    # the transport reads only the axis slot of each coefficient; as a frame
-    # bundle M[a, g] = Gamma^g_{axis a}, c = lam_{axis .}, cu = lam_up^._{axis}
-    # and B = A_axis, each transformed once
-    M = np.swapaxes(m_state.gamma_u[:, axis], 0, 1)
-    coeff = {"M": M, "c": sf.lam[axis], "cu": lam_up[:, axis], "B": A[axis]}
+    # the transport reads only the last slot of each coefficient; as a frame
+    # bundle M[a, g] = Gamma^g_{last a}, c = lam_{last .}, cu = lam_up^._{last}
+    # and B = A_last, each transformed once
+    M = np.swapaxes(m_state.gamma_u[:, last], 0, 1)
+    coeff = {"M": M, "c": sf.lam[last], "cu": lam_up[:, last], "B": A[last]}
     spectra = {key: (grid.fft(val), np.isrealobj(val)) for key, val in coeff.items()}
     # coefficient lattices at all substep shifts (whole and half)
     shifts = {}
     for q in range(2 * substeps):
         shift = q * h / 2.0
-        shifts[q] = {
-            key: _shifted(grid, hat, axis, shift, real) for key, (hat, real) in spectra.items()
-        }
-
-    def at(val, j):
-        # index of slice j along the transport axis; fields indexed [..., spatial]
-        idx = [slice(None)] * val.ndim
-        idx[val.ndim - d + axis] = j
-        return tuple(idx)
+        shifts[q] = {key: _shifted(grid, hat, shift, real) for key, (hat, real) in spectra.items()}
 
     def take(fields, j):
-        return SimpleNamespace(**{key: val[at(val, j)] for key, val in fields.items()})
+        # slice j along the transport axis; fields indexed [..., spatial]
+        return SimpleNamespace(**{key: val[..., j] for key, val in fields.items()})
 
     Fa = seed_F.astype(complex)
     mv = seed_m.astype(complex)
     frame_F = np.empty((d, d + 2) + grid.shape, dtype=float)
     frame_m = np.empty((d + 2,) + grid.shape, dtype=complex)
 
-    def store(j, Fa, mv):
-        frame_F[at(frame_F, j)] = Fa.real
-        frame_m[at(frame_m, j)] = mv
-
-    store(0, Fa, mv)
+    frame_F[..., 0] = Fa.real
+    frame_m[..., 0] = mv
     for j in range(n):
         for s_ in range(substeps):
             c0 = take(shifts[(2 * s_) % (2 * substeps)], j)
@@ -201,7 +187,8 @@ def integrate_frame_space(
             c1 = take(shifts[(2 * s_ + 2) % (2 * substeps)], jn)
             Fa, mv = _rk4(Fa, mv, h, c0, cm, c1)
         if j + 1 < n:
-            store(j + 1, Fa, mv)
+            frame_F[..., j + 1] = Fa.real
+            frame_m[..., j + 1] = mv
     holonomy = max(
         float(np.max(np.abs(Fa.real - seed_F))),
         float(np.max(np.abs(mv - seed_m))),
@@ -284,63 +271,55 @@ def reconstruct(
         result.frame_defects.append(frame.invariant_defects(rec.g))
         tang = imm.tangents()
         gap = float(np.max(np.abs(tang - frame.F_alpha)))
+        if gap > consistency_tol:
+            raise ReconstructionInconsistencyError(
+                f"d_alpha F vs transported F_alpha gap {gap:.3e} exceeds {consistency_tol:.1e} at t={rec.t:.6g}"
+            )
         result.consistency_gap.append(gap)
         d2F = imm.second_partials()
         lam_rec = grid.dealias(np.einsum("abi...,i...->ab...", d2F, frame.m))
         result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
         gr = np.einsum("ai...,bi...->ab...", frame.F_alpha, frame.F_alpha)
         result.metric_closure.append(grid.l2(gr - rec.g))
-    worst_gap = max(result.consistency_gap)
-    if worst_gap > consistency_tol:
-        raise ReconstructionInconsistencyError(
-            f"d_alpha F vs transported F_alpha gap {worst_gap:.3e} exceeds {consistency_tol:.1e}"
-        )
-    _verify_smcf_into(result, traj)
+        if 0 < i < len(traj) - 1:
+            dtF = (immersions[i + 1].dev - immersions[i - 1].dev) / (traj[i + 1].t - traj[i - 1].t)
+            smcf, ident = _flow_residuals(grid, frame, tang, d2F, dtF, rec.psi)
+        else:
+            smcf = ident = np.nan
+        result.smcf_residual.append(smcf)
+        result.identity_residual.append(ident)
     return result
 
 
-def _verify_smcf_into(result: ReconstructionResult, traj: Trajectory):
-    grid = traj.grid
-    for i in range(len(traj)):
-        if i == 0 or i == len(traj) - 1:
-            result.smcf_residual.append(np.nan)
-            result.identity_residual.append(np.nan)
-            continue
-        dt2 = traj[i + 1].t - traj[i - 1].t
-        dtF = (result.immersions[i + 1].dev - result.immersions[i - 1].dev) / dt2
-        frame = result.frames[i]
-        imm = result.immersions[i]
-        # rebuild the geometry of the reconstructed surface from scratch
-        tang = imm.tangents()
-        g = np.einsum("ai...,bi...->ab...", tang, tang)
-        mst = MetricState(grid, 0.5 * (g + np.swapaxes(g, 0, 1)))
-        d2F = imm.second_partials()
-        H = grid.dealias(
-            np.einsum("ab...,abi...->i...", mst.ginv, d2F)
-            - np.einsum("ab...,gab...,gi...->i...", mst.ginv, mst.gamma_u, tang)
-        )
-        nu1 = frame.m.real
-        nu2 = frame.m.imag
-        JH = np.einsum("i...,i...->...", H, nu1) * nu2 - np.einsum("i...,i...->...", H, nu2) * nu1
-        perp = normal_part(mst, tang, dtF)
-        result.smcf_residual.append(grid.l2(perp - JH))
-        ident = -np.imag(np.einsum("...,i...->i...", traj[i].psi, np.conj(frame.m))) - JH
-        result.identity_residual.append(grid.l2(ident))
+def _flow_residuals(grid: Grid, frame: Frame, tang, d2F, dtF, psi):
+    """L2 of (d_t F)^perp - J H(F) and of the displacement identity at one
+    interior record, from the rebuilt surface's tangents and second partials."""
+    # rebuild the geometry of the reconstructed surface from scratch
+    g = np.einsum("ai...,bi...->ab...", tang, tang)
+    mst = MetricState(grid, 0.5 * (g + np.swapaxes(g, 0, 1)))
+    H = grid.dealias(
+        np.einsum("ab...,abi...->i...", mst.ginv, d2F)
+        - np.einsum("ab...,gab...,gi...->i...", mst.ginv, mst.gamma_u, tang)
+    )
+    nu1 = frame.m.real
+    nu2 = frame.m.imag
+    JH = np.einsum("i...,i...->...", H, nu1) * nu2 - np.einsum("i...,i...->...", H, nu2) * nu1
+    perp = normal_part(mst, tang, dtF)
+    ident = -np.imag(np.einsum("...,i...->i...", psi, np.conj(frame.m))) - JH
+    return grid.l2(perp - JH), grid.l2(ident)
 
 
 def write_reconstruction_csv(path, result: ReconstructionResult):
-    with open(path, "w") as fh:
-        fh.write("t,name,value\n")
-        if np.isfinite(result.holonomy):
-            fh.write(f"{result.times[0]:.17g},spatial_holonomy,{result.holonomy:.17g}\n")
-        for i, t in enumerate(result.times):
-            rows = [
-                ("consistency_gap", result.consistency_gap[i]),
-                ("lambda_closure_l2", result.lambda_closure[i]),
-                ("metric_closure_l2", result.metric_closure[i]),
-                ("smcf_residual_l2", result.smcf_residual[i]),
-                ("identity_residual_l2", result.identity_residual[i]),
-            ]
-            rows.extend((f"frame_defect_{k}", v) for k, v in result.frame_defects[i].items())
-            for name, value in rows:
-                fh.write(f"{t:.17g},{name},{value:.17g}\n")
+    out = DiagnosticsCSV(path)
+    if np.isfinite(result.holonomy):
+        out.append_many(result.times[0], [("spatial_holonomy", result.holonomy)])
+    for i, t in enumerate(result.times):
+        rows = [
+            ("consistency_gap", result.consistency_gap[i]),
+            ("lambda_closure_l2", result.lambda_closure[i]),
+            ("metric_closure_l2", result.metric_closure[i]),
+            ("smcf_residual_l2", result.smcf_residual[i]),
+            ("identity_residual_l2", result.identity_residual[i]),
+        ]
+        rows.extend((f"frame_defect_{k}", v) for k, v in result.frame_defects[i].items())
+        out.append_many(t, rows)

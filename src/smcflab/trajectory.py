@@ -113,15 +113,37 @@ def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
     index_path = os.path.join(dirpath, "index.csv")
     if not os.path.exists(index_path):
         raise SmcfValidationError(f"{dirpath}: no trajectory index found")
-    with open(index_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(index_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise SmcfValidationError(f"{index_path}: cannot read the trajectory index: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise SmcfValidationError(f"{index_path}: trajectory index is not UTF-8 text") from None
+    missing = [col for col in ("t", "prefix") if col not in (reader.fieldnames or ())]
+    if missing:
+        raise SmcfValidationError(f"{index_path}: trajectory index lacks column(s) {', '.join(missing)}")
     if not rows:
         raise SmcfValidationError(f"{dirpath}: empty trajectory index")
+    times = []
+    for lineno, row in enumerate(rows, 2):
+        try:
+            t = float(row["t"])
+        except (TypeError, ValueError):
+            t = float("nan")
+        if not np.isfinite(t) or (times and t <= times[-1]):
+            raise SmcfValidationError(
+                f"{index_path} line {lineno}: t must be finite and increasing, got {row['t']!r}"
+            )
+        if not row["prefix"]:
+            raise SmcfValidationError(f"{index_path} line {lineno}: no snapshot prefix")
+        times.append(t)
     first = read_field(os.path.join(dirpath, rows[0]["prefix"] + "_psi.smcf"), grid=grid)
     grid = first.grid
     d = grid.d
     records = []
-    for row in rows:
+    for t, row in zip(times, rows):
         prefix = row["prefix"]
 
         def load(tag):
@@ -137,5 +159,5 @@ def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
                 lam[b, a] = lam[a, b]
         A = np.stack([load(f"A{a}").values.real for a in range(d)])
         psi = load("psi").values
-        records.append(TrajectoryRecord(t=float(row["t"]), g=g, A=A, lam=lam, psi=psi))
+        records.append(TrajectoryRecord(t=t, g=g, A=A, lam=lam, psi=psi))
     return Trajectory(grid=grid, records=records)

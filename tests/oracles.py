@@ -1,0 +1,137 @@
+"""Test oracles: closed forms and reference norms that only the tests evaluate.
+
+None of these runs in the pipeline; each is an independent statement of a
+quantity the package computes another way (or a norm the paper defines that a
+run does not report), kept here so the package ships only what runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from smcflab.errors import SmcfValidationError
+from smcflab.geometry import Immersion, MetricState, SecondForm, identity_metric
+from smcflab.grid import Grid, GridField, _smoothstep
+from smcflab.norms import _cube_l2, _spectral_sums, cube_weights
+
+
+class ScaleExceedsBoxError(SmcfValidationError):
+    """Cube scale larger than the box."""
+
+
+# -- geometry -------------------------------------------------------------------
+
+
+def graph_metric_oracle(F: Immersion) -> np.ndarray:
+    """Closed-form induced metric of a graph: delta_ab + du_a . du_b."""
+    grid = F.grid
+    if not F.graph:
+        raise SmcfValidationError("oracle applies to graph immersions only")
+    du = grid.grad(F.dev[grid.d :])  # (d, 2, *shape)
+    return np.einsum("aj...,bj...->ab...", du, du) + identity_metric(grid)
+
+
+def analytic_second_form(grid: Grid, r: float) -> SecondForm:
+    """Product of circles of radius r: lambda_11 = -1/r, lambda_22 = -i/r,
+    lambda_12 = 0, psi = -(1+i)/r."""
+    lam = np.zeros((2, 2) + grid.shape, dtype=complex)
+    lam[0, 0] = -1.0 / r
+    lam[1, 1] = -1j / r
+    psi = np.full(grid.shape, -(1.0 + 1j) / r, dtype=complex)
+    return SecondForm(grid, lam, psi)
+
+
+def sphere_cap_metric(grid: Grid, radius: float, cap_width: float) -> MetricState:
+    """Round-sphere metric on a small cap, smoothly cut off into the flat plane.
+
+    Conformal form g = phi(x)^2 I with phi interpolating between the
+    stereographic sphere factor near the center and 1 outside; the interior
+    region has Gauss curvature 1/radius^2 up to the cutoff.
+    """
+    if grid.d != 2:
+        raise SmcfValidationError("sphere cap fixture needs d = 2")
+    X, Y = grid.x
+    cx = cy = grid.L / 2
+    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
+    conf = 1.0 / (1.0 + rho2 / (4 * radius**2))
+    # C-infinity cutoff: keep the sphere factor within the cap, relax to 1 outside
+    t = np.clip((np.sqrt(rho2) - cap_width) / cap_width, 0.0, 1.0)
+    blend = _smoothstep(t)
+    phi = conf * (1 - blend) + 1.0 * blend
+    g = np.zeros((2, 2) + grid.shape)
+    g[0, 0] = phi**2
+    g[1, 1] = phi**2
+    return MetricState(grid, g)
+
+
+def gauge_rotate(sf: SecondForm, A, m_vec, theta):
+    """Apply the unit-circle gauge action with real angle theta.
+
+    lambda -> e^{i theta} lambda, m -> e^{i theta} m, A -> A - grad theta.
+    """
+    grid = sf.grid
+    theta = np.asarray(theta)
+    if np.iscomplexobj(theta) and np.max(np.abs(theta.imag)) > 1e-14:
+        raise SmcfValidationError("gauge angle must be real")
+    theta = theta.real
+    phase = np.exp(1j * theta)
+    lam = sf.lam * phase
+    psi = sf.psi * phase
+    A_new = None if A is None else A - grid.grad(theta)
+    m_new = None if m_vec is None else m_vec * phase
+    return SecondForm(grid, lam, psi), A_new, m_new
+
+
+# -- norms ------------------------------------------------------------------------
+
+
+def _as_field_series(series):
+    out = []
+    for item in series:
+        if isinstance(item, GridField):
+            out.append(item)
+        else:
+            out.append(item[1])
+    if not out:
+        raise SmcfValidationError("empty time series")
+    return out
+
+
+def z_norm(series, sigma: float, s: float) -> float:
+    """Time-sup inside each dyadic block, then weighted l2 across blocks."""
+    fields = _as_field_series(series)
+    grid = fields[0].grid
+    mults = grid.lp_bands("S")
+    if sigma != 0.0:
+        mag = np.where(grid.k_mag > 0, grid.k_mag, 1.0)
+        frac = np.where(grid.k_mag > 0, mag**sigma, 0.0)
+        mults = np.concatenate([mults[:1] * frac, mults[1:]])
+    sup = np.max([np.sqrt(_spectral_sums(grid, np.abs(mults * f.hat) ** 2)) for f in fields], axis=0)
+    J = len(sup) - 1
+    weights = np.array([1.0] + [2.0 ** (2 * s * j) for j in range(1, J + 1)])
+    return float(np.sqrt(np.sum(weights * sup**2)))
+
+
+def cube_partition_norm(f: GridField, j: int, p, inner: str = "l2") -> float:
+    """l^p over cubes of side ~2^j of the inner norm of chi_Q * f.
+
+    The l2 inner norm is the package's separable per-cube vector (the one the
+    Y surrogates sum); the linf inner norm is built from the weight stack.
+    """
+    grid = f.grid
+    scale = 2.0**j
+    if scale > grid.L * (1 + 1e-12):
+        raise ScaleExceedsBoxError(f"cube scale 2^{j} exceeds box length {grid.L}")
+    if inner == "l2":
+        per = _cube_l2(grid, f.values, scale)
+    elif inner == "linf":
+        per = np.max(cube_weights(grid, scale) * np.abs(f.values), axis=tuple(range(1, grid.d + 1)))
+    else:
+        raise SmcfValidationError(f"inner norm must be 'l2' or 'linf', got {inner!r}")
+    if p in (np.inf, "inf"):
+        return float(np.max(per))
+    if p == 1:
+        return float(np.sum(per))
+    if p == 2:
+        return float(np.sqrt(np.sum(per**2)))
+    raise SmcfValidationError(f"p must be 1, 2 or 'inf', got {p!r}")

@@ -3,6 +3,7 @@
 import numpy as np
 
 from normal_frames import graph_normal_bundle
+from oracles import gauge_rotate
 from smcflab.constraints import (
     _norms,
     constraint_report,
@@ -19,7 +20,6 @@ from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.geometry import (
     SecondForm,
     curvature,
-    gauge_rotate,
     identity_metric,
     induced_metric,
     second_form,

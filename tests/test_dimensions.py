@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normal_frames import graph_normal_bundle
+from oracles import gauge_rotate
 from smcflab.constraints import residual_T1, residual_T2, residual_T3, residual_T4
 from smcflab.fixtures import bump_immersion
-from smcflab.geometry import curvature, gauge_rotate, induced_metric, second_form
+from smcflab.geometry import curvature, induced_metric, second_form
 from smcflab.grid import Grid, GridField, read_field, write_field
 from smcflab.parabolic import gauge_state_from
 from smcflab.schrodinger import picard_evolve

@@ -141,6 +141,15 @@ class TestConfig:
         assert f"config line {lineno}: {key}" in out.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [None, b"grid_points_n = 8\n# caf\xe9\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert f"smcf: error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def test_every_config_field_is_read():
     """A RunConfig field that no code outside config.py reads is a knob that does nothing."""
@@ -184,6 +193,25 @@ class TestScenario:
         assert bundle.residuals["initial_A_div_l2"] < 1e-8
         assert bundle.residuals["initial_A_route_gap_linf"] < 1e-6
         assert bundle.residuals["elliptic_h_rel"] < 1e-6
+
+    def test_bump_gauge_init_builds_V_once_per_metric(self, tmp_path, monkeypatch):
+        # the graph metric feeds the harmonic solve; the gauged metric feeds the
+        # Coulomb solve and the gauge state, which share its V
+        from smcflab import gauge_init, geometry, parabolic
+
+        calls = []
+
+        def counted(m, _original=geometry.harmonic_defect):
+            calls.append(m)
+            return _original(m)
+
+        for mod in (geometry, gauge_init, parabolic):
+            if hasattr(mod, "harmonic_defect"):
+                monkeypatch.setattr(mod, "harmonic_defect", counted)
+        bump = os.path.join(os.path.dirname(__file__), "..", "configs", "bump_smalldata.txt")
+        generate_scenario(replace(load_config(bump), output_dir=str(tmp_path / "out")))
+        assert len(calls) == 2
+        assert calls[0] is not calls[1]
 
     def test_bump_lambda_amplitude_scaling(self, tmp_path):
         # curvature amplitude follows eps^{d/2 + delta}; the H^s norm follows
@@ -359,13 +387,15 @@ class TestCLI:
         assert np.array_equal(traj[-1].lam, traj[0].lam)
         assert not np.array_equal(traj[-1].g, traj[0].g)
 
-    def test_heat_gauge_on_stored_lambda_path(self, tmp_path):
+    def test_heat_gauge_on_stored_lambda_path(self, tmp_path, capsys):
         cfg = small_bump_config(tmp_path, final_time_T=0.04)
         path = tmp_path / "cfg.txt"
         save_config(path, cfg)
         assert main(["run", "--config", str(path)]) == 0
         snapdir = os.path.join(cfg.output_dir, "snapshots")
+        capsys.readouterr()
         assert main(["heat-gauge", "--config", str(path), "--snapshots", snapdir]) == 0
+        assert "in prescribed-lambda mode" in capsys.readouterr().out
         gauge_traj = load_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"))
         full_traj = load_trajectory(snapdir)
         # lambda path is the prescribed one and the resolved gauge follows the
@@ -406,6 +436,30 @@ class TestCLI:
         field = snapdir / "snap_000001_lam01.smcf"
         data = field.read_bytes()
         field.write_bytes(data[:keep])
+        assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("0,0,snap_000000", "0,zero,snap_000000"),
+            ("0,0,snap_000000", "0,0.5,snap_000000"),
+            ("0,0,snap_000000", "0,0"),
+            ("prefix", "stem"),
+        ],
+        ids=["t-not-a-number", "t-not-increasing", "row-without-prefix", "no-prefix-column"],
+    )
+    def test_bad_snapshot_index_exits_2(self, tmp_path, capsys, old, new):
+        path, snapdir = self._two_snapshots(tmp_path)
+        index = snapdir / "index.csv"
+        index.write_text(index.read_text().replace(old, new))
+        assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {index}" in capsys.readouterr().err
+
+    def test_missing_snapshot_field_exits_2(self, tmp_path, capsys):
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / "snap_000001_A1.smcf"
+        field.unlink()
         assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
         assert f"smcf: error: {field}: " in capsys.readouterr().err
 

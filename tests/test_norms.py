@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+from oracles import ScaleExceedsBoxError, cube_partition_norm, z_norm
 from smcflab import calibration, norms
-from smcflab.errors import ScaleExceedsBoxError, SmcfValidationError
+from smcflab.errors import SmcfValidationError
 from smcflab.grid import Grid, GridField
 from smcflab.norms import (
     DiagnosticsCSV,
     Envelope,
     EnvelopeParams,
-    cube_partition_norm,
     cube_weights,
     frequency_envelope,
     sobolev_norm,
     y0_lo_norm_upper,
     y0_norm_upper,
-    z_norm,
 )
 
 
@@ -339,7 +338,7 @@ class TestDiagnosticsCSV:
     def test_fixed_formatting(self, tmp_path):
         path = tmp_path / "diag.csv"
         out = DiagnosticsCSV(path)
-        out.append(0.125, "h_l2", 1.0 / 3.0)
+        out.append_many(0.125, [("h_l2", 1.0 / 3.0)])
         out.append_many(0.25, [("a", 2.0), ("b", np.pi)])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,name,value"

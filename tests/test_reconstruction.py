@@ -55,7 +55,7 @@ class TestSpatialTransport:
         seed_F = frame.F_alpha[:, :, :, 0]
         seed_m = frame.m[:, :, 0]
         out, holonomy = integrate_frame_space(
-            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape), axis=1
+            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape)
         )
         assert holonomy < 1e-13
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-13
@@ -66,7 +66,7 @@ class TestSpatialTransport:
         seed_F = frame.F_alpha[:, :, :, 0]
         seed_m = frame.m[:, :, 0]
         out, holonomy = integrate_frame_space(
-            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape), axis=1
+            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape)
         )
         assert holonomy <= 1e-10
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-8
@@ -85,7 +85,6 @@ class TestSpatialTransport:
                 m,
                 sf,
                 np.zeros((2,) + grid.shape),
-                axis=1,
                 substeps=substeps,
             )
             counts[substeps] = dict(transform_counts)
@@ -108,7 +107,6 @@ class TestSpatialTransport:
                 m,
                 bad,
                 np.zeros((2,) + grid.shape),
-                axis=1,
             )
 
 
