@@ -284,7 +284,7 @@ def check_elliptic_h(m: MetricState, sf: SecondForm):
     d2g = grid.hessian(m.g)
     lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, d2g))
     dg = np.moveaxis(grid.grad(m.g), 0, 2)
-    dginv = np.moveaxis(grid.grad(m.ginv), 0, 2)
+    dginv = np.moveaxis(m.dginv, 0, 2)
     # dg[a, b, c] = d_c g_{ab};  dginv[a, b, c] = d_c g^{ab}
     term1 = -np.einsum("abc...,asb...->cs...", dginv, dg)
     term2 = -np.einsum("abs...,acb...->cs...", dginv, dg)

@@ -6,9 +6,12 @@ tensors come from the shared contraction helpers below (raise_first,
 harmonic_defect, covariant_divergence, curl_source, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
-symbols, h and V on MetricState (ginv is eager: inverting is the degeneracy
-check), gauge sources and shared contractions on parabolic.GaugeState.  The
-curvature is returned by `curvature` and never kept.
+symbols and their gradient, the gradient of ginv, h and V on MetricState (ginv
+is eager: inverting is the degeneracy check), gauge sources and shared
+contractions on parabolic.GaugeState.  The curvature is returned by
+`curvature` and never kept.  `laplacian_lower_order` writes a covariant
+Laplacian minus its principal part in first-order form from those caches, so
+the stepper never nests two covariant derivatives.
 
 Orientation: the complex structure on the normal bundle is defined by the
 frame itself, J nu1 = nu2; reversing the orientation conjugates the complex
@@ -106,6 +109,16 @@ class MetricState:
     def gamma_u(self):
         """Gamma^c_{ab} indexed [c, a, b]."""
         return self.grid.dealias(np.einsum("cs...,abs...->cab...", self.ginv, self.gamma_l))
+
+    @cached_property
+    def dginv(self):
+        """d_e g^{ab} indexed [e, a, b]."""
+        return self.grid.grad(self.ginv)
+
+    @cached_property
+    def dgamma_u(self):
+        """d_e Gamma^s_{ca} indexed [e, s, c, a]."""
+        return self.grid.grad(self.gamma_u)
 
     @cached_property
     def V(self):
@@ -239,6 +252,26 @@ def covariant_derivative(T, m: MetricState, valence, A=None):
     if corrections:
         out = out + grid.dealias(sum(corrections))
     return out
+
+
+def laplacian_lower_order(m: MetricState, T, dT):
+    """(nabla T, S) for a one-form or symmetric two-tensor T and dT = grad T, where
+    g^{ec} nabla_e nabla_c T = g^{ec} d_e d_c T - V^t nabla_t T - S and S sums over
+    the slots a of T: g^{ec} [(d_e Gamma^s_{ca}) T_s + Gamma^s_{ca} d_e T_s +
+    Gamma^s_{ea} nabla_c T_s].  S is first order in T; both are pointwise and untruncated."""
+    rest = "b" * (np.ndim(T) - m.grid.d - 1)
+    corr = np.einsum(f"sca...,s{rest}...->ca{rest}...", m.gamma_u, T)  # Gamma^s_{ca} T_{s..}
+    if rest:
+        corr = corr + np.swapaxes(corr, 1, 2)
+    nT = dT - corr
+    P = np.einsum("ec...,esca...->sa...", m.ginv, m.dgamma_u)  # g^{ec} d_e Gamma^s_{ca}
+    G = np.einsum("ec...,sca...->esa...", m.ginv, m.gamma_u)  # g^{ec} Gamma^s_{ca}
+    S = np.einsum(f"sa...,s{rest}...->a{rest}...", P, T) + np.einsum(
+        f"esa...,es{rest}...->a{rest}...", G, dT + nT
+    )
+    if rest:
+        S = S + np.swapaxes(S, 0, 1)
+    return nT, S
 
 
 def ricci_from_lambda(m: MetricState, lam, psi):

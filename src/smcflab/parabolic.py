@@ -28,6 +28,7 @@ from .geometry import (
     covariant_divergence,
     curl_source,
     identity_metric,
+    laplacian_lower_order,
     metric_eig_min,
     raise_first,
     ricci_from_lambda,
@@ -85,21 +86,21 @@ class GaugeState:
         pair, so heat_rhs_h adds them to its lambda term in a fixed order."""
         m = self.metric
         term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
-        dginv = self.grid.grad(m.ginv)  # dginv[mu, a, b] = d_mu g^{ab}
-        term_dg = np.einsum("mab...,abn...->mn...", dginv, m.gamma_l)
+        term_dg = np.einsum("mab...,abn...->mn...", m.dginv, m.gamma_l)
         return term_gg, term_dg + np.einsum("mn...->nm...", term_dg)
 
     @cached_property
     def principal_remainder(self):
         """(g^{ab} - delta^{ab}) d_a d_b g and nabla_s nabla^s A - Lap A: the parts
-        of the principal terms that the exponential step leaves to its stages."""
+        of the principal terms that the exponential step leaves to its stages.
+        The second is (g^{ab} - delta^{ab}) d_a d_b A plus terms of first order in A."""
         grid, m = self.grid, self.metric
+        ginv_dev = m.ginv - identity_metric(grid)
         d2g = grid.hessian(m.g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
-        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", m.ginv - identity_metric(grid), d2g))
-        first = covariant_derivative(self.A, m, valence="l")  # [b, a]
-        second = covariant_derivative(first, m, valence="ll")  # [c, b, a]
-        cov_lap = grid.dealias(np.einsum("cb...,cba...->a...", m.ginv, second))
-        return Nh, cov_lap - grid.laplacian(self.A)
+        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", ginv_dev, d2g))
+        nA, S = laplacian_lower_order(m, self.A, grid.grad(self.A))  # nA[b, a] = nabla_b A_a
+        principal = np.einsum("cb...,cba...->a...", ginv_dev, grid.hessian(self.A))
+        return Nh, grid.dealias(principal - np.einsum("t...,ta...->a...", m.V, nA) - S)
 
 
 def gauge_state_from(grid: Grid, g, A, t=0.0) -> GaugeState:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
-from .geometry import SecondForm, covariant_derivative, identity_metric, raise_first
+from .geometry import SecondForm, identity_metric, laplacian_lower_order, raise_first
 from .grid import Grid
 from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic, time_grid
 from .trajectory import Trajectory, TrajectoryRecord
@@ -25,8 +25,11 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=N
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
 
-    The sum of the top-level terms is dealiased once (the truncation is
-    linear); the inner products of the cubic chains keep their own.  With
+    Its principal difference d_m(g^{mn} d_n lam) - nabla^s nabla_s lam is first
+    order in lam, built from dlam and the metric's cached Gamma, d Gamma and
+    d g^{-1}; the nested second-order form is the test oracle.  The sum of the
+    top-level terms is dealiased once (the truncation is linear); the inner
+    products of the cubic chains keep their own.  With
     breakdown=True a dict of the untruncated named terms is returned too.
     dlam, if given, is grid.grad(sf.lam), which the caller has already taken.
     """
@@ -38,17 +41,17 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=N
     if dlam is None:
         dlam = grid.grad(lam)  # [c, a, b]
 
-    # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam
-    div_form = grid.div(np.einsum("mn...,nab...->mab...", m.ginv, dlam))
-    first = covariant_derivative(lam, m, valence="ll")  # [c, a, b]
-    second = covariant_derivative(first, m, valence="lll")  # [e, c, a, b]
-    term_pdiff = div_form - np.einsum("ec...,ecab...->ab...", m.ginv, second)
+    # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam, first order in lam
+    nlam, S = laplacian_lower_order(m, lam, dlam)  # nlam[c, a, b] = nabla_c lam_ab
+    V_nlam = np.einsum("t...,tab...->ab...", m.V, nlam)
+    div_ginv = np.einsum("eec...->c...", m.dginv)  # d_e g^{ec}
+    term_pdiff = np.einsum("c...,cab...->ab...", div_ginv, dlam) + V_nlam + S
 
     # i V^s nabla_s lam
-    term_adv = 1j * np.einsum("s...,sab...->ab...", s.V, first)
+    term_adv = 1j * V_nlam
 
     # 2i A^s (nabla_s - d_s) lam, the covariant completion of the magnetic term
-    term_a_gamma = -2j * np.einsum("s...,sab...->ab...", s.A_up, first - dlam)
+    term_a_gamma = -2j * np.einsum("s...,sab...->ab...", s.A_up, nlam - dlam)
 
     # -i (nabla_s A^s) lam + (B + A_s A^s - V_s A^s) lam
     term_divA = -1j * np.einsum("...,ab...->ab...", s.B, lam)

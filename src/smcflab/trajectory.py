@@ -158,6 +158,6 @@ def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
                 lam[a, b] = load(f"lam{a}{b}").values
                 lam[b, a] = lam[a, b]
         A = np.stack([load(f"A{a}").values.real for a in range(d)])
-        psi = load("psi").values
+        psi = load("psi").values if records else first.values
         records.append(TrajectoryRecord(t=t, g=g, A=A, lam=lam, psi=psi))
     return Trajectory(grid=grid, records=records)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from smcflab.errors import SmcfValidationError
-from smcflab.geometry import Immersion, MetricState, SecondForm, identity_metric
+from smcflab.geometry import Immersion, MetricState, SecondForm, covariant_derivative, identity_metric
 from smcflab.grid import Grid, GridField, _smoothstep
 from smcflab.norms import _cube_l2, _spectral_sums, cube_weights
 
@@ -80,6 +80,24 @@ def gauge_rotate(sf: SecondForm, A, m_vec, theta):
     A_new = None if A is None else A - grid.grad(theta)
     m_new = None if m_vec is None else m_vec * phase
     return SecondForm(grid, lam, psi), A_new, m_new
+
+
+def nested_principal_difference(sf: SecondForm, m: MetricState):
+    """d_m(g^{mn} d_n lam) - g^{ec} nabla_e nabla_c lam, from two nested covariant
+    derivatives and a divergence: the second-order form the stepper expands."""
+    grid = m.grid
+    div_form = grid.div(np.einsum("mn...,nab...->mab...", m.ginv, grid.grad(sf.lam)))
+    first = covariant_derivative(sf.lam, m, valence="ll")  # [c, a, b]
+    second = covariant_derivative(first, m, valence="lll")  # [e, c, a, b]
+    return div_form - np.einsum("ec...,ecab...->ab...", m.ginv, second)
+
+
+def nested_laplacian_remainder(m: MetricState, A):
+    """g^{cb} nabla_c nabla_b A - Lap A of a one-form, from two nested covariant derivatives."""
+    grid = m.grid
+    first = covariant_derivative(A, m, valence="l")  # [b, a]
+    second = covariant_derivative(first, m, valence="ll")  # [c, b, a]
+    return grid.dealias(np.einsum("cb...,cba...->a...", m.ginv, second)) - grid.laplacian(A)
 
 
 # -- norms ------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smcflab
+from smcflab import trajectory
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
 from smcflab.errors import SmcfValidationError, StepRejectedError
@@ -284,6 +285,24 @@ class TestExperiment:
         traj = load_trajectory(os.path.join(cfg.output_dir, "snapshots"))
         assert len(traj) == len(result["trajectory"])
         assert np.array_equal(traj[0].lam, result["trajectory"][0].lam)
+
+    def test_load_reads_each_snapshot_file_once(self, tmp_path, monkeypatch):
+        # 9 records in d = 2 hold 9 files each: h00, h01, h11, A0, A1, lam00, lam01, lam11, psi
+        cfg = small_cliff_config(tmp_path)
+        bundle = generate_scenario(cfg)
+        records = [TrajectoryRecord.from_state(0.1 * i, bundle.gauge, bundle.sf) for i in range(9)]
+        save_trajectory(str(tmp_path / "snaps"), Trajectory(grid=bundle.grid, records=records))
+        paths = []
+        original = trajectory.read_field
+
+        def counting(path, *args, **kwargs):
+            paths.append(path)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(trajectory, "read_field", counting)
+        traj = load_trajectory(str(tmp_path / "snaps"))
+        assert len(paths) == 81 and len(set(paths)) == 81
+        assert all(np.array_equal(rec.psi, bundle.sf.psi) for rec in traj.records)
 
     def test_heat_gauge_frozen_lambda(self, tmp_path):
         cfg = small_bump_config(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import nested_laplacian_remainder
 from smcflab import calibration
 from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import (
@@ -17,6 +18,7 @@ from smcflab.geometry import (
 )
 from smcflab.grid import Grid
 from smcflab.parabolic import (
+    GaugeState,
     gauge_path,
     gauge_state_from,
     heat_rhs_A,
@@ -138,6 +140,32 @@ class TestGaugeSources:
         )
         V_fd = np.einsum("ab...,gs...,abs...->g...", ginv, ginv, gamma_l)
         assert maxabs(s.V - V_fd) < 1e-6
+
+
+class TestPrincipalRemainder:
+    """nabla_s nabla^s A - Lap A in closed form against two nested covariant derivatives."""
+
+    @staticmethod
+    def check_connection_part(m):
+        # the bump's own Coulomb A is of order 1e-11, so a band-limited A of
+        # order one is put on the metric; the nested form takes Lap A from a
+        # field of its size, and its roundoff scales with Lap A
+        grid = m.grid
+        x, k = grid.x, 2 * np.pi / grid.L
+        A = np.stack([np.sin((a + 1) * k * x[a] + 0.3) * np.cos(k * x[-1 - a]) for a in range(grid.d)])
+        _, closed = GaugeState(m, A).principal_remainder
+        nested = nested_laplacian_remainder(m, A)
+        lap = maxabs(grid.laplacian(A))
+        assert maxabs(closed - nested) <= 1e-12 * lap
+        assert maxabs(nested) > 1e-7 * lap
+
+    def test_connection_part_matches_nested_form(self, bump_scenario):
+        self.check_connection_part(bump_scenario[1].gauge.metric)
+
+    def test_connection_part_matches_nested_form_off_harmonic_coordinates(self):
+        # the graph metric has V != 0, which harmonic coordinates remove
+        s, _ = bump_state_and_sf(Grid(d=2, n=64, L=16.0), eps=0.1)
+        self.check_connection_part(s.metric)
 
 
 class TestHeatRhsH:

@@ -1,15 +1,22 @@
 """Covariant Schroedinger stepper and the coupled evolution drivers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import nested_principal_difference
+from smcflab.config import load_config
 from smcflab.errors import BlowupError
 from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import SecondForm, identity_metric, induced_metric, second_form
 from smcflab.grid import Grid
+from smcflab.harness import generate_scenario
 from smcflab.parabolic import gauge_state_from
 from smcflab.schrodinger import assemble_nonlinearity, evolve_coupled, picard_evolve, step_schrodinger
+
+CLIFF_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cliff_oracle.txt"
 
 
 def maxabs(x):
@@ -89,6 +96,48 @@ class TestAssembleNonlinearity:
         sf, gauge = bump_setup(grid, eps=0.1)
         out = assemble_nonlinearity(sf, gauge)
         assert maxabs(out - np.swapaxes(out, 0, 1)) < 1e-14
+
+
+class TestPrincipalDifference:
+    """d_m(g^{mn} d_n lam) - g^{ec} nabla_e nabla_c lam: the stepper's first-order
+    closed form against the nested second-order form.  Both are untruncated
+    and the stepper truncates the sum it enters once, so the truncated fields
+    are compared."""
+
+    def test_bump_matches_nested_form(self, bump_scenario):
+        name, bundle = bump_scenario
+        grid = bundle.grid
+        _, terms = assemble_nonlinearity(bundle.sf, bundle.gauge, breakdown=True)
+        closed = grid.dealias(terms["principal_difference"])
+        nested = grid.dealias(nested_principal_difference(bundle.sf, bundle.gauge.metric))
+        rel_tol = {"d2-n64": 1e-9, "d3-n32": 1e-8}[name]
+        assert maxabs(closed - nested) <= rel_tol * maxabs(nested)
+
+    def test_bump_off_harmonic_coordinates_matches_nested_form(self):
+        # the graph metric has V != 0, which harmonic coordinates remove
+        grid = Grid(d=2, n=64, L=16.0)
+        sf, gauge = bump_setup(grid, eps=0.1)
+        _, terms = assemble_nonlinearity(sf, gauge, breakdown=True)
+        nested = grid.dealias(nested_principal_difference(sf, gauge.metric))
+        assert maxabs(grid.dealias(terms["principal_difference"]) - nested) <= 1e-9 * maxabs(nested)
+
+    def test_cliff_matches_nested_form(self):
+        # the flat cliff metric leaves pdiff at roundoff, so the bound is absolute
+        bundle = generate_scenario(load_config(CLIFF_CONFIG))
+        grid = bundle.grid
+        _, terms = assemble_nonlinearity(bundle.sf, bundle.gauge, breakdown=True)
+        nested = nested_principal_difference(bundle.sf, bundle.gauge.metric)
+        assert maxabs(grid.dealias(terms["principal_difference"]) - grid.dealias(nested)) <= 1e-11
+
+    def test_lambda_terms_take_no_covariant_derivative(self, geometry_calls):
+        # a first call builds the state's own fields (B, nabla V); the lambda
+        # terms of the second call need none
+        grid = Grid(d=2, n=16, L=16.0)
+        sf, gauge = bump_setup(grid, eps=0.1)
+        assemble_nonlinearity(sf, gauge)
+        counts = geometry_calls("covariant_derivative")
+        assemble_nonlinearity(sf, gauge)
+        assert counts == {"covariant_derivative": 0}
 
 
 class TestStepSchrodinger:
@@ -235,37 +284,20 @@ class TestPicardEvolve:
         drift = abs(grid.l2(traj[-1].lam) - grid.l2(traj[0].lam)) / grid.l2(traj[0].lam)
         assert drift <= calibration.L2_DRIFT_CONSTANT * dt**2 * T / T
 
-    def test_one_cliff_step_stays_under_182_forward_transforms(self, transform_counts):
+    def test_one_cliff_step_stays_under_158_forward_transforms(self, transform_counts):
         # the cliff config at n=8, where per-call overhead sets the cost
         grid = Grid(d=2, n=8, L=2 * np.pi)
         sf, gauge = cliff_setup(grid)
         transform_counts.update(fft=0, ifft=0)
         evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
-        assert transform_counts["fft"] <= 182
+        assert transform_counts["fft"] <= 158
 
-    def test_steady_step_builds_four_christoffel_and_two_divergences(self, monkeypatch):
+    def test_steady_step_builds_four_christoffel_and_two_divergences(self, geometry_calls):
         # per step the start state, both parabolic stage-1 states and the
         # midpoint gauge read their Christoffel symbols; only the start state
         # and the midpoint gauge, which the Schroedinger steps read, build B.
         # The predicted gauge is only averaged and builds neither.
-        import sys
-
-        from smcflab import geometry
-
-        counts = {"christoffel": 0, "covariant_divergence": 0}
-        for name in counts:
-            original = getattr(geometry, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            # every module that binds the function, wherever it is called from
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.startswith("smcflab"):
-                    for attr, value in list(vars(mod).items()):
-                        if value is original:
-                            monkeypatch.setattr(mod, attr, counting)
+        counts = geometry_calls("christoffel", "covariant_divergence")
         grid = Grid(d=2, n=8, L=2 * np.pi)
         totals = []
         for nsteps in (1, 2):
