@@ -9,6 +9,14 @@ Conventions:
   * L2 norms carry the grid measure (L/n)^d, so Parseval holds exactly;
   * the dyadic scale j = 0 sits at wavenumber 1 in box units.
 
+Grid.fft and Grid.ifft are the only transform call sites, with two regimes.
+Grids with n <= 16 points per axis multiply by cached dense DFT matrices, one
+spatial axis at a time, since at that size numpy.fft's per-call overhead costs
+more than the O(n^(d+1)) arithmetic.  Their rounding error grows as O(n eps)
+where an FFT's grows as O(log n eps); at n = 16 they match numpy.fft to under
+1e-15 relative, and a constant field leaks that much into the nonzero modes.
+Larger grids call numpy.fft.
+
 The dyadic projector profile is a fixed C^infinity bump: 1 on [-1, 1],
 supported in [-2, 2] with the transition completed by |r| = 3/2, glued with
 the standard exp(-1/t) smoothstep
@@ -49,6 +57,13 @@ _NUFFT_WIDTH = 16
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 _NUFFT_NODES = 3 * _NUFFT_WIDTH
 _NUFFT_CHUNK = 1 << 20
+
+# Grids with at most this many points per axis transform by dense DFT
+# matrices (Grid._dft).  Per call on a (2, 2) stack with one BLAS thread,
+# numpy.fft -> dense: d = 2, n = 8, r2c 32 -> 15 us; d = 2, n = 16, r2c 28 ->
+# 19 us; d = 2, n = 32, c2c 70 -> 56 us but its inverse 59 -> 62 us; d = 3,
+# n = 16, c2r 283 -> 132 us but c2c 232 -> 507 us; d = 2, n = 64, c2c 289 -> 423 us.
+_DENSE_DFT_MAX_N = 16
 
 
 def _smoothstep(t):
@@ -137,22 +152,77 @@ class Grid:
 
     # -- basic transforms ---------------------------------------------------
     # The only transform call sites: every spectral operator below reaches
-    # numpy.fft through these two methods.
+    # numpy.fft, or the dense DFT matrices of a small grid, through these two
+    # methods.
 
     def fft(self, arr, half=False):
         """Forward transform over the spatial axes; half=True takes the r2c
         half spectrum of a real array (last axis cut to n//2 + 1)."""
         arr = np.asarray(arr)
-        if half:
-            return np.fft.rfftn(arr, axes=self._axes(arr))
-        return np.fft.fftn(arr, axes=self._axes(arr))
+        if self.n > _DENSE_DFT_MAX_N:
+            if half:
+                return np.fft.rfftn(arr, axes=self._axes(arr))
+            return np.fft.fftn(arr, axes=self._axes(arr))
+        fwd, fwd_ri, _, _ = self._dft
+        if np.isrealobj(arr):
+            # one real product on interleaved (re, im) columns, viewed as complex
+            cols = 2 * (self.n // 2 + 1) if half else 2 * self.n
+            hat = self._along_last(arr, fwd_ri[:, :cols]).view(np.complex128)
+        else:
+            hat = self._along_last(arr, fwd)
+        return self._along_leading(hat, fwd)
 
     def ifft(self, hat, half=False):
         """Inverse of fft; half=True turns a half spectrum back into a real array."""
         hat = np.asarray(hat)
+        if self.n > _DENSE_DFT_MAX_N:
+            if half:
+                return np.fft.irfftn(hat, s=self.shape, axes=self._axes(hat))
+            return np.fft.ifftn(hat, axes=self._axes(hat))
+        _, _, inv, inv_half = self._dft
         if half:
-            return np.fft.irfftn(hat, s=self.shape, axes=self._axes(hat))
-        return np.fft.ifftn(hat, axes=self._axes(hat))
+            arr = np.ascontiguousarray(self._along_leading(hat, inv), dtype=np.complex128)
+            return self._along_last(arr.view(np.float64), inv_half)
+        return self._along_leading(self._along_last(hat, inv), inv)
+
+    @cached_property
+    def _dft(self):
+        """The one-axis DFT matrices of a grid with n <= _DENSE_DFT_MAX_N, from a
+        root table w[m] = exp(-2 pi i m / n) with exact +-1, +-i and
+        w[n - m] = conj(w[m]):
+          F[j, k] = w[jk] (symmetric), and F_ri, real (n, 2n), its Re and Im
+          in alternating columns;
+          F^-1 = conj(F) / n;
+          C2R, real (2 (n//2 + 1), n), taking interleaved (Re, Im) pairs of a
+          half spectrum to the real inverse: rows c_k Re F^-1 and -c_k Im F^-1,
+          c_k = 2 but for k = 0 and n/2, whose Im rows vanish (numpy's irfft
+          also ignores those imaginary parts)."""
+        n, half = self.n, self.n // 2 + 1
+        w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+        w[[0, n // 4, n // 2]] = 1.0, -1j, -1.0
+        w = np.concatenate([w, np.conj(w[1 : n // 2][::-1])])
+        fwd = w[np.outer(np.arange(n), np.arange(n)) % n]
+        fwd_ri = np.stack([fwd.real, fwd.imag], axis=-1).reshape(n, 2 * n)
+        inv = np.conj(fwd) / n
+        c = np.full((half, 1), 2.0)
+        c[[0, -1]] = 1.0
+        inv_half = np.stack([c * inv[:half].real, -c * inv[:half].imag], axis=1).reshape(2 * half, n)
+        return fwd, fwd_ri, inv, inv_half
+
+    def _along_last(self, x, mat):
+        """x @ mat over the last axis.  Every slab of the tensor stack takes the
+        same BLAS call, a gemm of its n^(d-1) rows (a gemv when d = 1), so a
+        slab transforms bit-identically alone or inside a stack."""
+        lead = x.shape[: x.ndim - self.d]
+        return (x.reshape(lead + (-1, x.shape[-1])) @ mat).reshape(x.shape[:-1] + (mat.shape[1],))
+
+    def _along_leading(self, x, mat):
+        """mat applied along every spatial axis but the last; as in _along_last,
+        every slab takes the same gemm calls."""
+        lead = x.shape[: x.ndim - self.d]
+        for a in range(self.d - 1):
+            x = (mat @ x.reshape(lead + (self.n**a, self.n, -1))).reshape(x.shape)
+        return x
 
     def half(self, mult):
         """A full-spectrum multiplier cut to the r2c half spectrum of fft(..., half=True)."""
@@ -217,15 +287,22 @@ class Grid:
         return mult
 
     @cached_property
+    def _grad_hessian_mult(self):
+        """The d gradient multipliers stacked on the d*d Hessian ones; _grad_mult
+        and _hessian_mult are views of it."""
+        grad = np.stack([np.broadcast_to(self._deriv_mult(a, 1), self.shape) for a in range(self.d)])
+        hessian = grad[:, None] * grad[None, :]
+        for a in range(self.d):
+            hessian[a, a] = self._deriv_mult(a, 2)
+        return np.concatenate([grad, hessian.reshape((self.d**2,) + self.shape)])
+
+    @cached_property
     def _grad_mult(self):
-        return np.stack([np.broadcast_to(self._deriv_mult(a, 1), self.shape) for a in range(self.d)])
+        return self._grad_hessian_mult[: self.d]
 
     @cached_property
     def _hessian_mult(self):
-        mult = self._grad_mult[:, None] * self._grad_mult[None, :]
-        for a in range(self.d):
-            mult[a, a] = self._deriv_mult(a, 2)
-        return mult
+        return self._grad_hessian_mult[self.d :].reshape((self.d, self.d) + self.shape)
 
     @cached_property
     def _div_mult(self):
@@ -252,6 +329,12 @@ class Grid:
         derivatives would; the diagonal is the second derivative (i k_a)^2.
         """
         return self.apply(arr, self._over(self._hessian_mult, arr))
+
+    def grad_hessian(self, arr):
+        """(grad(arr), hessian(arr)) from one forward transform and one inverse of
+        the stacked multiplier; bit-identical to the two calls."""
+        both = self.apply(arr, self._over(self._grad_hessian_mult, arr))
+        return both[: self.d], both[self.d :].reshape((self.d, self.d) + both.shape[1:])
 
     def div(self, X):
         """sum_mu d_mu dealias(X[mu]) over the leading axis of X; one transform pair."""

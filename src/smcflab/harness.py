@@ -104,7 +104,7 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
     gauge = GaugeState(m, A)
     A_solve, _, divcurl = solve_initial_A(sf, m, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     A_cent = A - A.mean(axis=tuple(range(1, d + 1)), keepdims=True)
-    _, elliptic = check_elliptic_h(m, sf)
+    _, elliptic = check_elliptic_h(m, sf, tol=cfg.solver_tol)
     residuals = {
         "harmonic_defect_l2": grid.l2(gauge.V),
         "harmonic_iterations": change.report.iterations,

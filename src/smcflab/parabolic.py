@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,8 +99,9 @@ class GaugeState:
         ginv_dev = m.ginv - identity_metric(grid)
         d2g = grid.hessian(m.g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
         Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", ginv_dev, d2g))
-        nA, S = laplacian_lower_order(m, self.A, grid.grad(self.A))  # nA[b, a] = nabla_b A_a
-        principal = np.einsum("cb...,cba...->a...", ginv_dev, grid.hessian(self.A))
+        dA, d2A = grid.grad_hessian(self.A)
+        nA, S = laplacian_lower_order(m, self.A, dA)  # nA[b, a] = nabla_b A_a
+        principal = np.einsum("cb...,cba...->a...", ginv_dev, d2A)
         return Nh, grid.dealias(principal - np.einsum("t...,ta...->a...", m.V, nA) - S)
 
 
@@ -143,13 +145,25 @@ def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus"):
     return grid.dealias(sign * div_w - ric_term + re_term - v_term)
 
 
+# Below |z| = _PHI_SERIES_CUT, phi2 is its Taylor series sum_k z^k / (k + 2)!
+# (the terms past _PHI2_TAYLOR are below 3e-18 of it there): the closed form
+# (expm1(z) - z) / z^2 loses about eps / |z| to cancellation.  At the cut-off
+# the two agree to about 4e-16.
+_PHI_SERIES_CUT = 0.5
+_PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(14))
+
+
 def _phi_factors(z):
-    """phi1 = (e^z - 1)/z, phi2 = (e^z - 1 - z)/z^2 with stable small-z limits."""
+    """phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2 of real z, to about
+    1e-15 relative; below the series cut-off phi1 = 1 + z phi2."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-7
-    zs = np.where(small, 1.0, z)
-    phi1 = np.where(small, 1.0 + z / 2.0, np.expm1(zs) / zs)
-    phi2 = np.where(small, 0.5 + z / 6.0, (np.expm1(zs) - zs) / zs**2)
+    small = np.abs(z) < _PHI_SERIES_CUT
+    zs, zt = np.where(small, 1.0, z), np.where(small, z, 0.0)
+    series = np.zeros_like(z)
+    for coeff in reversed(_PHI2_TAYLOR):
+        series = series * zt + coeff
+    phi1 = np.where(small, 1.0 + z * series, np.expm1(zs) / zs)
+    phi2 = np.where(small, series, (np.expm1(zs) - zs) / zs**2)
     return phi1, phi2
 
 

@@ -1,10 +1,14 @@
 """Initial gauge fixing: harmonic coordinates, Coulomb frame, initial connection."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from normal_frames import graph_normal_bundle
 from oracles import gauge_rotate
+from smcflab.config import load_config
 from smcflab.errors import (
     ContractionFailureError,
     NoConvergenceError,
@@ -30,6 +34,9 @@ from smcflab.geometry import (
     MetricState,
 )
 from smcflab.grid import Grid
+from smcflab.harness import generate_scenario
+
+BUMP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bump_smalldata.txt"
 
 
 def maxabs(x):
@@ -89,8 +96,8 @@ class TestHarmonicCoordinates:
             with pytest.raises(NoConvergenceError):
                 solve_harmonic_coordinates(m, tol=0.0, max_iter=k)
             counts[k] = dict(transform_counts)
-        # one sweep: hessian, grad and dealias of the residual, and inv_laplacian
-        assert counts[2]["fft"] - counts[1]["fft"] == 4
+        # one sweep: grad_hessian and dealias of the residual, and inv_laplacian
+        assert counts[2]["fft"] - counts[1]["fft"] == 3
 
 
 class TestPicardLoop:
@@ -270,3 +277,24 @@ class TestEllipticH:
 
         assert norms_harm["rel"] < 1e-8
         assert norms_raw["l2"] > 100.0 * norms_harm["l2"]
+
+    def test_converged_d1_bump_reads_below_one(self):
+        # harmonic coordinates make a d = 1 metric constant, so both sides of
+        # the identity sit at the defect level; unfloored, this row read 1.00
+        bundle = generate_scenario(replace(load_config(BUMP_CONFIG), grid_dimension_d=1))
+        assert bundle.residuals["harmonic_defect_l2"] < 1e-9
+        assert bundle.residuals["elliptic_h_rel"] < 0.2
+
+    def test_early_stopped_d1_solve_reads_above_the_floor(self):
+        # one harmonic sweep (tol 1e-4) leaves a defect far above the 1e-9
+        # the check is floored at, and the residual fills the scale
+        bundle = generate_scenario(replace(load_config(BUMP_CONFIG), grid_dimension_d=1, solver_tol=1e-4))
+        assert bundle.residuals["harmonic_iterations"] == 1
+        _, norms = check_elliptic_h(bundle.gauge.metric, bundle.sf, tol=1e-9)
+        assert norms["rel"] > 0.5
+
+    def test_floor_leaves_gauged_bumps_unchanged(self, bump_scenario):
+        # d >= 2: both sides are O(curvature), far above the floor
+        _, bundle = bump_scenario
+        _, unfloored = check_elliptic_h(bundle.gauge.metric, bundle.sf, tol=0.0)
+        assert bundle.residuals["elliptic_h_rel"] == unfloored["rel"]

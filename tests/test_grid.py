@@ -135,6 +135,13 @@ class TestFusedOperators:
         assert out.shape == (2, 2) + grid.shape and np.isrealobj(out) == real
         assert rel_err(out, ref) < 1e-13
 
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_grad_hessian_is_the_two_calls(self, d, real, n):
+        grid = Grid(d=d, n=n, L=3.0)
+        f = full_spectrum_stack(grid, (d,), real, seed=40 + d)
+        grad, hess = grid.grad_hessian(f)
+        assert np.array_equal(grad, grid.grad(f)) and np.array_equal(hess, grid.hessian(f))
+
     def test_odd_derivatives_zero_the_nyquist_plane(self, d, real):
         grid = Grid(d=d, n=8, L=3.0)
         nyq = np.cos(grid.k_nyq * grid.x[d - 1]) * (1.0 if real else 1.0 + 2.0j)
@@ -152,6 +159,80 @@ def test_grad_of_a_tensor_stack_is_one_transform_pair(transform_counts):
     out = grid.grad(full_spectrum_stack(grid, (2, 2), real=True))
     assert out.shape == (2, 2, 2) + grid.shape
     assert transform_counts == {"fft": 1, "ifft": 1}
+
+
+def test_grad_hessian_is_one_transform_pair(transform_counts):
+    grid = Grid(d=2, n=16, L=2 * np.pi)
+    grid.grad_hessian(full_spectrum_stack(grid, (2, 2), real=True))
+    assert transform_counts == {"fft": 1, "ifft": 1}
+
+
+def numpy_transforms(grid, x):
+    """(Grid result, numpy.fft result) of every transform fft and ifft make of x:
+    r2c and c2r for real x, the c2c pair for any x."""
+    axes = tuple(range(x.ndim - grid.d, x.ndim))
+    pairs = [(grid.fft(x), np.fft.fftn(x, axes=axes)), (grid.ifft(x), np.fft.ifftn(x, axes=axes))]
+    if np.isrealobj(x):
+        half = np.fft.rfftn(x, axes=axes)
+        pairs.append((grid.fft(x, half=True), half))
+        pairs.append((grid.ifft(half, half=True), np.fft.irfftn(half, s=grid.shape, axes=axes)))
+    return pairs
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestDenseTransforms:
+    """Grids with n <= 16 transform by dense DFT matrices, larger ones by numpy.fft."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_numpy(self, d, real, n):
+        grid = Grid(d=d, n=n, L=3.0)
+        stack = full_spectrum_stack(grid, (3, 2), real, seed=50 + d)
+        # a lone field, a stack, and a stack whose tensor axes are swapped (not contiguous)
+        for x in (stack[0, 0], stack, np.swapaxes(stack, 0, 1)):
+            for got, want in numpy_transforms(grid, x):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert rel_err(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_round_trips(self, d, real, n):
+        grid = Grid(d=d, n=n, L=3.0)
+        x = full_spectrum_stack(grid, (2,), real, seed=60 + d)
+        assert rel_err(grid.ifft(grid.fft(x)), x) <= 1e-13
+        if real:
+            back = grid.ifft(grid.fft(x, half=True), half=True)
+            assert np.isrealobj(back) and rel_err(back, x) <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_small_grids_never_call_numpy_fft(self, d, real, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.fft called on a dense-DFT grid")
+
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        grid = Grid(d=d, n=n, L=3.0)
+        x = full_spectrum_stack(grid, (2,), real, seed=70 + d)
+        grid.ifft(grid.fft(x))
+        if real:
+            grid.ifft(grid.fft(x, half=True), half=True)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_grids_are_numpy_fft(self, d, real, n):
+        grid = Grid(d=d, n=n, L=3.0)
+        x = full_spectrum_stack(grid, (2,), real, seed=80 + d)
+        for got, want in numpy_transforms(grid, x):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_a_slab_transforms_as_it_does_alone(self, d, real, n):
+        # the bit-identity of packed tensor stacks rests on this, on both paths
+        grid = Grid(d=d, n=n, L=3.0)
+        stack = full_spectrum_stack(grid, (3, 2), real, seed=90 + d)
+        for slab in ((0, 0), (2, 1), (1,)):
+            alone = [got for got, _ in numpy_transforms(grid, stack[slab].copy())]
+            whole = [got[slab] for got, _ in numpy_transforms(grid, stack)]
+            for a, b in zip(alone, whole):
+                assert np.array_equal(a, b)
 
 
 class TestSpectralDerivative:

@@ -43,3 +43,73 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if sum(len(word.findall(text)) for text in texts) <= 1:
             unread.append(f"{where} {name}")
     assert not unread, "only tests read these; move them to tests/oracles.py or delete them: " + ", ".join(unread)
+
+
+# numpy.fft's transforms (not fftfreq or fftshift)
+_TRANSFORM = re.compile(r"^i?[rh]?fft(2|n)?$")
+# the dense-DFT matrices of a small grid and the products that apply them
+_DENSE_DFT = {"_dft", "_along_last", "_along_leading"}
+_TRANSFORM_SITES = {"Grid.fft", "Grid.ifft"}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _transform_uses(tree):
+    """(scope, line, what) of every numpy.fft transform and dense-DFT member the
+    module reads, scope being the dotted name of the enclosing class or function."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if node.module == "numpy.fft" or alias.name == "fft":
+                    yield scope, node.lineno, f"from {node.module} import {alias.name}"
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node)
+            if name.split(".")[0] in ("np", "numpy") and ".fft." in name and _TRANSFORM.match(node.attr):
+                yield scope, node.lineno, name
+            if node.attr in _DENSE_DFT:
+                yield scope, node.lineno, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    yield from visit(tree, "")
+
+
+def test_transforms_run_only_inside_grid_fft_and_ifft():
+    # one point of instrumentation: every transform, numpy.fft or dense DFT,
+    # passes through Grid.fft or Grid.ifft, where the transform counters sit
+    stray = []
+    for path, text in _sources("src").items():
+        for scope, line, what in _transform_uses(ast.parse(text)):
+            if scope not in _TRANSFORM_SITES:
+                stray.append(f"{os.path.relpath(path, ROOT)}:{line} {scope or '<module>'} {what}")
+    assert not stray, "transforms outside Grid.fft/Grid.ifft: " + ", ".join(stray)
+
+
+def test_the_transform_guard_sees_a_stray_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def spectrum(x):\n"
+        "    return np.fft.rfftn(x)\n"
+        "class Grid:\n"
+        "    def fft(self, x):\n"
+        "        return np.fft.fftn(x) + np.fft.fftfreq(4)\n"
+        "    def apply(self, x):\n"
+        "        return self._along_last(x, self._dft[0])\n"
+    )
+    assert [(scope, what) for scope, _, what in _transform_uses(tree)] == [
+        ("spectrum", "np.fft.rfftn"),
+        ("Grid.fft", "np.fft.fftn"),
+        ("Grid.apply", "self._along_last"),
+        ("Grid.apply", "self._dft"),
+    ]

@@ -1,5 +1,7 @@
 """Heat-gauge system: sources, right-hand sides, and the IMEX stepper."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -18,7 +20,9 @@ from smcflab.geometry import (
 )
 from smcflab.grid import Grid
 from smcflab.parabolic import (
+    _PHI_SERIES_CUT,
     GaugeState,
+    _phi_factors,
     gauge_path,
     gauge_state_from,
     heat_rhs_A,
@@ -397,3 +401,32 @@ def test_gauge_path_steps_between_the_given_times(monkeypatch):
     assert [dt for _, dt, _ in calls] == [0.25, 0.5]
     assert calls[1][0] == (path[1], path[2]) and calls[1][2] == "plus"
     assert states[-1].t == 0.75
+
+
+def exact_phi(z):
+    """(phi1, phi2) at the float z by the Taylor series sum_k z^k / (k + 2)! in
+    exact rational arithmetic, 80 terms (enough for |z| <= 3)."""
+    zf, phi2, term = Fraction(z), Fraction(0), Fraction(1, 2)
+    for k in range(80):
+        phi2 += term
+        term = term * zf / (k + 3)
+    return float(1 + zf * phi2), float(phi2)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [-(10.0**-k) for k in range(1, 13)]
+    + [-np.nextafter(_PHI_SERIES_CUT, 0.0), -_PHI_SERIES_CUT, -0.999 * _PHI_SERIES_CUT, -1.001 * _PHI_SERIES_CUT]
+    + [-1.0, -3.0],
+)
+def test_phi_factors_match_the_exact_series(z):
+    # (expm1(z) - z) / z^2 alone is off by about eps / |z|: 1.6e-10 at z = -1e-6
+    phi1, phi2 = _phi_factors(np.array([z]))
+    want1, want2 = exact_phi(z)
+    assert abs(phi1[0] - want1) <= 1e-14 * abs(want1)
+    assert abs(phi2[0] - want2) <= 1e-14 * abs(want2)
+
+
+def test_phi_factors_at_zero():
+    phi1, phi2 = _phi_factors(np.zeros(1))
+    assert (phi1[0], phi2[0]) == (1.0, 0.5)
