@@ -62,9 +62,10 @@ def _norms(grid: Grid, res, constituents):
     )
 
 
-def residual_T1(m: MetricState, sf: SecondForm, ric):
-    """Ricci tensor ric of g against its second-fundamental-form representation."""
-    rep = ricci_from_lambda(m, sf.lam, sf.psi)
+def residual_T1(m: MetricState, sf: SecondForm, ric, lam_up=None):
+    """Ricci tensor ric of g against its second-fundamental-form representation;
+    lam_up is raise_first(m, sf.lam), raised here unless the caller has it."""
+    rep = ricci_from_lambda(m, sf.lam, sf.psi, lam_up)
     res = ric - rep
     return res, _norms(m.grid, res, [ric, rep])
 
@@ -90,11 +91,13 @@ def residual_T3(m: MetricState, sf: SecondForm, A):
     return res, _norms(m.grid, res, [nab])
 
 
-def residual_T4(m: MetricState, sf: SecondForm, A):
-    """Curvature of the normal connection against Im(lam lambar)."""
+def residual_T4(m: MetricState, sf: SecondForm, A, lam_up=None):
+    """Curvature of the normal connection against Im(lam lambar); lam_up as for T1."""
     nabA = covariant_derivative(A, m, valence="l")  # [a, b] = nabla_a A_b
     curl = nabA - np.swapaxes(nabA, 0, 1)
-    w = curl_source(m.grid, raise_first(m, sf.lam), sf.lam)
+    if lam_up is None:
+        lam_up = raise_first(m, sf.lam)
+    w = curl_source(m.grid, lam_up, sf.lam)
     res = curl - w
     return res, _norms(m.grid, res, [curl, w])
 
@@ -103,14 +106,16 @@ def _centered_dt(prev, nxt, t_prev, t_next):
     return (nxt - prev) / (t_next - t_prev)
 
 
-def residual_T5(grid: Grid, rec_prev, rec, rec_next):
-    """Temporal curvature relation, with d_t A by centered differences."""
+def residual_T5(grid: Grid, rec_prev, rec, rec_next, lam_up=None):
+    """Temporal curvature relation, with d_t A by centered differences; lam_up
+    as for T1, at rec."""
     s = rec.gauge(grid)
     m = s.metric
     sf = rec.second_form(grid)
     dtA = _centered_dt(rec_prev.A, rec_next.A, rec_prev.t, rec_next.t)
     dB = grid.grad(s.B)
-    lam_up = raise_first(m, sf.lam)
+    if lam_up is None:
+        lam_up = raise_first(m, sf.lam)
     dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
     re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
     w = curl_source(grid, lam_up, sf.lam)
@@ -138,13 +143,14 @@ def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     m = s.metric
     riem, ric = curvature(m)
     sf = rec.second_form(grid)
+    lam_up = raise_first(m, sf.lam)
     report = ConstraintReport(t=rec.t)
-    _, report.entries["T1"] = residual_T1(m, sf, ric)
+    _, report.entries["T1"] = residual_T1(m, sf, ric, lam_up)
     _, report.entries["T2"] = residual_T2(m, sf, riem)
     _, report.entries["T3"] = residual_T3(m, sf, s.A)
-    _, report.entries["T4"] = residual_T4(m, sf, s.A)
+    _, report.entries["T4"] = residual_T4(m, sf, s.A, lam_up)
     if 0 < i < len(traj) - 1:
-        _, report.entries["T5"] = residual_T5(grid, traj[i - 1], rec, traj[i + 1])
+        _, report.entries["T5"] = residual_T5(grid, traj[i - 1], rec, traj[i + 1], lam_up)
         _, report.entries["metric_evolution"] = residual_metric_evolution(
             grid, traj[i - 1], rec, traj[i + 1]
         )

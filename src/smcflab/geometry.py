@@ -274,14 +274,16 @@ def laplacian_lower_order(m: MetricState, T, dT):
     return nT, S
 
 
-def ricci_from_lambda(m: MetricState, lam, psi):
+def ricci_from_lambda(m: MetricState, lam, psi, lam_up=None):
     """Ricci tensor through the Gauss/Ricci identity: Re(lam_{ab} psi-bar - lam lam-bar).
 
     Along exact solutions this equals the curvature of g; the gauge flows use
     this representation (it is what keeps their right sides quadratic), and
-    the defect against the metric Ricci is the T1 constraint monitor.
+    the defect against the metric Ricci is the T1 constraint monitor.  lam_up
+    is raise_first(m, lam), raised here unless the caller has it.
     """
-    lam_up = raise_first(m, lam)
+    if lam_up is None:
+        lam_up = raise_first(m, lam)
     quad = np.einsum("as...,sb...->ab...", lam, np.conj(lam_up))
     out = np.real(np.einsum("ab...,...->ab...", lam, np.conj(psi)) - quad)
     return m.grid.dealias(out)

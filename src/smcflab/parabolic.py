@@ -124,16 +124,18 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
-def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus"):
+def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus", lam_up=None):
     """Lower-order terms of the connection flow; the quadratic-curl term's sign
     is the configurable variant.  ric_rep is ricci_from_lambda(s.metric,
-    sf.lam, sf.psi), as for heat_rhs_h."""
+    sf.lam, sf.psi), as for heat_rhs_h; lam_up is raise_first(s.metric,
+    sf.lam), raised here unless the caller has it."""
     if sign_variant not in SIGN_VARIANTS:
         raise SmcfValidationError(f"sign_variant must be one of {SIGN_VARIANTS}")
     sign = -1.0 if sign_variant == "minus" else 1.0
     m = s.metric
     grid = s.grid
-    lam_up = raise_first(m, sf.lam)
+    if lam_up is None:
+        lam_up = raise_first(m, sf.lam)
     w = curl_source(grid, lam_up, sf.lam)
     nab_w = covariant_derivative(w, m, valence="ll")  # [b, a, s]
     div_w = np.einsum("sb...,bas...->a...", m.ginv, nab_w)
@@ -184,10 +186,11 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
-        ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi)
+        lam_up = raise_first(m, sf_mid.lam)
+        ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi, lam_up)
         Nh_free, NA_free = state.principal_remainder
         Nh = Nh_free + heat_rhs_h(state, sf_mid, ric_rep)
-        NA = NA_free + heat_rhs_A(state, sf_mid, ric_rep, sign_variant)
+        NA = NA_free + heat_rhs_A(state, sf_mid, ric_rep, sign_variant, lam_up)
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 
     # g, A and their right sides are real: the factors act on r2c half spectra

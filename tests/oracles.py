@@ -7,12 +7,15 @@ run does not report), kept here so the package ships only what runs.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from smcflab.errors import SmcfValidationError
-from smcflab.geometry import Immersion, MetricState, SecondForm, covariant_derivative, identity_metric
+from smcflab.errors import IntegrabilityError, SmcfValidationError
+from smcflab.geometry import Immersion, MetricState, SecondForm, covariant_derivative, identity_metric, raise_first
 from smcflab.grid import Grid, GridField, _smoothstep
 from smcflab.norms import _cube_l2, _spectral_sums, cube_weights
+from smcflab.reconstruction import Frame
 
 
 class ScaleExceedsBoxError(SmcfValidationError):
@@ -98,6 +101,105 @@ def nested_laplacian_remainder(m: MetricState, A):
     first = covariant_derivative(A, m, valence="l")  # [b, a]
     second = covariant_derivative(first, m, valence="ll")  # [c, b, a]
     return grid.dealias(np.einsum("cb...,cba...->a...", m.ginv, second)) - grid.laplacian(A)
+
+
+# -- reconstruction ------------------------------------------------------------------
+
+
+def _frame_rhs(frame_F, frame_m, b):
+    """d F_a = M_a^g F_g + Re(c_a mbar), d m = -i B m - c^g F_g at one coefficient bundle."""
+    Fdot = np.real(np.einsum("a...,i...->ai...", b.c, np.conj(frame_m)))
+    Fdot = Fdot + np.einsum("ag...,gi...->ai...", b.M, frame_F)
+    mdot = -1j * b.B * frame_m - np.einsum("a...,ai...->i...", b.cu, frame_F)
+    return Fdot, mdot
+
+
+def _rk4(F0, m0, h, b0, bm, b1):
+    """One RK4 step of length h of the frame system, with start, midpoint and end bundles."""
+    k1F, k1m = _frame_rhs(F0, m0, b0)
+    k2F, k2m = _frame_rhs(F0 + 0.5 * h * k1F, m0 + 0.5 * h * k1m, bm)
+    k3F, k3m = _frame_rhs(F0 + 0.5 * h * k2F, m0 + 0.5 * h * k2m, bm)
+    k4F, k4m = _frame_rhs(F0 + h * k3F, m0 + h * k3m, b1)
+    F1 = F0 + h / 6.0 * (k1F + 2 * k2F + 2 * k3F + k4F)
+    m1 = m0 + h / 6.0 * (k1m + 2 * k2m + 2 * k3m + k4m)
+    return F1, m1
+
+
+def _shifted(grid: Grid, hat, shift, real):
+    """A field on the lattice shifted by `shift` along the last axis, from its spectrum `hat`."""
+    phase = np.exp(1j * grid.k[-1] * shift)
+    out = grid.ifft(hat * phase)
+    return out.real if real else out
+
+
+def integrate_frame_space_by_lines(
+    seed_F,
+    seed_m,
+    m_state: MetricState,
+    sf,
+    A,
+    substeps=16,
+    holonomy_tol=1e-4,
+):
+    """Transport the frame along the coordinate lines of the last axis across the
+    grid, line by line: n * substeps RK4 steps on slices, from a table of the
+    coefficient lattices at every substep shift (the package's form before it
+    chained per-cell propagators).
+
+    seed_F, seed_m: frame values on the slice {x_last = 0} (shapes like the
+    full frame with the last axis removed).  Returns (Frame, holonomy) where
+    the holonomy is the worst mismatch after closing the periodic loop.
+    """
+    grid = m_state.grid
+    d = grid.d
+    last = d - 1
+    n = grid.n
+    h = grid.dx / substeps
+
+    lam_up = raise_first(m_state, sf.lam)
+    # the transport reads only the last slot of each coefficient; as a frame
+    # bundle M[a, g] = Gamma^g_{last a}, c = lam_{last .}, cu = lam_up^._{last}
+    # and B = A_last, each transformed once
+    M = np.swapaxes(m_state.gamma_u[:, last], 0, 1)
+    coeff = {"M": M, "c": sf.lam[last], "cu": lam_up[:, last], "B": A[last]}
+    spectra = {key: (grid.fft(val), np.isrealobj(val)) for key, val in coeff.items()}
+    # coefficient lattices at all substep shifts (whole and half)
+    shifts = {}
+    for q in range(2 * substeps):
+        shift = q * h / 2.0
+        shifts[q] = {key: _shifted(grid, hat, shift, real) for key, (hat, real) in spectra.items()}
+
+    def take(fields, j):
+        # slice j along the transport axis; fields indexed [..., spatial]
+        return SimpleNamespace(**{key: val[..., j] for key, val in fields.items()})
+
+    Fa = seed_F.astype(complex)
+    mv = seed_m.astype(complex)
+    frame_F = np.empty((d, d + 2) + grid.shape, dtype=float)
+    frame_m = np.empty((d + 2,) + grid.shape, dtype=complex)
+
+    frame_F[..., 0] = Fa.real
+    frame_m[..., 0] = mv
+    for j in range(n):
+        for s_ in range(substeps):
+            c0 = take(shifts[(2 * s_) % (2 * substeps)], j)
+            cm = take(shifts[(2 * s_ + 1) % (2 * substeps)], j)
+            jn = j if 2 * s_ + 2 < 2 * substeps else (j + 1) % n
+            c1 = take(shifts[(2 * s_ + 2) % (2 * substeps)], jn)
+            Fa, mv = _rk4(Fa, mv, h, c0, cm, c1)
+        if j + 1 < n:
+            frame_F[..., j + 1] = Fa.real
+            frame_m[..., j + 1] = mv
+    holonomy = max(
+        float(np.max(np.abs(Fa.real - seed_F))),
+        float(np.max(np.abs(mv - seed_m))),
+    )
+    if holonomy > holonomy_tol:
+        raise IntegrabilityError(
+            f"periodic holonomy {holonomy:.3e} exceeds {holonomy_tol:.1e}: "
+            "the supplied data violate the integrability conditions"
+        )
+    return Frame(grid, frame_F, frame_m), holonomy
 
 
 # -- norms ------------------------------------------------------------------------

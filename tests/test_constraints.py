@@ -269,3 +269,23 @@ class TestReports:
         grid = Grid(d=2, n=8, L=2 * np.pi)
         bad = np.full(grid.shape, np.nan)
         assert np.isnan(_norms(grid, bad, [bad]).rel)
+
+    def test_interior_report_raises_lambda_once(self, monkeypatch):
+        # T1, T4 and T5 share the one raised lambda of their record
+        import smcflab.constraints as constraints
+        import smcflab.geometry as geometry
+
+        traj = TestTimeResiduals()._cliff_traj(2e-3, T=0.01)
+        mid = len(traj) // 2
+        raised = []
+        original = geometry.raise_first
+
+        def counting(m, T):
+            raised.append(T is traj[mid].lam)
+            return original(m, T)
+
+        for mod in (constraints, geometry):
+            monkeypatch.setattr(mod, "raise_first", counting)
+        report = constraint_report(traj, mid)
+        assert "T5" in report.entries
+        assert sum(raised) == 1

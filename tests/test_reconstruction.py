@@ -1,11 +1,18 @@
 """Frame transport, immersion integration, and the end-to-end flow audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from smcflab.errors import IntegrabilityError
+from conftest import CONFIGS
+from oracles import integrate_frame_space_by_lines
+from smcflab.config import load_config
+from smcflab.errors import FrameDriftError, IntegrabilityError, ReconstructionInconsistencyError
 from smcflab.fixtures import cliff_fixture, flat_immersion
+from smcflab.geometry import Immersion
+from smcflab.harness import generate_scenario
 from smcflab.geometry import SecondForm, identity_metric, induced_metric, second_form
 from smcflab.grid import Grid
 from smcflab.parabolic import gauge_state_from
@@ -93,6 +100,34 @@ class TestSpatialTransport:
         assert counts[4]["fft"] == counts[2]["fft"]
         assert counts[4]["ifft"] - counts[2]["ifft"] == 4 * 2 * (4 - 2)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_generator_evaluations_do_not_grow_with_n(self, monkeypatch, n):
+        # one RK4 sweep covers every cell: 2 * substeps generators, whatever n
+        import smcflab.reconstruction as reconstruction
+
+        calls = []
+        generator = reconstruction._generator
+
+        def counting(*args):
+            calls.append(1)
+            return generator(*args)
+
+        monkeypatch.setattr(reconstruction, "_generator", counting)
+        grid = Grid(d=2, n=n, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        integrate_frame_space(frame.F_alpha[..., 0], frame.m[..., 0], m, sf, np.zeros((2,) + grid.shape), substeps=4)
+        assert len(calls) == 2 * 4
+
+    def test_nan_coefficient_raises(self):
+        grid = Grid(d=2, n=16, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        lam = sf.lam.copy()
+        lam[-1, 0, 3, 5] = np.nan
+        with pytest.raises(IntegrabilityError):
+            integrate_frame_space(
+                frame.F_alpha[..., 0], frame.m[..., 0], m, SecondForm(grid, lam, sf.psi), np.zeros((2,) + grid.shape)
+            )
+
     def test_codazzi_violation_raises(self):
         grid = Grid(d=2, n=64, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
@@ -111,6 +146,24 @@ class TestSpatialTransport:
 
 
 class TestTimeTransport:
+    def test_nan_frame_raises(self):
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        from smcflab.reconstruction import _bundle
+
+        rec = static_record(grid, m.g, np.zeros((2,) + grid.shape), sf.lam, sf.psi, 0.0)
+        b = _bundle(grid, rec)
+        bad = Frame(grid, frame.F_alpha, frame.m.copy())
+        bad.m[0, 2, 3] = np.nan
+        with pytest.raises(FrameDriftError):
+            transport_frame_time(bad, (b, b, b), 1e-3)
+
+    def test_nan_tangents_read_as_nan(self):
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        _, frame = flat_frame(grid)
+        bad = Frame(grid, np.full_like(frame.F_alpha, np.nan), frame.m)
+        assert np.isnan(bad.invariant_defects()["tangent_normal"])
+
     def test_static_flat_unchanged(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         F, frame = flat_frame(grid)
@@ -307,6 +360,21 @@ class TestEndToEnd:
         for r in result.identity_residual:
             assert (not np.isfinite(r)) or r < 1e-13
 
+    def test_nan_immersion_raises(self):
+        grid = Grid(d=2, n=16, L=2 * np.pi)
+        F, frame = flat_frame(grid)
+        zero_lam = np.zeros((2, 2) + grid.shape, dtype=complex)
+        zero_psi = np.zeros(grid.shape, dtype=complex)
+        recs = [
+            static_record(grid, identity_metric(grid), np.zeros((2,) + grid.shape), zero_lam, zero_psi, 0.05 * i)
+            for i in range(2)
+        ]
+        # two records: no interior one, so only the consistency gap sees the NaN
+        dev = F.dev.copy()
+        dev[0, 4, 4] = np.nan
+        with pytest.raises(ReconstructionInconsistencyError):
+            reconstruct(Trajectory(grid=grid, records=recs), frame, Immersion(grid, dev, graph=F.graph))
+
     def test_csv_written(self, tmp_path):
         grid, traj, result = self._run(T=0.02)
         path = tmp_path / "recon.csv"
@@ -314,3 +382,38 @@ class TestEndToEnd:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,name,value"
         assert any("smcf_residual_l2" in line for line in lines)
+
+
+def _scenario(**overrides):
+    cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), **overrides)
+    bundle = generate_scenario(cfg)
+    frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+    return bundle.gauge.metric, bundle.sf, bundle.gauge.A, frame
+
+
+def _cliff_scenario(n):
+    grid = Grid(d=2, n=n, L=2 * np.pi)
+    fix, m, sf, frame = cliff_data(grid)
+    return m, sf, np.zeros((2,) + grid.shape), frame
+
+
+AGREEMENT_CASES = {
+    "cliff-n16": lambda: _cliff_scenario(16),
+    "cliff-n64": lambda: _cliff_scenario(64),
+    "bump-d2-n32": lambda: _scenario(grid_points_n=32),
+    "flat-d1-n16": lambda: _scenario(scenario_kind="flat", grid_dimension_d=1, grid_points_n=16),
+    "bump-d1-n16": lambda: _scenario(grid_dimension_d=1, grid_points_n=16),
+    "flat-d3-n16": lambda: _scenario(scenario_kind="flat", grid_dimension_d=3, grid_points_n=16, envelope_s=2.5),
+    "bump-d3-n16": lambda: _scenario(grid_dimension_d=3, grid_points_n=16, envelope_s=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_cell_propagators_match_the_line_by_line_transport(case):
+    m, sf, A, frame = AGREEMENT_CASES[case]()
+    args = (frame.F_alpha[..., 0], frame.m[..., 0], m, sf, A)
+    out, holonomy = integrate_frame_space(*args)
+    ref, ref_holonomy = integrate_frame_space_by_lines(*args)
+    assert maxabs(out.F_alpha - ref.F_alpha) <= 1e-12
+    assert maxabs(out.m - ref.m) <= 1e-12
+    assert abs(holonomy - ref_holonomy) <= 1e-12
