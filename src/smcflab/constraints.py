@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    MetricState,
-    SecondForm,
-    covariant_derivative,
-    curl_source,
-    curvature,
-    raise_first,
-    ricci_from_lambda,
-)
+from .geometry import SecondForm, covariant_derivative, curvature
 from .grid import Grid
+from .parabolic import GaugeState, connection_terms
 from .trajectory import Trajectory
 
 
@@ -62,64 +55,44 @@ def _norms(grid: Grid, res, constituents):
     )
 
 
-def residual_T1(m: MetricState, sf: SecondForm, ric, lam_up=None):
-    """Ricci tensor ric of g against its second-fundamental-form representation;
-    lam_up is raise_first(m, sf.lam), raised here unless the caller has it."""
-    rep = ricci_from_lambda(m, sf.lam, sf.psi, lam_up)
-    res = ric - rep
-    return res, _norms(m.grid, res, [ric, rep])
+def residual_T1(sf: SecondForm, ric):
+    """Ricci tensor ric of sf.metric against the Ricci form of lambda."""
+    res = ric - sf.ricci
+    return res, _norms(sf.grid, res, [ric, sf.ricci])
 
 
-def residual_T2(m: MetricState, sf: SecondForm, riem):
-    """Full curvature tensor riem of g against the quadratic form of lambda."""
-    grid = m.grid
-    lam = sf.lam
-    rep = grid.dealias(
-        np.real(
-            np.einsum("bc...,as...->scab...", lam, np.conj(lam))
-            - np.einsum("ac...,bs...->scab...", lam, np.conj(lam))
-        )
-    )
-    res = riem - rep
-    return res, _norms(grid, res, [riem, rep])
+def residual_T2(sf: SecondForm, riem):
+    """Full curvature tensor riem of sf.metric against the Gauss form of lambda."""
+    res = riem - sf.gauss
+    return res, _norms(sf.grid, res, [riem, sf.gauss])
 
 
-def residual_T3(m: MetricState, sf: SecondForm, A):
+def residual_T3(sf: SecondForm, A):
     """Antisymmetrized gauge-covariant derivative of lambda."""
-    nab = covariant_derivative(sf.lam, m, valence="ll", A=A)  # [c, a, b]
+    nab = covariant_derivative(sf.lam, sf.metric, valence="ll", A=A)  # [c, a, b]
     res = nab - np.swapaxes(nab, 0, 1)
-    return res, _norms(m.grid, res, [nab])
+    return res, _norms(sf.grid, res, [nab])
 
 
-def residual_T4(m: MetricState, sf: SecondForm, A, lam_up=None):
-    """Curvature of the normal connection against Im(lam lambar); lam_up as for T1."""
-    nabA = covariant_derivative(A, m, valence="l")  # [a, b] = nabla_a A_b
+def residual_T4(sf: SecondForm, A):
+    """Curvature of the normal connection against Im(lam lambar)."""
+    nabA = covariant_derivative(A, sf.metric, valence="l")  # [a, b] = nabla_a A_b
     curl = nabA - np.swapaxes(nabA, 0, 1)
-    if lam_up is None:
-        lam_up = raise_first(m, sf.lam)
-    w = curl_source(m.grid, lam_up, sf.lam)
-    res = curl - w
-    return res, _norms(m.grid, res, [curl, w])
+    res = curl - sf.w
+    return res, _norms(sf.grid, res, [curl, sf.w])
 
 
 def _centered_dt(prev, nxt, t_prev, t_next):
     return (nxt - prev) / (t_next - t_prev)
 
 
-def residual_T5(grid: Grid, rec_prev, rec, rec_next, lam_up=None):
-    """Temporal curvature relation, with d_t A by centered differences; lam_up
-    as for T1, at rec."""
-    s = rec.gauge(grid)
-    m = s.metric
-    sf = rec.second_form(grid)
+def residual_T5(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
+    """Temporal curvature relation at the state s with second form sf, d_t A by
+    centered differences between the neighbouring records."""
+    grid = s.grid
     dtA = _centered_dt(rec_prev.A, rec_next.A, rec_prev.t, rec_next.t)
     dB = grid.grad(s.B)
-    if lam_up is None:
-        lam_up = raise_first(m, sf.lam)
-    dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
-    re_term = grid.dealias(np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov))))
-    w = curl_source(grid, lam_up, sf.lam)
-    v_term = grid.dealias(np.einsum("as...,s...->a...", w, s.V))
+    re_term, v_term = (grid.dealias(term) for term in connection_terms(s, sf))
     res = dtA - dB - re_term + v_term
     return res, _norms(grid, res, [dtA, dB, re_term, v_term])
 
@@ -140,17 +113,15 @@ def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     grid = traj.grid
     rec = traj[i]
     s = rec.gauge(grid)
-    m = s.metric
-    riem, ric = curvature(m)
+    riem, ric = curvature(s.metric)
     sf = rec.second_form(grid)
-    lam_up = raise_first(m, sf.lam)
     report = ConstraintReport(t=rec.t)
-    _, report.entries["T1"] = residual_T1(m, sf, ric, lam_up)
-    _, report.entries["T2"] = residual_T2(m, sf, riem)
-    _, report.entries["T3"] = residual_T3(m, sf, s.A)
-    _, report.entries["T4"] = residual_T4(m, sf, s.A, lam_up)
+    _, report.entries["T1"] = residual_T1(sf, ric)
+    _, report.entries["T2"] = residual_T2(sf, riem)
+    _, report.entries["T3"] = residual_T3(sf, s.A)
+    _, report.entries["T4"] = residual_T4(sf, s.A)
     if 0 < i < len(traj) - 1:
-        _, report.entries["T5"] = residual_T5(grid, traj[i - 1], rec, traj[i + 1], lam_up)
+        _, report.entries["T5"] = residual_T5(s, sf, traj[i - 1], traj[i + 1])
         _, report.entries["metric_evolution"] = residual_metric_evolution(
             grid, traj[i - 1], rec, traj[i + 1]
         )

@@ -17,10 +17,6 @@ class SmcfValidationError(SmcfError):
     exit_code = 2
 
 
-class InvalidAxisError(SmcfValidationError):
-    pass
-
-
 class GridMismatchError(SmcfValidationError):
     pass
 

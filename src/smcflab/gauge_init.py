@@ -28,12 +28,10 @@ from .geometry import (
     MetricState,
     SecondForm,
     covariant_divergence,
-    curl_source,
     identity_metric,
     normal_connection,
     normal_part,
     pointwise_det,
-    raise_first,
 )
 from .grid import Grid
 
@@ -234,15 +232,16 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, ini
     return nu1, nu2, A, report
 
 
-def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
+def solve_initial_A(sf: SecondForm, tol=1e-9, max_iter=60):
     """Div-curl solve for the initial connection, keeping the divergence structure.
 
     Fixed point of Lap T(A) = d(lambda^2) + d(h dA) followed by a pure-gradient
     correction so the metric-contracted divergence vanishes; gradients do not
-    move the curl.
+    move the curl.  The metric is the one sf carries.
     """
+    m = sf.metric
     grid = m.grid
-    w = curl_source(grid, raise_first(m, sf.lam), sf.lam)
+    w = sf.w
     # flat divergence of the antisymmetric source: (d^b w)_{a b}
     div_w = grid.div(np.swapaxes(w, 0, 1))
     hinv = m.ginv - identity_metric(grid)
@@ -276,8 +275,8 @@ def solve_initial_A(sf: SecondForm, m: MetricState, tol=1e-9, max_iter=60):
     return A, report, {"div_l2": report.residual, "curl_l2": curl_res}
 
 
-def check_elliptic_h(m: MetricState, sf: SecondForm, tol=1e-9):
-    """Residual of the harmonic-coordinate elliptic identity for the metric.
+def check_elliptic_h(sf: SecondForm, tol=1e-9):
+    """Residual of the harmonic-coordinate elliptic identity for the metric sf carries.
 
     "rel" divides the residual by max(|lhs|, |rhs|, tol k_nyq) in the grid L2
     norm.  The floor is the harmonic solve's tolerance carried one derivative
@@ -287,6 +286,7 @@ def check_elliptic_h(m: MetricState, sf: SecondForm, tol=1e-9):
     however well the solve converged; with it such a metric reads below 1 once
     the defect is below tol, and above it when the solve stopped short.
     """
+    m = sf.metric
     grid = m.grid
     dg, d2g = grid.grad_hessian(m.g)
     lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, d2g))
@@ -297,12 +297,7 @@ def check_elliptic_h(m: MetricState, sf: SecondForm, tol=1e-9):
     term2 = -np.einsum("abs...,acb...->cs...", dginv, dg)
     term3 = np.einsum("abc...,abs...->cs...", dg, dginv)
     term4 = 2.0 * np.einsum("ab...,san...,nbc...->cs...", m.ginv, m.gamma_l, m.gamma_u)
-    lam_up = raise_first(m, sf.lam)
-    term5 = -2.0 * np.real(
-        np.einsum("cs...,...->cs...", sf.lam, np.conj(sf.psi))
-        - np.einsum("ac...,as...->cs...", sf.lam, np.conj(lam_up))
-    )
-    rhs = grid.dealias(term1 + term2 + term3 + term4 + term5)
+    rhs = grid.dealias(term1 + term2 + term3 + term4 - 2.0 * sf.ricci)
     res = lhs - rhs
     norms_scale = max(grid.l2(lhs), grid.l2(rhs), tol * grid.k_nyq, 1e-300)
     return res, {

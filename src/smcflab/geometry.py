@@ -3,15 +3,17 @@
 Index conventions: tensor component axes come first, the d spatial grid axes
 last, so einsum contractions broadcast pointwise over the grid.  Mixed-index
 tensors come from the shared contraction helpers below (raise_first,
-harmonic_defect, covariant_divergence, curl_source, ...).
+harmonic_defect, covariant_divergence, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
 symbols and their gradient, the gradient of ginv, h and V on MetricState (ginv
 is eager: inverting is the degeneracy check), gauge sources and shared
-contractions on parabolic.GaugeState.  The curvature is returned by
-`curvature` and never kept.  `laplacian_lower_order` writes a covariant
-Laplacian minus its principal part in first-order form from those caches, so
-the stepper never nests two covariant derivatives.
+contractions on parabolic.GaugeState, and the quadratic forms of lambda (the
+Gauss, Ricci and curl forms) on SecondForm, which carries the metric it was
+traced with.  The curvature is returned by `curvature` and never kept.
+`laplacian_lower_order` writes a covariant Laplacian minus its principal part
+in first-order form from those caches, so the stepper never nests two
+covariant derivatives.
 
 Orientation: the complex structure on the normal bundle is defined by the
 frame itself, J nu1 = nu2; reversing the orientation conjugates the complex
@@ -274,21 +276,6 @@ def laplacian_lower_order(m: MetricState, T, dT):
     return nT, S
 
 
-def ricci_from_lambda(m: MetricState, lam, psi, lam_up=None):
-    """Ricci tensor through the Gauss/Ricci identity: Re(lam_{ab} psi-bar - lam lam-bar).
-
-    Along exact solutions this equals the curvature of g; the gauge flows use
-    this representation (it is what keeps their right sides quadratic), and
-    the defect against the metric Ricci is the T1 constraint monitor.  lam_up
-    is raise_first(m, lam), raised here unless the caller has it.
-    """
-    if lam_up is None:
-        lam_up = raise_first(m, lam)
-    quad = np.einsum("as...,sb...->ab...", lam, np.conj(lam_up))
-    out = np.real(np.einsum("ab...,...->ab...", lam, np.conj(psi)) - quad)
-    return m.grid.dealias(out)
-
-
 # -- metric contractions ----------------------------------------------------------
 
 
@@ -308,19 +295,16 @@ def covariant_divergence(m: MetricState, A):
     return m.grid.dealias(np.einsum("ba...,ba...->...", m.ginv, nab))
 
 
-def curl_source(grid: Grid, lam_up, lam):
-    """w_{ab} = Im(lam^g_a lambar_{bg}) from lam_up = raise_first(m, lam); antisymmetric."""
-    return grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", lam_up, np.conj(lam))))
-
-
 # -- the second fundamental form ------------------------------------------------
 
 
 @dataclass
 class SecondForm:
-    """Complex symmetric tensor lambda_{ab} and its metric trace psi."""
+    """Complex symmetric tensor lambda_{ab}, its metric trace psi and the metric
+    they belong to.  The contractions the flows and monitors share are built on
+    first read and kept, so lam, psi and the metric must not change."""
 
-    grid: Grid
+    metric: MetricState
     lam: np.ndarray  # (d, d, *shape) complex
     psi: np.ndarray  # (*shape,) complex
 
@@ -329,10 +313,50 @@ class SecondForm:
         self.psi = np.asarray(self.psi, dtype=complex)
 
     @classmethod
-    def from_lambda(cls, grid, lam, m: MetricState):
+    def from_lambda(cls, m: MetricState, lam):
         lam = np.asarray(lam, dtype=complex)
-        psi = grid.dealias(np.einsum("ab...,ab...->...", m.ginv, lam))
-        return cls(grid, lam, psi)
+        return cls(m, lam, m.grid.dealias(np.einsum("ab...,ab...->...", m.ginv, lam)))
+
+    @property
+    def grid(self) -> Grid:
+        return self.metric.grid
+
+    @cached_property
+    def lam_up(self):
+        """lambda^g_b = g^{gs} lambda_{sb}, dealiased."""
+        return raise_first(self.metric, self.lam)
+
+    @cached_property
+    def dlam(self):
+        """d_c lambda_{ab} indexed [c, a, b]."""
+        return self.grid.grad(self.lam)
+
+    @cached_property
+    def lam_lambar(self):
+        """lambda_{as} lambar^s_b, untruncated."""
+        return np.einsum("as...,sb...->ab...", self.lam, np.conj(self.lam_up))
+
+    @cached_property
+    def ricci(self):
+        """Re(lambda_{ab} psibar - lambda_{as} lambar^s_b): the Ricci tensor through
+        the Gauss equation.  Along exact solutions it equals the curvature of g;
+        the gauge flows use it (it keeps their right sides quadratic), and its
+        defect against the metric Ricci is the T1 monitor."""
+        out = np.real(np.einsum("ab...,...->ab...", self.lam, np.conj(self.psi)) - self.lam_lambar)
+        return self.grid.dealias(out)
+
+    @cached_property
+    def gauss(self):
+        """Re(lambda_{bc} lambar_{as} - lambda_{ac} lambar_{bs}) indexed [s, c, a, b]:
+        R_{scab} through the Gauss equation, the T2 monitor's other side."""
+        prod = np.einsum("bc...,as...->scab...", self.lam, np.conj(self.lam))
+        return self.grid.dealias(np.real(prod - np.swapaxes(prod, 2, 3)))
+
+    @cached_property
+    def w(self):
+        """w_{ab} = Im(lambda^g_a lambar_{bg}), antisymmetric: the curvature of the
+        normal connection through the Ricci equation."""
+        return self.grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", self.lam_up, np.conj(self.lam))))
 
 
 def frame_defect(F: Immersion, nu1, nu2):
@@ -390,4 +414,4 @@ def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
     d2F = F.second_partials()
     mvec = nu1 + 1j * nu2
     lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))
-    return SecondForm.from_lambda(F.grid, lam, m)
+    return SecondForm.from_lambda(m, lam)

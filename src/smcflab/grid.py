@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatchError, InvalidAxisError, SmcfValidationError
+from .errors import GridMismatchError, SmcfValidationError
 
 SNAPSHOT_MAGIC = b"SMCF"
 SNAPSHOT_VERSION = 1
@@ -308,16 +308,6 @@ class Grid:
     def _div_mult(self):
         return self._grad_mult * self.dealias_mask
 
-    def deriv(self, arr, axis, order=1):
-        """order-th spectral derivative along a spatial axis."""
-        if not 0 <= axis < self.d:
-            raise InvalidAxisError(f"axis {axis} out of range for dimension {self.d}")
-        if order < 0 or order > 4:
-            raise SmcfValidationError(f"derivative order must be in 0..4, got {order}")
-        if order == 0:
-            return np.array(arr, copy=True)
-        return self.apply(arr, self._deriv_mult(axis, order))
-
     def grad(self, arr):
         """[a] = d_a arr for every axis, a new leading axis of length d; one transform pair."""
         return self.apply(arr, self._over(self._grad_mult, arr))
@@ -360,9 +350,6 @@ class Grid:
                 return bump_profile(self.k_mag)
             return bump_profile(self.k_mag / 2.0**j) - bump_profile(self.k_mag / 2.0 ** (j - 1))
         raise SmcfValidationError(f"projection kind must be 'P' or 'S', got {kind!r}")
-
-    def lp_project(self, arr, j, kind="P"):
-        return self.apply(arr, self.lp_multiplier(j, kind))
 
     def lp_bands(self, kind="P"):
         """Every band's multiplier stacked on a leading axis, built once per grid:

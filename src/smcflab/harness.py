@@ -102,9 +102,9 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
     )
     sf = second_form(F, (nu1, nu2), m)
     gauge = GaugeState(m, A)
-    A_solve, _, divcurl = solve_initial_A(sf, m, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    A_solve, _, divcurl = solve_initial_A(sf, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     A_cent = A - A.mean(axis=tuple(range(1, d + 1)), keepdims=True)
-    _, elliptic = check_elliptic_h(m, sf, tol=cfg.solver_tol)
+    _, elliptic = check_elliptic_h(sf, tol=cfg.solver_tol)
     residuals = {
         "harmonic_defect_l2": grid.l2(gauge.V),
         "harmonic_iterations": change.report.iterations,
@@ -225,18 +225,20 @@ def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Traje
         if lam_traj is None:
             nsteps, dt = time_grid(cfg.final_time_T, cfg.time_step_dt)
             times = [i * dt for i in range(nsteps + 1)]
-            lam_path = [bundle.sf] * (nsteps + 1)
+            sf0 = bundle.sf
+            lam_path = [sf0.lam] * (nsteps + 1)
         else:
             if not grid.same_grid(lam_traj.grid):
                 raise SmcfValidationError("lambda snapshots live on a different grid than the scenario")
             times = list(lam_traj.times)
-            lam_path = [rec.second_form(grid) for rec in lam_traj.records]
+            sf0 = lam_traj[0].second_form(grid)
+            lam_path = [rec.lam for rec in lam_traj.records]
         records = []
         for i, s in enumerate(gauge_path(bundle.gauge, lam_path, times, cfg.sign_variant)):
             if i == 0:
-                records.append(TrajectoryRecord.from_state(times[0], s, lam_path[0]))
+                records.append(TrajectoryRecord.from_state(times[0], s, sf0))
             elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
-                sf = SecondForm.from_lambda(grid, lam_path[i].lam, s.metric)
+                sf = SecondForm.from_lambda(s.metric, lam_path[i])
                 records.append(TrajectoryRecord.from_state(times[i], s, sf))
     mode = "frozen-lambda" if lam_traj is None else "prescribed-lambda"
     traj = Trajectory(grid=grid, records=records, meta={"mode": mode})

@@ -56,12 +56,6 @@ class Envelope:
     values: np.ndarray
     delta: float
 
-    def is_slowly_varying(self, tol=1e-12):
-        a = self.values
-        j = np.arange(len(a))
-        bound = a[None, :] * 2.0 ** (self.delta * np.abs(j[:, None] - j[None, :]))
-        return bool(np.all(a[:, None] <= bound + tol * np.max(a, initial=0.0)))
-
 
 def _japanese_bracket_sq(grid: Grid, s: float):
     return (1.0 + grid.k_sq) ** s

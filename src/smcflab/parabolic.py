@@ -27,12 +27,10 @@ from .geometry import (
     SecondForm,
     covariant_derivative,
     covariant_divergence,
-    curl_source,
     identity_metric,
     laplacian_lower_order,
     metric_eig_min,
     raise_first,
-    ricci_from_lambda,
 )
 from .grid import Grid
 
@@ -110,41 +108,41 @@ def gauge_state_from(grid: Grid, g, A, t=0.0) -> GaugeState:
     return GaugeState(MetricState(grid, np.asarray(g, dtype=float)), np.asarray(A, dtype=float), t)
 
 
-def heat_rhs_h(s: GaugeState, sf: SecondForm, ric_rep):
+def heat_rhs_h(s: GaugeState, sf: SecondForm):
     """Everything on the metric-flow right side except the principal term.
 
-    The Ricci term enters through its second-fundamental-form representation
-    ric_rep = ricci_from_lambda(s.metric, sf.lam, sf.psi), which keeps the
-    right side quadratic; its defect against the curvature of g is exactly the
-    T1 monitor.
+    The Ricci term enters through the second form's Ricci form sf.ricci, which
+    keeps the right side quadratic; its defect against the curvature of g is
+    exactly the T1 monitor.  sf is traced with s.metric.
     """
     term_im = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
     term_gg, term_dg = s.gamma_terms
-    out = 2.0 * ric_rep + s.grid.dealias(term_im + term_gg + term_dg)
+    out = 2.0 * sf.ricci + s.grid.dealias(term_im + term_gg + term_dg)
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
-def heat_rhs_A(s: GaugeState, sf: SecondForm, ric_rep, sign_variant="plus", lam_up=None):
+def connection_terms(s: GaugeState, sf: SecondForm):
+    """(Re(lambda^g_a conj((d + iA)_g psi)), w_{as} V^s), untruncated: the two
+    terms of the connection flow that the T5 monitor checks too."""
+    grid = s.grid
+    dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
+    re_term = np.real(np.einsum("ga...,g...->a...", sf.lam_up, np.conj(dpsi_cov)))
+    return re_term, np.einsum("as...,s...->a...", sf.w, s.V)
+
+
+def heat_rhs_A(s: GaugeState, sf: SecondForm, sign_variant="plus"):
     """Lower-order terms of the connection flow; the quadratic-curl term's sign
-    is the configurable variant.  ric_rep is ricci_from_lambda(s.metric,
-    sf.lam, sf.psi), as for heat_rhs_h; lam_up is raise_first(s.metric,
-    sf.lam), raised here unless the caller has it."""
+    is the configurable variant.  sf is traced with s.metric, as for heat_rhs_h."""
     if sign_variant not in SIGN_VARIANTS:
         raise SmcfValidationError(f"sign_variant must be one of {SIGN_VARIANTS}")
     sign = -1.0 if sign_variant == "minus" else 1.0
     m = s.metric
-    grid = s.grid
-    if lam_up is None:
-        lam_up = raise_first(m, sf.lam)
-    w = curl_source(grid, lam_up, sf.lam)
-    nab_w = covariant_derivative(w, m, valence="ll")  # [b, a, s]
+    nab_w = covariant_derivative(sf.w, m, valence="ll")  # [b, a, s]
     div_w = np.einsum("sb...,bas...->a...", m.ginv, nab_w)
-    ric_term = np.einsum("ad...,d...->a...", ric_rep, s.A_up)
-    dpsi_cov = grid.grad(sf.psi) + 1j * grid.dealias(np.einsum("g...,...->g...", s.A, sf.psi))
-    re_term = np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi_cov)))
-    v_term = np.einsum("as...,s...->a...", w, s.V)
+    ric_term = np.einsum("ad...,d...->a...", sf.ricci, s.A_up)
+    re_term, v_term = connection_terms(s, sf)
     # the truncation is linear: the sum of the products needs it once
-    return grid.dealias(sign * div_w - ric_term + re_term - v_term)
+    return s.grid.dealias(sign * div_w - ric_term + re_term - v_term)
 
 
 # Below |z| = _PHI_SERIES_CUT, phi2 is its Taylor series sum_k z^k / (k + 2)!
@@ -172,25 +170,22 @@ def _phi_factors(z):
 def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeState:
     """One exponential-integrator step of the (h, A) system.
 
-    lam_path supplies the two second-form slices bracketing the step; the
+    lam_path supplies the two lambda slices bracketing the step; the
     lower-order terms are evaluated at their midpoint.
     """
     if dt <= 0:
         raise SmcfValidationError(f"dt must be positive, got {dt}")
     grid = s.grid
-    sf_a, sf_b = lam_path
-    lam_mid = 0.5 * (sf_a.lam + sf_b.lam)
+    lam_a, lam_b = lam_path
+    lam_mid = 0.5 * (lam_a + lam_b)
 
     def nonlinear(state: GaugeState):
-        m = state.metric
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
-        sf_mid = SecondForm.from_lambda(grid, lam_mid, m)
-        lam_up = raise_first(m, sf_mid.lam)
-        ric_rep = ricci_from_lambda(m, sf_mid.lam, sf_mid.psi, lam_up)
+        sf_mid = SecondForm.from_lambda(state.metric, lam_mid)
         Nh_free, NA_free = state.principal_remainder
-        Nh = Nh_free + heat_rhs_h(state, sf_mid, ric_rep)
-        NA = NA_free + heat_rhs_A(state, sf_mid, ric_rep, sign_variant, lam_up)
+        Nh = Nh_free + heat_rhs_h(state, sf_mid)
+        NA = NA_free + heat_rhs_A(state, sf_mid, sign_variant)
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 
     # g, A and their right sides are real: the factors act on r2c half spectra
@@ -228,8 +223,8 @@ def time_grid(T, dt):
 
 
 def gauge_path(gauge0: GaugeState, lam_path, times, sign_variant="plus"):
-    """Yield gauge0, then the (g, A) state stepped along the prescribed second
-    forms lam_path[i] at times[i], one step_parabolic per interval."""
+    """Yield gauge0, then the (g, A) state stepped along the prescribed lambda
+    values lam_path[i] at times[i], one step_parabolic per interval."""
     s = gauge0
     yield s
     for i in range(1, len(times)):

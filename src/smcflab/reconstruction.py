@@ -18,6 +18,7 @@ rebuilt surface to compare the geometric flow's two sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     IntegrabilityError,
     ReconstructionInconsistencyError,
 )
-from .geometry import Immersion, MetricState, covariant_derivative, normal_part, raise_first
+from .geometry import Immersion, MetricState, SecondForm, covariant_derivative, normal_part
 from .grid import Grid
 from .norms import DiagnosticsCSV
 from .trajectory import Trajectory, TrajectoryRecord
@@ -35,24 +36,29 @@ from .trajectory import Trajectory, TrajectoryRecord
 
 @dataclass
 class Frame:
-    """Tangent vectors and the complex normal vector at every grid point."""
+    """Tangent vectors and the complex normal vector at every grid point; the
+    arrays must not change once the defects are read."""
 
     grid: Grid
     F_alpha: np.ndarray  # (d, d+2, *shape) real
     m: np.ndarray  # (d+2, *shape) complex
 
-    def invariant_defects(self, g=None):
-        """Worst pointwise violations of orthogonality/normalization/metric."""
+    @cached_property
+    def normal_defects(self):
+        """Worst pointwise violations of |m|^2 = 2, m.m = 0 and F_a.m = 0: the
+        invariants that the skew structure of the frame motion protects."""
         dot = lambda u, v: np.einsum("i...,i...->...", u, v)
         out = {
             "m_norm": float(np.max(np.abs(dot(self.m, np.conj(self.m)) - 2.0))),
             "m_null": float(np.max(np.abs(dot(self.m, self.m)))),
         }
         out["tangent_normal"] = float(np.max([np.max(np.abs(dot(Fa, self.m))) for Fa in self.F_alpha]))
-        if g is not None:
-            gr = np.einsum("ai...,bi...->ab...", self.F_alpha, self.F_alpha)
-            out["metric"] = float(np.max(np.abs(gr - g)))
         return out
+
+    def invariant_defects(self, g):
+        """normal_defects and the worst violation of F_a . F_b = g_ab."""
+        gr = np.einsum("ai...,bi...->ab...", self.F_alpha, self.F_alpha)
+        return {**self.normal_defects, "metric": float(np.max(np.abs(gr - g)))}
 
 
 def frame_from_normal_basis(F: Immersion, nu1, nu2) -> Frame:
@@ -67,13 +73,12 @@ def _bundle(grid: Grid, rec) -> SimpleNamespace:
     s = rec.gauge(grid)
     sf = rec.second_form(grid)
     m = s.metric
-    lam_up = raise_first(m, sf.lam)
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
     dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
     lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
     lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
-    M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(lam_up))) + nablaV
+    M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
     return SimpleNamespace(t=rec.t, B=s.B, M=M, c=1j * (dApsi - 1j * lamV), cu=1j * (dApsi_up - 1j * lamV_up))
 
 
@@ -111,10 +116,9 @@ def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
     """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
     F1, m1 = _rk4((frame.F_alpha.astype(complex), frame.m), dt, _frame_rhs, *bundles)
     out = Frame(frame.grid, F1.real, m1)
-    # the orthogonality invariants are protected by the skew structure; the
-    # metric consistency mixes in the accuracy of the stored g and is audited
-    # separately by the reconstruction driver
-    defects = out.invariant_defects()
+    # the metric consistency mixes in the accuracy of the stored g and is
+    # audited separately by the reconstruction driver
+    defects = out.normal_defects
     worst = np.max(list(defects.values()))
     if not worst <= drift_tol:
         raise FrameDriftError(
@@ -143,22 +147,22 @@ def _propagator_rhs(x, K):
     return (np.einsum("ik...,kj...->ij...", K, x[0]),)
 
 
-def integrate_frame_space(seed_F, seed_m, m_state: MetricState, sf, A, substeps=16, holonomy_tol=1e-4):
+def integrate_frame_space(seed_F, seed_m, sf: SecondForm, A, substeps=16, holonomy_tol=1e-4):
     """Transport the frame along the coordinate lines of the last axis across the grid.
 
     seed_F, seed_m: frame values on the slice {x_last = 0} (shapes like the
     full frame with the last axis removed).  Returns (Frame, holonomy) where
-    the holonomy is the worst mismatch after closing the periodic loop.
+    the holonomy is the worst mismatch after closing the periodic loop.  The
+    connection coefficients come from the metric sf carries.
     """
-    grid = m_state.grid
+    grid = sf.grid
     d = grid.d
     h = grid.dx / substeps
 
-    lam_up = raise_first(m_state, sf.lam)
     # the transport reads only the last slot of each coefficient: M[a, g] =
     # Gamma^g_{last a}, c = lam_{last .}, cu = lam_up^._{last} and B = A_last,
     # each transformed once (the real M and B on the half spectrum)
-    coeff = (np.swapaxes(m_state.gamma_u[:, d - 1], 0, 1), sf.lam[d - 1], lam_up[:, d - 1], A[d - 1])
+    coeff = (np.swapaxes(sf.metric.gamma_u[:, d - 1], 0, 1), sf.lam[d - 1], sf.lam_up[:, d - 1], A[d - 1])
     spectra = [(grid.fft(val, half=np.isrealobj(val)), np.isrealobj(val)) for val in coeff]
 
     def generator(q):
@@ -258,9 +262,8 @@ def reconstruct(
     result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions)
     if spatial_audit:
         # seed on the slice {x_last = 0}, transported along the last axis
-        s0, sf0 = traj[0].gauge(grid), traj[0].second_form(grid)
         _, result.holonomy = integrate_frame_space(
-            frame0.F_alpha[..., 0], frame0.m[..., 0], s0.metric, sf0, s0.A, holonomy_tol=holonomy_tol
+            frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(grid), traj[0].A, holonomy_tol=holonomy_tol
         )
     for i, (frame, imm) in enumerate(zip(frames, immersions)):
         rec = traj[i]

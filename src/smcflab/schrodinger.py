@@ -14,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
-from .geometry import SecondForm, identity_metric, laplacian_lower_order, raise_first
-from .grid import Grid
+from .geometry import SecondForm, identity_metric, laplacian_lower_order
 from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic, time_grid
 from .trajectory import Trajectory, TrajectoryRecord
 
 
-def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=None):
+def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     """The nonlinearity F of the iteration form of the lambda equation:
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
@@ -31,15 +30,13 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=N
     top-level terms is dealiased once (the truncation is linear); the inner
     products of the cubic chains keep their own.  With
     breakdown=True a dict of the untruncated named terms is returned too.
-    dlam, if given, is grid.grad(sf.lam), which the caller has already taken.
+    sf is traced with s.metric.
     """
     grid = s.grid
     m = s.metric
     lam = sf.lam
     psi = sf.psi
-
-    if dlam is None:
-        dlam = grid.grad(lam)  # [c, a, b]
+    dlam = sf.dlam  # [c, a, b]
 
     # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam, first order in lam
     nlam, S = laplacian_lower_order(m, lam, dlam)  # nlam[c, a, b] = nabla_c lam_ab
@@ -58,27 +55,21 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=N
     term_pot = np.einsum("...,ab...->ab...", s.potential, lam)
 
     # i lam^g_a nabla_b V_g + i lam^g_b nabla_a V_g
-    lam_up = raise_first(m, lam)
-    half = np.einsum("ga...,bg...->ab...", lam_up, s.nabla_V_low)
+    half = np.einsum("ga...,bg...->ab...", sf.lam_up, s.nabla_V_low)
     term_lamV = 1j * (half + np.swapaxes(half, 0, 1))
 
     # psi Re(lam_{ad} lambar^d_b)
-    quad = grid.dealias(np.real(np.einsum("as...,sb...->ab...", lam, np.conj(lam_up))))
+    quad = grid.dealias(np.real(sf.lam_lambar))
     term_psi = np.einsum("...,ab...->ab...", psi, quad)
 
-    # -Re(lam_{sd} lambar_{ab} - lam_{sb} lambar_{ad}) lam^{sd}
+    # -Re(lam_{sd} lambar_{ab} - lam_{sb} lambar_{ad}) lam^{sd}, the Gauss form
+    # with its middle slots swapped
     lam_upup = grid.dealias(np.einsum("sc...,dm...,cm...->sd...", m.ginv, m.ginv, lam))
-    re_part = grid.dealias(
-        np.real(
-            np.einsum("sd...,ab...->sdab...", lam, np.conj(lam))
-            - np.einsum("sb...,ad...->sdab...", lam, np.conj(lam))
-        )
-    )
-    term_curv = -np.einsum("sdab...,sd...->ab...", re_part, lam_upup)
+    term_curv = -np.einsum("sadb...,sd...->ab...", sf.gauss, lam_upup)
 
     # -lam_{am} lambar^m_s lam^s_b
-    chain = grid.dealias(np.einsum("am...,ms...->as...", lam, np.conj(lam_up)))
-    term_chain = -np.einsum("as...,sb...->ab...", chain, lam_up)
+    chain = grid.dealias(sf.lam_lambar)
+    term_chain = -np.einsum("as...,sb...->ab...", chain, sf.lam_up)
 
     terms = {
         "principal_difference": term_pdiff,
@@ -98,14 +89,6 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False, dlam=N
     return total
 
 
-def _remainder(grid: Grid, s: GaugeState, dlam, F):
-    """W(lam) from dlam = grad lam, with d_t lam = i Lap lam + W; the flat phase is handled exactly."""
-    ginv_dev = s.metric.ginv - identity_metric(grid)
-    flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
-    adv = grid.dealias(np.einsum("s...,sab...->ab...", s.A_up, dlam))
-    return 1j * flux - 2.0 * adv - 1j * F
-
-
 def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: SecondForm | None = None) -> SecondForm:
     """One Strang-split step at the midpoint gauge.
 
@@ -117,6 +100,7 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
         raise SmcfValidationError(f"dt must be positive, got {dt}")
     grid = s_mid.grid
     phase = np.exp(-1j * grid.k_sq * dt / 2.0)
+    ginv_dev = s_mid.metric.ginv - identity_metric(grid)
 
     def free_half(lam):
         return grid.ifft(phase * grid.fft(lam))
@@ -125,12 +109,15 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
         F_frozen = assemble_nonlinearity(frozen_source, s_mid)
 
     def W(lam):
-        dlam = grid.grad(lam)
-        if frozen_source is not None:
-            F = F_frozen
+        """d_t lam = i Lap lam + W(lam); the flat phase is handled exactly."""
+        if frozen_source is None:
+            stage = SecondForm.from_lambda(s_mid.metric, lam)
+            F, dlam = assemble_nonlinearity(stage, s_mid), stage.dlam
         else:
-            F = assemble_nonlinearity(SecondForm.from_lambda(grid, lam, s_mid.metric), s_mid, dlam=dlam)
-        return _remainder(grid, s_mid, dlam, F)
+            F, dlam = F_frozen, grid.grad(lam)
+        flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
+        adv = grid.dealias(np.einsum("s...,sab...->ab...", s_mid.A_up, dlam))
+        return 1j * flux - 2.0 * adv - 1j * F
 
     lam1 = free_half(sf.lam)
     k1 = W(lam1)
@@ -139,7 +126,7 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
     lam3 = free_half(lam2)
     if not np.all(np.isfinite(lam3)):
         raise BlowupError("second form became non-finite during a step", t=s_mid.t)
-    return SecondForm.from_lambda(grid, lam3, s_mid.metric)
+    return SecondForm.from_lambda(s_mid.metric, lam3)
 
 
 # -- trajectory drivers ----------------------------------------------------------
@@ -172,11 +159,11 @@ def evolve_coupled(
     for step in range(1, nsteps + 1):
         t_new = step * dt
         sf_pred = step_schrodinger(sf, s, dt)
-        s_pred = step_parabolic(s, (sf, sf_pred), dt, sign_variant)
+        s_pred = step_parabolic(s, (sf.lam, sf_pred.lam), dt, sign_variant)
         s_mid = _midpoint_gauge(grid, s, s_pred)
         sf_new = step_schrodinger(sf, s_mid, dt)
-        s_new = step_parabolic(s, (sf, sf_new), dt, sign_variant)
-        sf_new = SecondForm.from_lambda(grid, sf_new.lam, s_new.metric)
+        s_new = step_parabolic(s, (sf.lam, sf_new.lam), dt, sign_variant)
+        sf_new = SecondForm.from_lambda(s_new.metric, sf_new.lam)
         _check_blowup(grid, sf_new.lam, t_new, blowup_threshold)
         s, sf = s_new, sf_new
         if step % snapshot_every == 0 or step == nsteps:
@@ -203,30 +190,25 @@ def evolve_slab(
     grid = gauge0.grid
     nsteps, dt = time_grid(T, dt)
     times = [i * dt for i in range(nsteps + 1)]
-    zero_sf = SecondForm(
-        grid,
-        np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
-        np.zeros(grid.shape, dtype=complex),
-    )
-    lam_path = [zero_sf] * (nsteps + 1)
+    # the iterate holds (lambda, psi) arrays, not second forms: a form stepped
+    # at a midpoint gauge carries that gauge's metric and its caches
+    zero = (np.zeros((grid.d, grid.d) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
+    path = [zero] * (nsteps + 1)
     distances = []
     for _ in range(sweeps):
-        gauges = list(gauge_path(gauge0, lam_path, times, sign_variant))
-        new_path = [sf0]
+        gauges = list(gauge_path(gauge0, [lam for lam, _ in path], times, sign_variant))
+        new_path = [(sf0.lam, sf0.psi)]
         sf = sf0
         for i in range(nsteps):
             s_mid = _midpoint_gauge(grid, gauges[i], gauges[i + 1])
-            src = SecondForm(
-                grid,
-                0.5 * (lam_path[i].lam + lam_path[i + 1].lam),
-                0.5 * (lam_path[i].psi + lam_path[i + 1].psi),
-            )
+            (lam_a, psi_a), (lam_b, psi_b) = path[i], path[i + 1]
+            src = SecondForm(s_mid.metric, 0.5 * (lam_a + lam_b), 0.5 * (psi_a + psi_b))
             sf = step_schrodinger(sf, s_mid, dt, frozen_source=src)
             _check_blowup(grid, sf.lam, times[i + 1], blowup_threshold)
-            new_path.append(sf)
-        distance = max(grid.l2(new.lam - old.lam) for new, old in zip(new_path, lam_path))
+            new_path.append((sf.lam, sf.psi))
+        distance = max(grid.l2(new[0] - old[0]) for new, old in zip(new_path, path))
         distances.append(distance)
-        lam_path = new_path
+        path = new_path
         if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
             raise IterationDivergenceError(
                 f"Picard sweep distances grew over three sweeps: {distances[-3:]}"
@@ -234,8 +216,8 @@ def evolve_slab(
         if tol is not None and distance <= tol:
             break
     records = [
-        TrajectoryRecord.from_state(t, s, SecondForm.from_lambda(grid, sf.lam, s.metric))
-        for t, s, sf in zip(times, gauges, lam_path)
+        TrajectoryRecord.from_state(t, s, SecondForm.from_lambda(s.metric, lam))
+        for t, s, (lam, _) in zip(times, gauges, path)
     ]
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
 

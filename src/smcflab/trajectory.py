@@ -41,7 +41,9 @@ class TrajectoryRecord:
         return self._gauge
 
     def second_form(self, grid: Grid) -> SecondForm:
-        return SecondForm(grid, self.lam, self.psi)
+        """A new second form on the record's metric each call: the record keeps
+        none of its contractions."""
+        return SecondForm(self.gauge(grid).metric, self.lam, self.psi)
 
 
 @dataclass

@@ -22,6 +22,19 @@ class ScaleExceedsBoxError(SmcfValidationError):
     """Cube scale larger than the box."""
 
 
+# -- grid -----------------------------------------------------------------------
+
+
+def deriv(grid: Grid, arr, axis, order=1):
+    """order-th spectral derivative of arr along one spatial axis."""
+    return grid.apply(arr, grid._deriv_mult(axis, order))
+
+
+def lp_project(grid: Grid, arr, j, kind="P"):
+    """The Littlewood-Paley projection P_j (or S_j) of arr."""
+    return grid.apply(arr, grid.lp_multiplier(j, kind))
+
+
 # -- geometry -------------------------------------------------------------------
 
 
@@ -34,14 +47,15 @@ def graph_metric_oracle(F: Immersion) -> np.ndarray:
     return np.einsum("aj...,bj...->ab...", du, du) + identity_metric(grid)
 
 
-def analytic_second_form(grid: Grid, r: float) -> SecondForm:
-    """Product of circles of radius r: lambda_11 = -1/r, lambda_22 = -i/r,
-    lambda_12 = 0, psi = -(1+i)/r."""
+def analytic_second_form(m: MetricState, r: float) -> SecondForm:
+    """Product of circles of radius r, on its metric m: lambda_11 = -1/r,
+    lambda_22 = -i/r, lambda_12 = 0, psi = -(1+i)/r."""
+    grid = m.grid
     lam = np.zeros((2, 2) + grid.shape, dtype=complex)
     lam[0, 0] = -1.0 / r
     lam[1, 1] = -1j / r
     psi = np.full(grid.shape, -(1.0 + 1j) / r, dtype=complex)
-    return SecondForm(grid, lam, psi)
+    return SecondForm(m, lam, psi)
 
 
 def sphere_cap_metric(grid: Grid, radius: float, cap_width: float) -> MetricState:
@@ -82,7 +96,29 @@ def gauge_rotate(sf: SecondForm, A, m_vec, theta):
     psi = sf.psi * phase
     A_new = None if A is None else A - grid.grad(theta)
     m_new = None if m_vec is None else m_vec * phase
-    return SecondForm(grid, lam, psi), A_new, m_new
+    return SecondForm(sf.metric, lam, psi), A_new, m_new
+
+
+def gauss_form_scab(grid: Grid, lam):
+    """Re(lam_bc lambar_as - lam_ac lambar_bs) indexed [s, c, a, b], dealiased, from
+    two einsums: the form the T2 monitor compared the curvature against."""
+    return grid.dealias(
+        np.real(
+            np.einsum("bc...,as...->scab...", lam, np.conj(lam))
+            - np.einsum("ac...,bs...->scab...", lam, np.conj(lam))
+        )
+    )
+
+
+def gauss_form_sdab(grid: Grid, lam):
+    """Re(lam_sd lambar_ab - lam_sb lambar_ad) indexed [s, d, a, b], dealiased, from
+    two einsums: the stack the lambda nonlinearity contracted with lam^{sd}."""
+    return grid.dealias(
+        np.real(
+            np.einsum("sd...,ab...->sdab...", lam, np.conj(lam))
+            - np.einsum("sb...,ad...->sdab...", lam, np.conj(lam))
+        )
+    )
 
 
 def nested_principal_difference(sf: SecondForm, m: MetricState):
@@ -135,7 +171,6 @@ def _shifted(grid: Grid, hat, shift, real):
 def integrate_frame_space_by_lines(
     seed_F,
     seed_m,
-    m_state: MetricState,
     sf,
     A,
     substeps=16,
@@ -150,6 +185,7 @@ def integrate_frame_space_by_lines(
     full frame with the last axis removed).  Returns (Frame, holonomy) where
     the holonomy is the worst mismatch after closing the periodic loop.
     """
+    m_state = sf.metric
     grid = m_state.grid
     d = grid.d
     last = d - 1
@@ -203,6 +239,14 @@ def integrate_frame_space_by_lines(
 
 
 # -- norms ------------------------------------------------------------------------
+
+
+def is_slowly_varying(env, tol=1e-12):
+    """Whether the envelope's values a_j obey a_k <= 2^(delta |j - k|) a_j for all j, k."""
+    a = env.values
+    j = np.arange(len(a))
+    bound = a[None, :] * 2.0 ** (env.delta * np.abs(j[:, None] - j[None, :]))
+    return bool(np.all(a[:, None] <= bound + tol * np.max(a, initial=0.0)))
 
 
 def _as_field_series(series):

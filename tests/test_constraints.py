@@ -48,7 +48,7 @@ def flat_bundle(grid):
     F = flat_immersion(grid)
     m = induced_metric(F)
     sf = SecondForm(
-        grid,
+        m,
         np.zeros((2, 2) + grid.shape, dtype=complex),
         np.zeros(grid.shape, dtype=complex),
     )
@@ -77,10 +77,10 @@ class TestStaticResiduals:
         m, sf, A = flat_bundle(grid)
         riem, ric = curvature(m)
         for fn, args in (
-            (residual_T1, (m, sf, ric)),
-            (residual_T2, (m, sf, riem)),
-            (residual_T3, (m, sf, A)),
-            (residual_T4, (m, sf, A)),
+            (residual_T1, (sf, ric)),
+            (residual_T2, (sf, riem)),
+            (residual_T3, (sf, A)),
+            (residual_T4, (sf, A)),
         ):
             res, norms = fn(*args)
             assert norms.l2 < 1e-12
@@ -89,20 +89,20 @@ class TestStaticResiduals:
         grid = Grid(d=2, n=16, L=2 * np.pi)
         m, sf, A = cliff_bundle(grid)
         riem, ric = curvature(m)
-        assert residual_T1(m, sf, ric)[1].l2 < 1e-10
-        assert residual_T2(m, sf, riem)[1].l2 < 1e-10
-        assert residual_T3(m, sf, A)[1].l2 < 1e-10
-        assert residual_T4(m, sf, A)[1].l2 < 1e-10
+        assert residual_T1(sf, ric)[1].l2 < 1e-10
+        assert residual_T2(sf, riem)[1].l2 < 1e-10
+        assert residual_T3(sf, A)[1].l2 < 1e-10
+        assert residual_T4(sf, A)[1].l2 < 1e-10
 
     def test_bump_residuals_at_truncation(self):
         grid = Grid(d=2, n=64, L=16.0)
         m, sf, A = bump_bundle(grid, eps=0.05)
         riem, ric = curvature(m)
         for fn, args in (
-            (residual_T1, (m, sf, ric)),
-            (residual_T2, (m, sf, riem)),
-            (residual_T3, (m, sf, A)),
-            (residual_T4, (m, sf, A)),
+            (residual_T1, (sf, ric)),
+            (residual_T2, (sf, riem)),
+            (residual_T3, (sf, A)),
+            (residual_T4, (sf, A)),
         ):
             _, norms = fn(*args)
             assert norms.rel < 1e-6
@@ -115,15 +115,15 @@ class TestStaticResiduals:
             m, sf, A = bump_bundle(grid, eps=0.05, width=1.3)
             riem, ric = curvature(m)
             rels[n] = max(
-                residual_T1(m, sf, ric)[1].rel,
-                residual_T2(m, sf, riem)[1].rel,
+                residual_T1(sf, ric)[1].rel,
+                residual_T2(sf, riem)[1].rel,
             )
         assert rels[32] > 1e4 * rels[64]
 
     def test_t3_antisymmetric_by_construction(self):
         grid = Grid(d=2, n=32, L=16.0)
         m, sf, A = bump_bundle(grid)
-        res, _ = residual_T3(m, sf, A)
+        res, _ = residual_T3(sf, A)
         assert maxabs(res + np.swapaxes(res, 0, 1)) < 1e-15
 
     def test_gauge_invariance_of_norms(self):
@@ -133,10 +133,10 @@ class TestStaticResiduals:
         theta = _smooth_gauge_angle(grid, seed=4)
         sf2, A2, _ = gauge_rotate(sf, A, None, theta)
         for fn, args, args2 in (
-            (residual_T1, (m, sf, ric), (m, sf2, ric)),
-            (residual_T2, (m, sf, riem), (m, sf2, riem)),
-            (residual_T3, (m, sf, A), (m, sf2, A2)),
-            (residual_T4, (m, sf, A), (m, sf2, A2)),
+            (residual_T1, (sf, ric), (sf2, ric)),
+            (residual_T2, (sf, riem), (sf2, riem)),
+            (residual_T3, (sf, A), (sf2, A2)),
+            (residual_T4, (sf, A), (sf2, A2)),
         ):
             a = fn(*args)[1].l2
             b = fn(*args2)[1].l2
@@ -151,14 +151,14 @@ class TestStaticResiduals:
         # spatially varying distortion: breaks every identity including Codazzi
         warp = 1.0 + 0.3 * np.cos(2 * np.pi * grid.x[0] / grid.L)
         lam_bad = sf.lam * warp * (1.0 + 0.5j)
-        sf_bad = SecondForm.from_lambda(grid, lam_bad, m)
+        sf_bad = SecondForm.from_lambda(m, lam_bad)
         theta = _smooth_gauge_angle(grid, seed=5)
         sf2, A2, _ = gauge_rotate(sf_bad, A, None, theta)
         for fn, args, args2 in (
-            (residual_T1, (m, sf_bad, ric), (m, sf2, ric)),
-            (residual_T2, (m, sf_bad, riem), (m, sf2, riem)),
-            (residual_T3, (m, sf_bad, A), (m, sf2, A2)),
-            (residual_T4, (m, sf_bad, A), (m, sf2, A2)),
+            (residual_T1, (sf_bad, ric), (sf2, ric)),
+            (residual_T2, (sf_bad, riem), (sf2, riem)),
+            (residual_T3, (sf_bad, A), (sf2, A2)),
+            (residual_T4, (sf_bad, A), (sf2, A2)),
         ):
             a = fn(*args)[1].l2
             b = fn(*args2)[1].l2
@@ -178,7 +178,7 @@ class TestTimeResiduals:
             )
             for i in range(3)
         ]
-        res, norms = residual_T5(grid, recs[0], recs[1], recs[2])
+        res, norms = residual_T5(recs[1].gauge(grid), recs[1].second_form(grid), recs[0], recs[2])
         assert norms.l2 < 1e-13
         res, norms = residual_metric_evolution(grid, recs[0], recs[1], recs[2])
         assert norms.l2 < 1e-13
@@ -194,7 +194,8 @@ class TestTimeResiduals:
     def test_cliff_t5_vanishes(self):
         traj = self._cliff_traj(2e-3)
         mid = len(traj) // 2
-        _, norms = residual_T5(traj.grid, traj[mid - 1], traj[mid], traj[mid + 1])
+        rec = traj[mid]
+        _, norms = residual_T5(rec.gauge(traj.grid), rec.second_form(traj.grid), traj[mid - 1], traj[mid + 1])
         assert norms.l2 < 1e-10
 
     def test_cliff_metric_evolution_small_and_second_order(self):
@@ -229,7 +230,7 @@ class TestTimeResiduals:
         errs = []
         for dt in (0.02, 0.01):
             r = [rec(0.3 - dt, dt), rec(0.3, dt), rec(0.3 + dt, dt)]
-            res, _ = residual_T5(grid, r[0], r[1], r[2])
+            res, _ = residual_T5(r[1].gauge(grid), r[1].second_form(grid), r[0], r[2])
             # subtract the exact d_t A - grad B (B = div A here is nonzero)
             s = r[1].gauge(grid)
             exact_dtA = 3 * np.cos(3 * 0.3) * np.exp(np.sin(3 * 0.3)) * A0
@@ -271,8 +272,7 @@ class TestReports:
         assert np.isnan(_norms(grid, bad, [bad]).rel)
 
     def test_interior_report_raises_lambda_once(self, monkeypatch):
-        # T1, T4 and T5 share the one raised lambda of their record
-        import smcflab.constraints as constraints
+        # T1, T4 and T5 share the one raised lambda of their record's second form
         import smcflab.geometry as geometry
 
         traj = TestTimeResiduals()._cliff_traj(2e-3, T=0.01)
@@ -284,8 +284,7 @@ class TestReports:
             raised.append(T is traj[mid].lam)
             return original(m, T)
 
-        for mod in (constraints, geometry):
-            monkeypatch.setattr(mod, "raise_first", counting)
+        monkeypatch.setattr(geometry, "raise_first", counting)
         report = constraint_report(traj, mid)
         assert "T5" in report.entries
         assert sum(raised) == 1

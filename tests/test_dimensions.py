@@ -31,8 +31,8 @@ class TestOtherDimensions:
         # dealiased-product truncation floor
         riem, _ = curvature(m)
         assert float(np.max(np.abs(riem))) < 1e-12
-        assert residual_T3(m, sf, A)[1].l2 < 1e-12
-        assert residual_T4(m, sf, A)[1].l2 < 1e-9
+        assert residual_T3(sf, A)[1].l2 < 1e-12
+        assert residual_T4(sf, A)[1].l2 < 1e-9
         gauge = gauge_state_from(grid, m.g, A)
         traj = picard_evolve(sf, gauge, T=0.05, dt=0.005)
         assert np.all(np.isfinite(traj[-1].lam))
@@ -41,10 +41,10 @@ class TestOtherDimensions:
     def test_d3_identities_at_truncation(self):
         grid, F, m, nu1, nu2, A, sf = bundle_for(3, 32, eps=0.1, delta=0.6)
         riem, ric = curvature(m)
-        assert residual_T1(m, sf, ric)[1].rel < 1e-4
-        assert residual_T2(m, sf, riem)[1].rel < 1e-4
-        assert residual_T3(m, sf, A)[1].rel < 1e-4
-        assert residual_T4(m, sf, A)[1].rel < 1e-3
+        assert residual_T1(sf, ric)[1].rel < 1e-4
+        assert residual_T2(sf, riem)[1].rel < 1e-4
+        assert residual_T3(sf, A)[1].rel < 1e-4
+        assert residual_T4(sf, A)[1].rel < 1e-3
 
     def test_d3_short_evolution(self):
         grid, F, m, nu1, nu2, A, sf = bundle_for(3, 16, eps=0.1, delta=0.6)
@@ -88,6 +88,6 @@ class TestPropertyBased:
         from smcflab.geometry import MetricState, SecondForm, identity_metric
 
         m = MetricState(grid, identity_metric(grid))
-        sf = SecondForm.from_lambda(grid, lam, m)
+        sf = SecondForm.from_lambda(m, lam)
         out, _, _ = gauge_rotate(sf, None, None, theta)
         assert float(np.max(np.abs(np.abs(out.lam) - np.abs(sf.lam)))) < 1e-12

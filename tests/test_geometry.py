@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import analytic_second_form, gauge_rotate, graph_metric_oracle, sphere_cap_metric
+from normal_frames import graph_normal_bundle
+from oracles import (
+    analytic_second_form,
+    deriv,
+    gauge_rotate,
+    gauss_form_scab,
+    gauss_form_sdab,
+    graph_metric_oracle,
+    sphere_cap_metric,
+)
 from smcflab.errors import FrameNotNormalError, ImmersionDegeneracyError, ValenceMismatchError
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.geometry import (
@@ -203,7 +212,7 @@ class TestSecondForm:
         fix = cliff_fixture(grid, r=1.0)
         m = induced_metric(fix.immersion)
         sf = second_form(fix.immersion, (fix.nu1, fix.nu2), m)
-        oracle = analytic_second_form(grid, 1.0)
+        oracle = analytic_second_form(m, 1.0)
         assert maxabs(sf.lam - oracle.lam) < 1e-10
         assert maxabs(sf.psi - oracle.psi) < 1e-10
 
@@ -253,6 +262,26 @@ class TestSecondForm:
         with pytest.raises(FrameNotNormalError):
             second_form(F, (nu1, nu2), m)
 
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])
+    def test_one_gauss_stack_serves_the_monitor_and_the_nonlinearity(self, d, n):
+        # n = 16 transforms by the dense DFT, n = 32 by numpy.fft; the cached
+        # stack is bit for bit T2's [s, c, a, b] form, and with its middle slots
+        # swapped the lambda nonlinearity's [s, d, a, b] form
+        grid = Grid(d=d, n=n, L=16.0)
+        F = bump_immersion(grid, 0.1, 0.6).immersion
+        m = induced_metric(F)
+        nu1, nu2, _ = graph_normal_bundle(F, m)
+        sf = second_form(F, (nu1, nu2), m)
+        G = sf.gauss
+        grid_axes = tuple(range(4, 4 + d))
+        assert np.array_equal(G, gauss_form_scab(grid, sf.lam))
+        assert np.array_equal(np.transpose(G, (0, 2, 1, 3) + grid_axes), gauss_form_sdab(grid, sf.lam))
+        # R_{scab} = -R_{csab} = -R_{scba} = R_{absc}
+        assert np.array_equal(G, -np.swapaxes(G, 0, 1))
+        assert np.array_equal(G, -np.swapaxes(G, 2, 3))
+        assert np.array_equal(G, np.transpose(G, (2, 3, 0, 1) + grid_axes))
+        assert maxabs(G) > 1e-6
+
 
 class TestGaugeRotate:
     def _setup(self, grid):
@@ -264,7 +293,7 @@ class TestGaugeRotate:
             1.0 + grid.k_sq
         ) ** -2
         theta = grid.ifft(hat).real
-        A = np.stack([grid.deriv(theta, a) for a in range(2)]) * 0.3
+        A = np.stack([deriv(grid, theta, a) for a in range(2)]) * 0.3
         return sf, A, fix.nu1 + 1j * fix.nu2, theta
 
     def test_identity_at_zero_angle(self, grid):
@@ -284,6 +313,6 @@ class TestGaugeRotate:
         _, A2, _ = gauge_rotate(sf, A, mvec, theta)
 
         def curl(Af):
-            return grid.deriv(Af[1], 0) - grid.deriv(Af[0], 1)
+            return deriv(grid, Af[1], 0) - deriv(grid, Af[0], 1)
 
         assert maxabs(curl(A2) - curl(A)) < 1e-10

@@ -1,6 +1,7 @@
-"""The package ships only what runs: every public top-level name in src/smcflab
-has a reader in src/ or perfbench/ besides its own definition.  Reference code
-that only tests call lives in tests/oracles.py."""
+"""The package ships only what runs: every public top-level name in src/smcflab,
+and every public method of its classes, has a reader in src/ or perfbench/
+besides its own definition.  Reference code that only tests call lives in
+tests/oracles.py."""
 
 import ast
 import os
@@ -31,7 +32,11 @@ def _public_definitions():
             tree = ast.parse(fh.read())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield f"{name}:{node.lineno}", node.name
+                yield f"{name}:{node.lineno} {node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{name}:{member.lineno} {node.name}.{member.name}", member.name
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -41,7 +46,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         word = re.compile(rf"\b{re.escape(name)}\b")
         # the definition itself is one occurrence
         if sum(len(word.findall(text)) for text in texts) <= 1:
-            unread.append(f"{where} {name}")
+            unread.append(where)
     assert not unread, "only tests read these; move them to tests/oracles.py or delete them: " + ", ".join(unread)
 
 

@@ -1,12 +1,13 @@
 """Heat-gauge system: sources, right-hand sides, and the IMEX stepper."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import nested_laplacian_remainder
+from oracles import deriv, lp_project, nested_laplacian_remainder
 from smcflab import calibration
 from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import (
@@ -15,7 +16,6 @@ from smcflab.geometry import (
     harmonic_defect,
     identity_metric,
     induced_metric,
-    ricci_from_lambda,
     second_form,
 )
 from smcflab.grid import Grid
@@ -47,16 +47,12 @@ def fd_deriv(grid, arr, axis):
     return (-roll(2) + 8 * roll(1) - 8 * roll(-1) + roll(-2)) / (12 * h)
 
 
-def ric(s, sf):
-    return ricci_from_lambda(s.metric, sf.lam, sf.psi)
-
-
 def flat_state(grid, t=0.0):
     return gauge_state_from(grid, identity_metric(grid), np.zeros((grid.d,) + grid.shape), t)
 
 
 def zero_sf(grid):
-    return SecondForm(grid, np.zeros((grid.d, grid.d) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
+    return SecondForm(flat_state(grid).metric, np.zeros((grid.d, grid.d) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
 
 
 def cliff_state_and_sf(grid, r=1.0):
@@ -80,7 +76,7 @@ def bump_state_and_sf(grid, eps=0.05, delta=0.5):
     rng = np.random.default_rng(7)
     hat = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (1 + grid.k_sq) ** -3
     chi = grid.ifft(hat).real * 1e-3
-    A = np.stack([grid.deriv(chi, 1), -grid.deriv(chi, 0)])
+    A = np.stack([deriv(grid, chi, 1), -deriv(grid, chi, 0)])
     return gauge_state_from(grid, m.g, A), sf
 
 
@@ -128,7 +124,7 @@ class TestGaugeSources:
         assert s.metric.gamma_u is s.metric.gamma_u and s.metric.gamma_l.shape == s.metric.gamma_u.shape
         assert calls["christoffel"] == 1
         # the stage-1 state reads its symbols, the published result not yet
-        step_parabolic(s, (sf, sf), 0.005)
+        step_parabolic(s, (sf.lam, sf.lam), 0.005)
         assert calls == {"christoffel": 2, "curvature": 0}
         assert not any(hasattr(s.metric, name) for name in ("riem", "ric"))
 
@@ -177,14 +173,14 @@ class TestHeatRhsH:
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
         sf = zero_sf(grid)
-        out = heat_rhs_h(s, sf, ric(s, sf))
+        out = heat_rhs_h(s, sf)
         assert maxabs(out) < 1e-13
 
     @pytest.mark.parametrize("r", [1.0, 2.0])
     def test_cliff_closed_form(self, r):
         grid = Grid(d=2, n=16, L=2 * np.pi * r)
         s, sf = cliff_state_and_sf(grid, r)
-        out = heat_rhs_h(s, sf, ric(s, sf))
+        out = heat_rhs_h(s, sf)
         exact = np.zeros_like(out)
         exact[0, 0] = 2.0 / r**2
         exact[1, 1] = -2.0 / r**2
@@ -193,7 +189,7 @@ class TestHeatRhsH:
     def test_symmetric_output(self):
         grid = Grid(d=2, n=64, L=16.0)
         s, sf = bump_state_and_sf(grid)
-        out = heat_rhs_h(s, sf, ric(s, sf))
+        out = heat_rhs_h(s, sf)
         assert maxabs(out - np.swapaxes(out, 0, 1)) < 1e-15
 
 
@@ -202,14 +198,14 @@ class TestHeatRhsA:
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
         sf = zero_sf(grid)
-        out = heat_rhs_A(s, sf, ric(s, sf))
+        out = heat_rhs_A(s, sf)
         assert maxabs(out) < 1e-13
 
     def test_cliff_all_terms_vanish(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s, sf = cliff_state_and_sf(grid)
         for variant in ("minus", "plus"):
-            assert maxabs(heat_rhs_A(s, sf, ric(s, sf), variant)) < 1e-10
+            assert maxabs(heat_rhs_A(s, sf, variant)) < 1e-10
 
     def test_bump_fd_assembly_oracle(self):
         grid = Grid(d=2, n=64, L=16.0)
@@ -241,14 +237,14 @@ class TestHeatRhsA:
         re_term = np.real(np.einsum("ga...,g...->a...", lam_up, np.conj(dpsi)))
         v_term = np.einsum("as...,s...->a...", w, s.V)
         expected = -div_w - ric_term + re_term - v_term
-        got = heat_rhs_A(s, sf, ric(s, sf), "minus")
+        got = heat_rhs_A(s, sf, "minus")
         assert maxabs(got - expected) < 1e-6
 
     def test_sign_variants_differ_by_twice_div(self):
         grid = Grid(d=2, n=64, L=16.0)
         s, sf = bump_state_and_sf(grid, eps=0.05)
-        a = heat_rhs_A(s, sf, ric(s, sf), "minus")
-        b = heat_rhs_A(s, sf, ric(s, sf), "plus")
+        a = heat_rhs_A(s, sf, "minus")
+        b = heat_rhs_A(s, sf, "plus")
         assert maxabs(a - b) > 0
 
 
@@ -256,7 +252,8 @@ class TestStepParabolic:
     def test_equilibrium(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         s = flat_state(grid)
-        out = step_parabolic(s, (zero_sf(grid), zero_sf(grid)), 0.01)
+        lam0 = zero_sf(grid).lam
+        out = step_parabolic(s, (lam0, lam0), 0.01)
         assert maxabs(out.metric.g - identity_metric(grid)) < 1e-13
         assert maxabs(out.A) < 1e-13
         assert out.t == pytest.approx(0.01)
@@ -268,16 +265,15 @@ class TestStepParabolic:
         n = int(round(T / dt))
         sol = radii_oracle(np.linspace(0, T, n + 1))
 
-        def sf_at(tq):
+        def lam_at(tq):
             r1, r2 = sol.sol(tq)
             lam = np.zeros((2, 2) + grid.shape, dtype=complex)
             lam[0, 0] = -r1
             lam[1, 1] = -1j * r2
-            psi = np.full(grid.shape, -1.0 / r1 - 1j / r2, dtype=complex)
-            return SecondForm(grid, lam, psi)
+            return lam
 
         for i in range(n):
-            s = step_parabolic(s, (sf_at(i * dt), sf_at((i + 1) * dt)), dt)
+            s = step_parabolic(s, (lam_at(i * dt), lam_at((i + 1) * dt)), dt)
         r1, r2 = sol.sol(T)
         exact = np.zeros((2, 2) + grid.shape)
         exact[0, 0] = r1**2
@@ -293,7 +289,7 @@ class TestStepParabolic:
         def run(dt):
             s = s0
             for _ in range(int(round(T / dt))):
-                s = step_parabolic(s, (sf, sf), dt)
+                s = step_parabolic(s, (sf.lam, sf.lam), dt)
             return s.metric.g
 
         ref = run(T / 64)
@@ -314,19 +310,20 @@ class TestStepParabolic:
         t_end, dt = 0.05, 0.005
         blocks0 = {}
         for j in range(1, 5):
-            blocks0[j] = grid.l2(grid.lp_project(s.metric.h[0, 0], j, "S"))
+            blocks0[j] = grid.l2(lp_project(grid, s.metric.h[0, 0], j, "S"))
+        lam0 = zero_sf(grid).lam
         for _ in range(int(t_end / dt)):
-            s = step_parabolic(s, (zero_sf(grid), zero_sf(grid)), dt)
+            s = step_parabolic(s, (lam0, lam0), dt)
         c = calibration.HEAT_BLOCK_DECAY_RATE
         feed = 10.0 * t_end * 1e-8  # quadratic feed bound ~ ||h0||^2
         for j in range(1, 5):
-            bj = grid.l2(grid.lp_project(s.metric.h[0, 0], j, "S"))
+            bj = grid.l2(lp_project(grid, s.metric.h[0, 0], j, "S"))
             assert bj <= np.exp(-c * 4.0**j * t_end) * blocks0[j] + feed
 
     def test_exit_gauge_identities(self):
         grid = Grid(d=2, n=32, L=16.0)
         s0, sf = bump_state_and_sf(grid, eps=0.1)
-        s = step_parabolic(s0, (sf, sf), 0.005)
+        s = step_parabolic(s0, (sf.lam, sf.lam), 0.005)
         V, B = harmonic_defect(s.metric), covariant_divergence(s.metric, s.A)
         assert maxabs(s.V - V) < 1e-13
         assert maxabs(s.B - B) < 1e-13
@@ -347,23 +344,25 @@ class TestStepParabolic:
             return gauge_state_from(*args, **kwargs)
 
         monkeypatch.setattr(parabolic, "gauge_state_from", counting)
-        step_parabolic(s0, (sf, sf), 0.005)
+        step_parabolic(s0, (sf.lam, sf.lam), 0.005)
         assert len(calls) == 2
 
     def test_step_builds_the_ricci_representation_once_per_stage(self, monkeypatch):
-        # heat_rhs_h and heat_rhs_A share one ricci_from_lambda per stage
-        import smcflab.parabolic as parabolic
-
+        # heat_rhs_h and heat_rhs_A share the Ricci form cached on the stage's
+        # second form: one build per stage
         grid = Grid(d=2, n=16, L=16.0)
         s0, sf = bump_state_and_sf(grid)
         calls = []
+        build = SecondForm.ricci.func
 
-        def counting(*args):
-            calls.append(args)
-            return ricci_from_lambda(*args)
+        def counting(self):
+            calls.append(self)
+            return build(self)
 
-        monkeypatch.setattr(parabolic, "ricci_from_lambda", counting)
-        step_parabolic(s0, (sf, sf), 0.005)
+        ricci = cached_property(counting)
+        ricci.__set_name__(SecondForm, "ricci")
+        monkeypatch.setattr(SecondForm, "ricci", ricci)
+        step_parabolic(s0, (sf.lam, sf.lam), 0.005)
         assert len(calls) == 2
 
 
@@ -388,7 +387,7 @@ def test_gauge_path_steps_between_the_given_times(monkeypatch):
 
     grid = Grid(d=2, n=8, L=2 * np.pi)
     s0 = flat_state(grid)
-    path = [zero_sf(grid) for _ in range(3)]
+    path = [zero_sf(grid).lam for _ in range(3)]
     calls = []
 
     def recording(s, lam_path, dt, sign_variant):
@@ -399,7 +398,7 @@ def test_gauge_path_steps_between_the_given_times(monkeypatch):
     states = list(gauge_path(s0, path, [0.0, 0.25, 0.75], "plus"))
     assert len(states) == 3 and states[0] is s0
     assert [dt for _, dt, _ in calls] == [0.25, 0.5]
-    assert calls[1][0] == (path[1], path[2]) and calls[1][2] == "plus"
+    assert calls[1][0][0] is path[1] and calls[1][0][1] is path[2] and calls[1][2] == "plus"
     assert states[-1].t == 0.75
 
 

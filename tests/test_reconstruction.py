@@ -1,6 +1,7 @@
 """Frame transport, immersion integration, and the end-to-end flow audit."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -58,12 +59,10 @@ class TestSpatialTransport:
         grid = Grid(d=2, n=16, L=2 * np.pi)
         F, frame = flat_frame(grid)
         m = induced_metric(F)
-        sf = SecondForm(grid, np.zeros((2, 2) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
+        sf = SecondForm(m, np.zeros((2, 2) + grid.shape, dtype=complex), np.zeros(grid.shape, dtype=complex))
         seed_F = frame.F_alpha[:, :, :, 0]
         seed_m = frame.m[:, :, 0]
-        out, holonomy = integrate_frame_space(
-            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape)
-        )
+        out, holonomy = integrate_frame_space(seed_F, seed_m, sf, np.zeros((2,) + grid.shape))
         assert holonomy < 1e-13
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-13
 
@@ -72,9 +71,7 @@ class TestSpatialTransport:
         fix, m, sf, frame = cliff_data(grid)
         seed_F = frame.F_alpha[:, :, :, 0]
         seed_m = frame.m[:, :, 0]
-        out, holonomy = integrate_frame_space(
-            seed_F, seed_m, m, sf, np.zeros((2,) + grid.shape)
-        )
+        out, holonomy = integrate_frame_space(seed_F, seed_m, sf, np.zeros((2,) + grid.shape))
         assert holonomy <= 1e-10
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-8
         assert maxabs(out.m - frame.m) < 1e-8
@@ -82,14 +79,15 @@ class TestSpatialTransport:
     def test_each_coefficient_transformed_once(self, transform_counts):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
-        m.gamma_u  # the Christoffel symbols are built on first read, outside the count
+        # the Christoffel symbols and the raised lambda are built on first
+        # read, outside the count
+        m.gamma_u, sf.lam_up
         counts = {}
         for substeps in (2, 4):
             transform_counts.update(fft=0, ifft=0)
             integrate_frame_space(
                 frame.F_alpha[:, :, :, 0],
                 frame.m[:, :, 0],
-                m,
                 sf,
                 np.zeros((2,) + grid.shape),
                 substeps=substeps,
@@ -115,7 +113,7 @@ class TestSpatialTransport:
         monkeypatch.setattr(reconstruction, "_generator", counting)
         grid = Grid(d=2, n=n, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
-        integrate_frame_space(frame.F_alpha[..., 0], frame.m[..., 0], m, sf, np.zeros((2,) + grid.shape), substeps=4)
+        integrate_frame_space(frame.F_alpha[..., 0], frame.m[..., 0], sf, np.zeros((2,) + grid.shape), substeps=4)
         assert len(calls) == 2 * 4
 
     def test_nan_coefficient_raises(self):
@@ -125,7 +123,7 @@ class TestSpatialTransport:
         lam[-1, 0, 3, 5] = np.nan
         with pytest.raises(IntegrabilityError):
             integrate_frame_space(
-                frame.F_alpha[..., 0], frame.m[..., 0], m, SecondForm(grid, lam, sf.psi), np.zeros((2,) + grid.shape)
+                frame.F_alpha[..., 0], frame.m[..., 0], SecondForm(m, lam, sf.psi), np.zeros((2,) + grid.shape)
             )
 
     def test_codazzi_violation_raises(self):
@@ -134,12 +132,11 @@ class TestSpatialTransport:
         # transverse warp: each transported line sees a different coefficient
         # scale, so the periodic loops cannot all close
         warp = 1.0 + 0.5 * np.cos(grid.x[0])
-        bad = SecondForm(grid, sf.lam * warp, sf.psi * warp)
+        bad = SecondForm(m, sf.lam * warp, sf.psi * warp)
         with pytest.raises(IntegrabilityError):
             integrate_frame_space(
                 frame.F_alpha[:, :, :, 0],
                 frame.m[:, :, 0],
-                m,
                 bad,
                 np.zeros((2,) + grid.shape),
             )
@@ -162,7 +159,7 @@ class TestTimeTransport:
         grid = Grid(d=2, n=8, L=2 * np.pi)
         _, frame = flat_frame(grid)
         bad = Frame(grid, np.full_like(frame.F_alpha, np.nan), frame.m)
-        assert np.isnan(bad.invariant_defects()["tangent_normal"])
+        assert np.isnan(bad.normal_defects["tangent_normal"])
 
     def test_static_flat_unchanged(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
@@ -275,7 +272,7 @@ class TestTimeTransport:
             for i in range(steps):
                 b = bundle_with_B(i * dt)
                 cur = transport_frame_time(cur, (b, b, b), dt, drift_tol=1.0)
-            drifts[dt] = cur.invariant_defects()["m_norm"]
+            drifts[dt] = cur.normal_defects["m_norm"]
         ratio = drifts[0.05] / drifts[0.025]
         assert ratio > 12.0
 
@@ -309,6 +306,33 @@ class TestEndToEnd:
         reconstruct(traj, frame, fix.immersion)
         assert len(traj) == 6
         assert len(calls) == 2 * len(traj) - 1
+
+    def test_frame_defects_taken_once_per_frame(self, monkeypatch):
+        # the drift check after each transport step and the audit share one
+        # set of defects per frame
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        gauge = gauge_state_from(grid, m.g, np.zeros((2,) + grid.shape))
+        traj = picard_evolve(sf, gauge, T=0.01, dt=1e-3, snapshot_every=2)
+        calls, builds = [], []
+        defects, build = Frame.invariant_defects, Frame.normal_defects.func
+
+        def counting(self, g):
+            calls.append(self)
+            return defects(self, g)
+
+        def counting_build(self):
+            builds.append(self)
+            return build(self)
+
+        normal_defects = cached_property(counting_build)
+        normal_defects.__set_name__(Frame, "normal_defects")
+        monkeypatch.setattr(Frame, "invariant_defects", counting)
+        monkeypatch.setattr(Frame, "normal_defects", normal_defects)
+        result = reconstruct(traj, frame, fix.immersion)
+        assert len(traj) == 6
+        assert len(calls) == 6 and len(builds) == 6
+        assert [id(f) for f in calls] == [id(f) for f in result.frames]
 
     def test_cliff_radii_from_immersion(self):
         grid, traj, result = self._run()
@@ -388,13 +412,13 @@ def _scenario(**overrides):
     cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), **overrides)
     bundle = generate_scenario(cfg)
     frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-    return bundle.gauge.metric, bundle.sf, bundle.gauge.A, frame
+    return bundle.sf, bundle.gauge.A, frame
 
 
 def _cliff_scenario(n):
     grid = Grid(d=2, n=n, L=2 * np.pi)
     fix, m, sf, frame = cliff_data(grid)
-    return m, sf, np.zeros((2,) + grid.shape), frame
+    return sf, np.zeros((2,) + grid.shape), frame
 
 
 AGREEMENT_CASES = {
@@ -410,8 +434,8 @@ AGREEMENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_cell_propagators_match_the_line_by_line_transport(case):
-    m, sf, A, frame = AGREEMENT_CASES[case]()
-    args = (frame.F_alpha[..., 0], frame.m[..., 0], m, sf, A)
+    sf, A, frame = AGREEMENT_CASES[case]()
+    args = (frame.F_alpha[..., 0], frame.m[..., 0], sf, A)
     out, holonomy = integrate_frame_space(*args)
     ref, ref_holonomy = integrate_frame_space_by_lines(*args)
     assert maxabs(out.F_alpha - ref.F_alpha) <= 1e-12

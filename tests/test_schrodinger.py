@@ -29,7 +29,7 @@ def flat_gauge(grid, t=0.0):
 
 def zero_sf(grid):
     return SecondForm(
-        grid,
+        flat_gauge(grid).metric,
         np.zeros((grid.d, grid.d) + grid.shape, dtype=complex),
         np.zeros(grid.shape, dtype=complex),
     )
@@ -149,7 +149,7 @@ class TestStepSchrodinger:
         lam = np.zeros((2, 2) + grid.shape, dtype=complex)
         lam[0, 0] = mode
         lam[1, 1] = mode
-        sf = SecondForm(grid, lam, np.zeros(grid.shape, dtype=complex))
+        sf = SecondForm(gauge.metric, lam, np.zeros(grid.shape, dtype=complex))
         dt = 0.0137
         out = step_schrodinger(sf, gauge, dt, frozen_source=zero_sf(grid))
         expected = np.exp(-1j * (k @ k) * dt) * lam
@@ -164,7 +164,7 @@ class TestStepSchrodinger:
         lam[0, 0] = vals
         lam[0, 1] = lam[1, 0] = 0.3 * vals
         lam[1, 1] = -vals
-        sf = SecondForm(grid, lam, np.zeros(grid.shape, dtype=complex))
+        sf = SecondForm(gauge.metric, lam, np.zeros(grid.shape, dtype=complex))
         out = sf
         for _ in range(20):
             out = step_schrodinger(out, gauge, 0.01, frozen_source=zero_sf(grid))
@@ -236,7 +236,7 @@ class TestPicardEvolve:
         A2 = mu * gauge1.A
         lam2 = mu * sf1.lam
         gauge2 = gauge_state_from(grid2, g2, A2)
-        sf2 = SecondForm.from_lambda(grid2, lam2, gauge2.metric)
+        sf2 = SecondForm.from_lambda(gauge2.metric, lam2)
         traj2 = picard_evolve(sf2, gauge2, T=T / mu**2, dt=dt / mu**2, snapshot_every=8)
 
         rel = maxabs(traj2[-1].lam - mu * traj1[-1].lam) / maxabs(mu * traj1[-1].lam)
@@ -310,6 +310,6 @@ class TestPicardEvolve:
     def test_blowup_detected(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         lam = 1e2 * np.ones((2, 2) + grid.shape, dtype=complex)
-        sf = SecondForm.from_lambda(grid, lam, flat_gauge(grid).metric)
+        sf = SecondForm.from_lambda(flat_gauge(grid).metric, lam)
         with pytest.raises(BlowupError):
             picard_evolve(sf, flat_gauge(grid), T=1.0, dt=0.05, blowup_threshold=10.0)
