@@ -298,28 +298,26 @@ def covariant_divergence(m: MetricState, A):
 # -- the second fundamental form ------------------------------------------------
 
 
-@dataclass
 class SecondForm:
     """Complex symmetric tensor lambda_{ab}, its metric trace psi and the metric
-    they belong to.  The contractions the flows and monitors share are built on
-    first read and kept, so lam, psi and the metric must not change."""
+    they belong to.  psi is traced on first read unless it is given; it and the
+    contractions the flows and monitors share are built on first read and kept,
+    so lam, psi and the metric must not change."""
 
-    metric: MetricState
-    lam: np.ndarray  # (d, d, *shape) complex
-    psi: np.ndarray  # (*shape,) complex
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=complex)
-        self.psi = np.asarray(self.psi, dtype=complex)
-
-    @classmethod
-    def from_lambda(cls, m: MetricState, lam):
-        lam = np.asarray(lam, dtype=complex)
-        return cls(m, lam, m.grid.dealias(np.einsum("ab...,ab...->...", m.ginv, lam)))
+    def __init__(self, metric: MetricState, lam, psi=None):
+        self.metric = metric
+        self.lam = np.asarray(lam, dtype=complex)  # (d, d, *shape)
+        if psi is not None:
+            self.psi = np.asarray(psi, dtype=complex)
 
     @property
     def grid(self) -> Grid:
         return self.metric.grid
+
+    @cached_property
+    def psi(self):
+        """g^{ab} lambda_{ab}, dealiased, indexed [*shape]."""
+        return self.grid.dealias(np.einsum("ab...,ab...->...", self.metric.ginv, self.lam))
 
     @cached_property
     def lam_up(self):
@@ -414,4 +412,4 @@ def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
     d2F = F.second_partials()
     mvec = nu1 + 1j * nu2
     lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))
-    return SecondForm.from_lambda(m, lam)
+    return SecondForm(m, lam)

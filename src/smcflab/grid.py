@@ -120,7 +120,7 @@ class Grid:
         self.k_nyq = 2.0 * np.pi / self.L * (self.n // 2)
         self.x1d = np.arange(self.n) * self.dx
 
-        self._lp_bands = {}
+        self._tables = {}
         self._spread_plans = {}
 
     # The full-grid arrays are built on first use, so a grid that only
@@ -351,16 +351,28 @@ class Grid:
             return bump_profile(self.k_mag / 2.0**j) - bump_profile(self.k_mag / 2.0 ** (j - 1))
         raise SmcfValidationError(f"projection kind must be 'P' or 'S', got {kind!r}")
 
+    def table(self, key, build):
+        """The array build() returns, made on the first call with this key and kept
+        read-only for the grid's lifetime: the band stacks and the norms' weight
+        tables.  A fresh grid holds none."""
+        if key not in self._tables:
+            arr = build()
+            arr.setflags(write=False)
+            self._tables[key] = arr
+        return self._tables[key]
+
     def lp_bands(self, kind="P"):
         """Every band's multiplier stacked on a leading axis, built once per grid:
         P_j for j in lp_band_range(), S_j for j = 0..max(0, max(lp_band_range()))."""
-        if kind not in self._lp_bands:
-            js = self.lp_band_range() if kind == "P" else range(max(0, max(self.lp_band_range())) + 1)
-            self._lp_bands[kind] = np.stack([self.lp_multiplier(j, kind) for j in js])
-        return self._lp_bands[kind]
+        js = self.lp_band_range() if kind == "P" else range(max(0, max(self.lp_band_range())) + 1)
+        return self.table(("lp_bands", kind), lambda: np.stack([self.lp_multiplier(j, kind) for j in js]))
 
     def lp_band_range(self):
         """Dyadic indices j whose annulus intersects the resolvable spectrum."""
+        return self._lp_band_range
+
+    @cached_property
+    def _lp_band_range(self):
         kmin = 2.0 * np.pi / self.L
         kmax = self.k_mag.max()
         j_lo = int(np.floor(np.log2(kmin)))
@@ -454,9 +466,10 @@ class Grid:
 # -- GridField: the public field type ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridField:
-    """Scalar field sampled on a Grid, with a declared parity."""
+    """Scalar field sampled on a Grid, with a declared parity.  Its values are
+    read-only and its fields cannot be rebound, so it keeps its spectra."""
 
     grid: Grid
     values: np.ndarray
@@ -471,21 +484,36 @@ class GridField:
             )
         if self.parity not in ("real", "complex"):
             raise SmcfValidationError(f"parity must be 'real' or 'complex', got {self.parity!r}")
-        self.values = vals.astype(np.complex128, copy=True)
+        values = vals.astype(np.complex128, copy=True)
         if self.parity == "real":
-            self.values = self.values.real.astype(np.complex128)
-        self.values.setflags(write=False)
+            values = values.real.astype(np.complex128)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_real(cls, grid, arr, name=""):
         return cls(grid, np.asarray(arr, dtype=float), parity="real", name=name)
 
-    @property
+    @cached_property
     def hat(self):
-        return self.grid.fft(self.values)
+        """The full spectrum of values, kept read-only."""
+        hat = self.grid.fft(self.values)
+        hat.setflags(write=False)
+        return hat
 
-    def physical(self):
-        return self.values.real if self.parity == "real" else self.values
+    @cached_property
+    def _half_hat(self):
+        """The r2c half spectrum of a real field, kept read-only."""
+        hat = self.grid.fft(self.values.real, half=True)
+        hat.setflags(write=False)
+        return hat
+
+    def apply(self, mult):
+        """The Fourier multiplier of Grid.apply on the kept spectrum: a real field
+        multiplies its half spectrum and comes back real."""
+        if self.parity == "real":
+            return self.grid.ifft(self._half_hat * self.grid.half(mult), half=True)
+        return self.grid.ifft(self.hat * mult)
 
     def l2(self):
         return self.grid.l2(self.values)

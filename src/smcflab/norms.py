@@ -14,6 +14,14 @@ Scale conventions: the dyadic index j = 0 sits at physical wavenumber 1, and
 cube partitions are measured in box units (the box length L is the only unit
 carrier).  Cube scales larger than the box are capped at one cube covering
 the whole box.
+
+Cost: every table read here is built on first use and kept read-only by the
+grid (Grid.table): the Sobolev weight (1 + k^2)^s per s, the squared axis
+weights of the cube partition per scale and the band stack of the
+low-frequency Y norm, next to the grid's dyadic band stacks.  Every norm of a
+GridField reads that field's one kept spectrum: H^s norms, block norms and
+envelopes the full one, the Y norms the r2c half spectrum of a real field,
+each transforming its bands back once.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ class Envelope:
 
 
 def _japanese_bracket_sq(grid: Grid, s: float):
-    return (1.0 + grid.k_sq) ** s
+    """(1 + k^2)^s, built once per (grid, s)."""
+    return grid.table(("sobolev", s), lambda: (1.0 + grid.k_sq) ** s)
 
 
 def sobolev_norm(f: GridField, s: float) -> float:
@@ -130,9 +139,10 @@ def _cube_l2(grid: Grid, values, scale):
     """Per-cube l2 norms ||chi_Q f||, one per cube of the partition at `scale`.
 
     chi_Q^2 = prod_a w_{i_a}(x_a)^2 is separable: contract one axis at a time
-    instead of building the (m^d, *shape) stack of cube weights.
+    instead of building the (m^d, *shape) stack of cube weights.  The squared
+    axis weights are built once per (grid, scale).
     """
-    w_sq = _axis_weights(grid, scale) ** 2
+    w_sq = grid.table(("cube_l2", scale), lambda: _axis_weights(grid, scale) ** 2)
     per = np.abs(np.asarray(values)) ** 2
     for _ in range(grid.d):
         per = np.tensordot(per, w_sq, axes=([0], [1]))
@@ -156,7 +166,7 @@ def y0_norm_upper(f: GridField, s: float, delta: float) -> float:
     """Upper bound for the weighted-in-frequency cube-l1 norm of f."""
     grid = f.grid
     total = 0.0
-    for j, pj in zip(grid.lp_band_range(), grid.apply(f.physical(), grid.lp_bands())):
+    for j, pj in zip(grid.lp_band_range(), f.apply(grid.lp_bands())):
         block = _y0j_upper(grid, pj, j)
         if block == 0.0:
             continue
@@ -170,7 +180,7 @@ def y0_lo_norm_upper(f: GridField, delta: float) -> float:
     grid = f.grid
     lo_js = [j for j in grid.lp_band_range() if j < 0]
     lo_bands = grid.lp_bands()[: len(lo_js)]
-    hi, *lo = grid.apply(f.physical(), np.concatenate([1.0 - lo_bands.sum(axis=0)[None], lo_bands]))
+    hi, *lo = f.apply(grid.table("y0_lo", lambda: np.concatenate([1.0 - lo_bands.sum(axis=0)[None], lo_bands])))
     hi_val = max(_y0j_upper(grid, hi, 0), grid.linf(hi))
     total = hi_val**2
     for j, pj in zip(lo_js, lo):

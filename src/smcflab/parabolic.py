@@ -182,7 +182,7 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
     def nonlinear(state: GaugeState):
         # psi is retraced with the stage metric: freezing it at the averaged
         # metric leaves an O(dt) coefficient bias that costs one global order
-        sf_mid = SecondForm.from_lambda(state.metric, lam_mid)
+        sf_mid = SecondForm(state.metric, lam_mid)
         Nh_free, NA_free = state.principal_remainder
         Nh = Nh_free + heat_rhs_h(state, sf_mid)
         NA = NA_free + heat_rhs_A(state, sf_mid, sign_variant)

@@ -105,13 +105,14 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
     def free_half(lam):
         return grid.ifft(phase * grid.fft(lam))
 
-    if frozen_source is not None:
-        F_frozen = assemble_nonlinearity(frozen_source, s_mid)
+    # the frozen source's caches are not needed past F_frozen: drop them
+    F_frozen = None if frozen_source is None else assemble_nonlinearity(frozen_source, s_mid)
+    frozen_source = None
 
     def W(lam):
         """d_t lam = i Lap lam + W(lam); the flat phase is handled exactly."""
-        if frozen_source is None:
-            stage = SecondForm.from_lambda(s_mid.metric, lam)
+        if F_frozen is None:
+            stage = SecondForm(s_mid.metric, lam)
             F, dlam = assemble_nonlinearity(stage, s_mid), stage.dlam
         else:
             F, dlam = F_frozen, grid.grad(lam)
@@ -126,7 +127,7 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
     lam3 = free_half(lam2)
     if not np.all(np.isfinite(lam3)):
         raise BlowupError("second form became non-finite during a step", t=s_mid.t)
-    return SecondForm.from_lambda(s_mid.metric, lam3)
+    return SecondForm(s_mid.metric, lam3)
 
 
 # -- trajectory drivers ----------------------------------------------------------
@@ -163,7 +164,7 @@ def evolve_coupled(
         s_mid = _midpoint_gauge(grid, s, s_pred)
         sf_new = step_schrodinger(sf, s_mid, dt)
         s_new = step_parabolic(s, (sf.lam, sf_new.lam), dt, sign_variant)
-        sf_new = SecondForm.from_lambda(s_new.metric, sf_new.lam)
+        sf_new = SecondForm(s_new.metric, sf_new.lam)
         _check_blowup(grid, sf_new.lam, t_new, blowup_threshold)
         s, sf = s_new, sf_new
         if step % snapshot_every == 0 or step == nsteps:
@@ -202,8 +203,10 @@ def evolve_slab(
         for i in range(nsteps):
             s_mid = _midpoint_gauge(grid, gauges[i], gauges[i + 1])
             (lam_a, psi_a), (lam_b, psi_b) = path[i], path[i + 1]
-            src = SecondForm(s_mid.metric, 0.5 * (lam_a + lam_b), 0.5 * (psi_a + psi_b))
-            sf = step_schrodinger(sf, s_mid, dt, frozen_source=src)
+            # the source is passed inline, so step_schrodinger holds its only reference
+            sf = step_schrodinger(
+                sf, s_mid, dt, frozen_source=SecondForm(s_mid.metric, 0.5 * (lam_a + lam_b), 0.5 * (psi_a + psi_b))
+            )
             _check_blowup(grid, sf.lam, times[i + 1], blowup_threshold)
             new_path.append((sf.lam, sf.psi))
         distance = max(grid.l2(new[0] - old[0]) for new, old in zip(new_path, path))
@@ -216,7 +219,7 @@ def evolve_slab(
         if tol is not None and distance <= tol:
             break
     records = [
-        TrajectoryRecord.from_state(t, s, SecondForm.from_lambda(s.metric, lam))
+        TrajectoryRecord.from_state(t, s, SecondForm(s.metric, lam))
         for t, s, (lam, _) in zip(times, gauges, path)
     ]
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})

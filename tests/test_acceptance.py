@@ -198,7 +198,7 @@ class TestAcceptance:
 
         grid2 = Grid(d=2, n=32, L=16.0 / mu)
         gauge2 = gauge_state_from(grid2, gauge1.metric.g.copy(), mu * gauge1.A)
-        sf2 = SecondForm.from_lambda(gauge2.metric, mu * sf1.lam)
+        sf2 = SecondForm(gauge2.metric, mu * sf1.lam)
         traj2 = picard_evolve(sf2, gauge2, T=T / mu**2, dt=dt / mu**2, snapshot_every=8)
 
         num = float(np.max(np.abs(traj2[-1].lam - mu * traj1[-1].lam)))

@@ -151,7 +151,7 @@ class TestStaticResiduals:
         # spatially varying distortion: breaks every identity including Codazzi
         warp = 1.0 + 0.3 * np.cos(2 * np.pi * grid.x[0] / grid.L)
         lam_bad = sf.lam * warp * (1.0 + 0.5j)
-        sf_bad = SecondForm.from_lambda(m, lam_bad)
+        sf_bad = SecondForm(m, lam_bad)
         theta = _smooth_gauge_angle(grid, seed=5)
         sf2, A2, _ = gauge_rotate(sf_bad, A, None, theta)
         for fn, args, args2 in (

@@ -88,6 +88,6 @@ class TestPropertyBased:
         from smcflab.geometry import MetricState, SecondForm, identity_metric
 
         m = MetricState(grid, identity_metric(grid))
-        sf = SecondForm.from_lambda(m, lam)
+        sf = SecondForm(m, lam)
         out, _, _ = gauge_rotate(sf, None, None, theta)
         assert float(np.max(np.abs(np.abs(out.lam) - np.abs(sf.lam)))) < 1e-12

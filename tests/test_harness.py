@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smcflab
-from smcflab import trajectory
+from smcflab import norms, trajectory
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
 from smcflab.errors import SmcfValidationError, StepRejectedError
-from smcflab.harness import generate_scenario, heat_gauge_and_write, run_experiment
+from smcflab.grid import Grid, GridField
+from smcflab.harness import generate_scenario, heat_gauge_and_write, norm_suite_rows, norms_and_write, run_experiment
+from smcflab.schrodinger import picard_evolve
 from smcflab.trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def canonical_config(name, tmp_path):
+    return replace(load_config(CONFIGS / f"{name}.txt"), output_dir=str(tmp_path / "out")).resolve()
 
 
 def small_cliff_config(tmp_path, **overrides):
@@ -195,6 +204,13 @@ class TestScenario:
         assert bundle.residuals["initial_A_route_gap_linf"] < 1e-6
         assert bundle.residuals["elliptic_h_rel"] < 1e-6
 
+    def test_bump_bundle_keeps_no_gauge_init_cache(self, tmp_path):
+        # the initial-A solve and the elliptic check build these on their form;
+        # the bundle's form holds lambda and psi only
+        bundle = generate_scenario(canonical_config("bump_smalldata", tmp_path))
+        assert not {"lam_up", "lam_lambar", "w", "ricci"} & vars(bundle.sf).keys()
+        assert "psi" in vars(bundle.sf)
+
     def test_bump_gauge_init_builds_V_once_per_metric(self, tmp_path, monkeypatch):
         # the graph metric feeds the harmonic solve; the gauged metric feeds the
         # Coulomb solve and the gauge state, which share its V
@@ -236,6 +252,62 @@ class TestScenario:
         for key in (0, 1):
             fit = np.polyfit(np.log([0.02, 0.04, 0.08]), np.log([vals[e][key] for e in (0.02, 0.04, 0.08)]), 1)[0]
             assert abs(fit - expo) < 0.1 * expo
+
+
+class TestNormStage:
+    """Each per-grid norm table is built once, in the audit, and each norm field
+    is transformed forward once."""
+
+    def test_gauge_init_builds_no_norm_table(self, tmp_path):
+        assert Grid(2, 64, 16.0)._tables == {}
+        assert generate_scenario(canonical_config("bump_smalldata", tmp_path)).grid._tables == {}
+
+    def test_one_record_transforms_each_norm_field_once(self, tmp_path, transform_counts):
+        # lambda_10 is lambda_01, so three lambda components and the three of h
+        # are transformed forward; each Y norm of h takes one inverse
+        cfg = canonical_config("bump_smalldata", tmp_path)
+        bundle = generate_scenario(cfg)
+        traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.time_step_dt, dt=cfg.time_step_dt)
+        gauge, sf = traj[-1].gauge(traj.grid), traj[-1].second_form(traj.grid)
+        transform_counts.update(fft=0, ifft=0)
+        norm_suite_rows(cfg, traj.grid, gauge, sf)
+        assert transform_counts == {"fft": 6, "ifft": 6}
+
+    @pytest.mark.parametrize("name, scales", [("bump_smalldata", 5), ("cliff_oracle", 4)])
+    def test_norms_stage_builds_each_cube_scale_once(self, name, scales, tmp_path, monkeypatch):
+        cfg = canonical_config(name, tmp_path)
+        bundle = generate_scenario(cfg)
+        traj = picard_evolve(bundle.sf, bundle.gauge, T=2 * cfg.time_step_dt, dt=cfg.time_step_dt)
+        built = []
+
+        def axis_weights(grid, scale, _original=norms._axis_weights):
+            built.append(scale)
+            return _original(grid, scale)
+
+        monkeypatch.setattr(norms, "_axis_weights", axis_weights)
+        os.makedirs(cfg.output_dir)
+        norms_and_write(cfg, traj)
+        assert len(traj) == 3
+        assert len(built) == len(set(built)) == scales
+
+    def test_tables_and_spectra_are_read_only(self, tmp_path):
+        cfg = canonical_config("bump_smalldata", tmp_path)
+        bundle = generate_scenario(cfg)
+        grid = bundle.grid
+        norm_suite_rows(cfg, grid, bundle.gauge, bundle.sf)
+        assert {key if isinstance(key, str) else key[0] for key in grid._tables} == {
+            "lp_bands",
+            "sobolev",
+            "cube_l2",
+            "y0_lo",
+        }
+        lam = GridField(grid, bundle.sf.lam[0, 1])
+        h = GridField.from_real(grid, bundle.gauge.metric.h[0, 0])
+        for arr in [*grid._tables.values(), lam.hat, h.hat, h._half_hat]:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            lam.values = h.values
 
 
 class TestExperiment:

@@ -1,5 +1,6 @@
 """Covariant Schroedinger stepper and the coupled evolution drivers."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oracles import nested_principal_difference
+from smcflab import schrodinger
 from smcflab.config import load_config
 from smcflab.errors import BlowupError
 from smcflab.fixtures import bump_immersion, cliff_fixture
@@ -236,7 +238,7 @@ class TestPicardEvolve:
         A2 = mu * gauge1.A
         lam2 = mu * sf1.lam
         gauge2 = gauge_state_from(grid2, g2, A2)
-        sf2 = SecondForm.from_lambda(gauge2.metric, lam2)
+        sf2 = SecondForm(gauge2.metric, lam2)
         traj2 = picard_evolve(sf2, gauge2, T=T / mu**2, dt=dt / mu**2, snapshot_every=8)
 
         rel = maxabs(traj2[-1].lam - mu * traj1[-1].lam) / maxabs(mu * traj1[-1].lam)
@@ -284,13 +286,52 @@ class TestPicardEvolve:
         drift = abs(grid.l2(traj[-1].lam) - grid.l2(traj[0].lam)) / grid.l2(traj[0].lam)
         assert drift <= calibration.L2_DRIFT_CONSTANT * dt**2 * T / T
 
-    def test_one_cliff_step_stays_under_151_forward_transforms(self, transform_counts):
-        # the cliff config at n=8, where per-call overhead sets the cost
+    def test_one_cliff_step_stays_under_149_forward_transforms(self, transform_counts):
+        # the cliff config at n=8, where per-call overhead sets the cost; the
+        # initial form's psi is traced outside the count, which covers the step
         grid = Grid(d=2, n=8, L=2 * np.pi)
         sf, gauge = cliff_setup(grid)
+        sf.psi
         transform_counts.update(fft=0, ifft=0)
         evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
-        assert transform_counts["fft"] <= 151
+        assert transform_counts["fft"] <= 149
+
+    def test_stepped_forms_trace_psi_only_when_published(self, monkeypatch):
+        # neither Schroedinger step's result is published, so neither traces psi;
+        # the step's final form traces it when its record is written
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid)
+        results = []
+
+        def stepped(*args, **kwargs):
+            results.append(step_schrodinger(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(schrodinger, "step_schrodinger", stepped)
+        traj = evolve_coupled(sf, gauge, 2e-3, 1e-3, sign_variant="plus", snapshot_every=2)
+        assert len(results) == 4 and not any("psi" in vars(r) for r in results)
+        assert len(traj) == 2
+
+    def test_frozen_source_is_freed_before_the_first_stage(self, monkeypatch):
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid)
+        sources, alive = [], []
+
+        def assemble(source, s, _original=assemble_nonlinearity):
+            out = _original(source, s)
+            sources.append(weakref.ref(source))
+            return out
+
+        def grad(arr, _original=grid.grad):
+            # the first gradient after the source's nonlinearity is the first W stage's
+            if sources and not alive:
+                alive.append(sources[0]() is not None)
+            return _original(arr)
+
+        monkeypatch.setattr(schrodinger, "assemble_nonlinearity", assemble)
+        monkeypatch.setattr(grid, "grad", grad)
+        step_schrodinger(sf, gauge, 1e-3, frozen_source=SecondForm(gauge.metric, sf.lam, sf.psi))
+        assert len(sources) == 1 and alive == [False]
 
     def test_steady_step_builds_four_christoffel_and_two_divergences(self, geometry_calls):
         # per step the start state, both parabolic stage-1 states and the
@@ -310,6 +351,6 @@ class TestPicardEvolve:
     def test_blowup_detected(self):
         grid = Grid(d=2, n=16, L=2 * np.pi)
         lam = 1e2 * np.ones((2, 2) + grid.shape, dtype=complex)
-        sf = SecondForm.from_lambda(flat_gauge(grid).metric, lam)
+        sf = SecondForm(flat_gauge(grid).metric, lam)
         with pytest.raises(BlowupError):
             picard_evolve(sf, flat_gauge(grid), T=1.0, dt=0.05, blowup_threshold=10.0)
