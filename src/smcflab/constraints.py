@@ -97,10 +97,10 @@ def residual_T5(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
     return res, _norms(grid, res, [dtA, dB, re_term, v_term])
 
 
-def residual_metric_evolution(grid: Grid, rec_prev, rec, rec_next):
-    """d_t g against 2 Im(psi lambar) + symmetrized covariant gradient of V."""
-    s = rec.gauge(grid)
-    sf = rec.second_form(grid)
+def residual_metric_evolution(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
+    """d_t g against 2 Im(psi lambar) + symmetrized covariant gradient of V at the
+    state s with second form sf, d_t g by centered differences as in residual_T5."""
+    grid = s.grid
     dtg = _centered_dt(rec_prev.g, rec_next.g, rec_prev.t, rec_next.t)
     im_term = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
     sym = s.nabla_V_low + np.swapaxes(s.nabla_V_low, 0, 1)
@@ -122,9 +122,7 @@ def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     _, report.entries["T4"] = residual_T4(sf, s.A)
     if 0 < i < len(traj) - 1:
         _, report.entries["T5"] = residual_T5(s, sf, traj[i - 1], traj[i + 1])
-        _, report.entries["metric_evolution"] = residual_metric_evolution(
-            grid, traj[i - 1], rec, traj[i + 1]
-        )
+        _, report.entries["metric_evolution"] = residual_metric_evolution(s, sf, traj[i - 1], traj[i + 1])
     return report
 
 

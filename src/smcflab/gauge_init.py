@@ -28,7 +28,6 @@ from .geometry import (
     MetricState,
     SecondForm,
     covariant_divergence,
-    identity_metric,
     normal_connection,
     normal_part,
     pointwise_det,
@@ -244,12 +243,11 @@ def solve_initial_A(sf: SecondForm, tol=1e-9, max_iter=60):
     w = sf.w
     # flat divergence of the antisymmetric source: (d^b w)_{a b}
     div_w = grid.div(np.swapaxes(w, 0, 1))
-    hinv = m.ginv - identity_metric(grid)
 
     def residual_of(A):
         dA = np.swapaxes(grid.grad(A), 0, 1)
         # Lap A_a + d_a(h^{mu b} d_b A_mu) + (d^b w)_{ab}
-        inner = grid.dealias(np.einsum("mb...,mb...->...", hinv, dA))
+        inner = grid.dealias(np.einsum("mb...,mb...->...", m.ginv_dev, dA))
         return grid.laplacian(A) + grid.grad(inner) + div_w
 
     A0 = np.zeros((grid.d,) + grid.shape)

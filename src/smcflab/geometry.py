@@ -6,11 +6,11 @@ tensors come from the shared contraction helpers below (raise_first,
 harmonic_defect, covariant_divergence, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
-symbols and their gradient, the gradient of ginv, h and V on MetricState (ginv
-is eager: inverting is the degeneracy check), gauge sources and shared
-contractions on parabolic.GaugeState, and the quadratic forms of lambda (the
-Gauss, Ricci and curl forms) on SecondForm, which carries the metric it was
-traced with.  The curvature is returned by `curvature` and never kept.
+symbols and their gradient, the gradient of ginv, ginv - delta, h and V on
+MetricState (ginv is eager: inverting is the degeneracy check), gauge sources
+and shared contractions on parabolic.GaugeState, and the quadratic forms of
+lambda (the Gauss, Ricci and curl forms) on SecondForm, which carries the
+metric it was traced with.  The curvature (`curvature`) is never kept.
 `laplacian_lower_order` writes a covariant Laplacian minus its principal part
 in first-order form from those caches, so the stepper never nests two
 covariant derivatives.
@@ -103,6 +103,11 @@ class MetricState:
         return self.g - identity_metric(self.grid)
 
     @cached_property
+    def ginv_dev(self):
+        """g^{-1} - delta, the inverse's deviation from the flat metric."""
+        return self.ginv - identity_metric(self.grid)
+
+    @cached_property
     def gamma_l(self):
         """Gamma_{ab,s}."""
         return christoffel(self)
@@ -175,7 +180,10 @@ def invert_metric(grid: Grid, g):
 
 
 def metric_eig_min(grid: Grid, g):
+    """The least eigenvalue of g over the grid; NaN if g has a non-finite entry."""
     d = grid.d
+    if not np.all(np.isfinite(g)):
+        return np.nan
     if d == 1:
         return float(np.min(g))
     if d == 2:

@@ -282,7 +282,6 @@ def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajecto
             drift_tol=cfg.frame_drift_tol,
             consistency_tol=cfg.consistency_tol,
             holonomy_tol=cfg.holonomy_tol,
-            spatial_audit=True,
         )
     write_reconstruction_csv(os.path.join(cfg.output_dir, "reconstruction.csv"), result)
     recon_dir = os.path.join(cfg.output_dir, "immersions")

@@ -21,15 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SmcfValidationError, StepRejectedError
+from .errors import ImmersionDegeneracyError, SmcfValidationError, StepRejectedError
 from .geometry import (
     MetricState,
     SecondForm,
     covariant_derivative,
     covariant_divergence,
-    identity_metric,
     laplacian_lower_order,
-    metric_eig_min,
     raise_first,
 )
 from .grid import Grid
@@ -94,12 +92,11 @@ class GaugeState:
         of the principal terms that the exponential step leaves to its stages.
         The second is (g^{ab} - delta^{ab}) d_a d_b A plus terms of first order in A."""
         grid, m = self.grid, self.metric
-        ginv_dev = m.ginv - identity_metric(grid)
         d2g = grid.hessian(m.g)  # d2g[a, b, mu, nu] = d^2_{ab} g_{mu nu}
-        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", ginv_dev, d2g))
+        Nh = grid.dealias(np.einsum("ab...,abmn...->mn...", m.ginv_dev, d2g))
         dA, d2A = grid.grad_hessian(self.A)
         nA, S = laplacian_lower_order(m, self.A, dA)  # nA[b, a] = nabla_b A_a
-        principal = np.einsum("cb...,cba...->a...", ginv_dev, d2A)
+        principal = np.einsum("cb...,cba...->a...", m.ginv_dev, d2A)
         return Nh, grid.dealias(principal - np.einsum("t...,ta...->a...", m.V, nA) - S)
 
 
@@ -199,17 +196,19 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
     def correct(u_star, N0, N1):
         return u_star + grid.ifft(dt * phi2 * grid.fft(N1 - N0, half=True), half=True)
 
+    def stage_state(g, A, t):  # inverting g is the degeneracy check
+        try:
+            return gauge_state_from(grid, g, A, t=t)
+        except ImmersionDegeneracyError as exc:
+            raise StepRejectedError(f"metric degenerate in the parabolic step to t={s.t + dt}") from exc
+
     Nh0, NA0 = nonlinear(s)
     g_star = predict(s.metric.g, Nh0)
     A_star = predict(s.A, NA0)
-    Nh1, NA1 = nonlinear(gauge_state_from(grid, g_star, A_star, t=s.t))
+    Nh1, NA1 = nonlinear(stage_state(g_star, A_star, s.t))
     g1 = correct(g_star, Nh0, Nh1)
     A1 = correct(A_star, NA0, NA1)
-
-    g1 = 0.5 * (g1 + np.swapaxes(g1, 0, 1))
-    if not np.all(np.isfinite(g1)) or metric_eig_min(grid, g1) <= 0.0:
-        raise StepRejectedError(f"metric degenerate after parabolic step at t={s.t + dt}")
-    return gauge_state_from(grid, g1, A1, t=s.t + dt)
+    return stage_state(0.5 * (g1 + np.swapaxes(g1, 0, 1)), A1, s.t + dt)
 
 
 def time_grid(T, dt):

@@ -1,14 +1,15 @@
 """Rebuild the moving frame and immersion from a gauge-system trajectory.
 
 The frame obeys one linear system along any direction,
-d F_a = M_a^g F_g + Re(c_a mbar) and d m = -i B m - c^g F_g, stepped by RK4.
-In time it runs at every grid point, with coefficients taken from stored
-snapshots (midpoints by averaging).  Along the last axis it audits
-integrability: one real (d+2)x(d+2) generator acts alike on every ambient
-component, so one RK4 sweep of all cells at once, from the identity, gives
+d F_a = M_a^g F_g + Re(c_a mbar) and d m = -i B m - c^g F_g.  On the real rows
+X = (F_0, ..., F_{d-1}, Re m, Im m) it is X' = K X, with one real (d+2)x(d+2)
+generator K acting alike on every ambient component, and one RK4 step of it
+serves both directions.  In time it runs at every grid point, with generators
+from stored snapshots (midpoints by averaging).  Along the last axis it audits
+integrability: one RK4 sweep of all cells at once, from the identity, gives
 every cell's propagator; chained from a seed slice they spread the frame, and
-the mismatch after the periodic loop is the holonomy.  Invariants are
-checked, never re-imposed, so drift is a genuine error signal.
+the mismatch after the periodic loop is the holonomy.  Invariants are checked,
+never re-imposed, so drift is a genuine error signal.
 
 The immersion integrates the displacement identity by the trapezoid rule over
 stored slices, and the final audit recomputes the mean curvature from the
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .trajectory import Trajectory, TrajectoryRecord
 @dataclass
 class Frame:
     """Tangent vectors and the complex normal vector at every grid point; the
-    arrays must not change once the defects are read."""
+    arrays must not change once the Gram matrix or the defects are read."""
 
     grid: Grid
     F_alpha: np.ndarray  # (d, d+2, *shape) real
@@ -48,86 +48,27 @@ class Frame:
         """Worst pointwise violations of |m|^2 = 2, m.m = 0 and F_a.m = 0: the
         invariants that the skew structure of the frame motion protects."""
         dot = lambda u, v: np.einsum("i...,i...->...", u, v)
-        out = {
+        return {
             "m_norm": float(np.max(np.abs(dot(self.m, np.conj(self.m)) - 2.0))),
             "m_null": float(np.max(np.abs(dot(self.m, self.m)))),
+            "tangent_normal": float(np.max([np.max(np.abs(dot(Fa, self.m))) for Fa in self.F_alpha])),
         }
-        out["tangent_normal"] = float(np.max([np.max(np.abs(dot(Fa, self.m))) for Fa in self.F_alpha]))
-        return out
+
+    @cached_property
+    def gram(self):
+        """F_a . F_b, indexed [a, b]."""
+        return np.einsum("ai...,bi...->ab...", self.F_alpha, self.F_alpha)
 
     def invariant_defects(self, g):
         """normal_defects and the worst violation of F_a . F_b = g_ab."""
-        gr = np.einsum("ai...,bi...->ab...", self.F_alpha, self.F_alpha)
-        return {**self.normal_defects, "metric": float(np.max(np.abs(gr - g)))}
+        return {**self.normal_defects, "metric": float(np.max(np.abs(self.gram - g)))}
 
 
 def frame_from_normal_basis(F: Immersion, nu1, nu2) -> Frame:
     return Frame(F.grid, F.tangents(), nu1 + 1j * nu2)
 
 
-# -- coefficient bundles -------------------------------------------------------
-
-
-def _bundle(grid: Grid, rec) -> SimpleNamespace:
-    """What _frame_rhs reads at one record: B, M, c = i(dApsi - i lam V) and c raised."""
-    s = rec.gauge(grid)
-    sf = rec.second_form(grid)
-    m = s.metric
-    dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
-    dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
-    lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
-    lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
-    nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
-    M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
-    return SimpleNamespace(t=rec.t, B=s.B, M=M, c=1j * (dApsi - 1j * lamV), cu=1j * (dApsi_up - 1j * lamV_up))
-
-
-def _bundle_midpoint(grid: Grid, rec0, rec1) -> SimpleNamespace:
-    mid = TrajectoryRecord(
-        t=0.5 * (rec0.t + rec1.t),
-        g=0.5 * (rec0.g + rec1.g),
-        A=0.5 * (rec0.A + rec1.A),
-        lam=0.5 * (rec0.lam + rec1.lam),
-        psi=0.5 * (rec0.psi + rec1.psi),
-    )
-    return _bundle(grid, mid)
-
-
-def _frame_rhs(x, b):
-    """d F_a = M_a^g F_g + Re(c_a mbar), d m = -i B m - c^g F_g at one coefficient bundle."""
-    frame_F, frame_m = x
-    Fdot = np.real(np.einsum("a...,i...->ai...", b.c, np.conj(frame_m)))
-    Fdot = Fdot + np.einsum("ag...,gi...->ai...", b.M, frame_F)
-    mdot = -1j * b.B * frame_m - np.einsum("a...,ai...->i...", b.cu, frame_F)
-    return Fdot, mdot
-
-
-def _rk4(x0, h, rhs, b0, bm, b1):
-    """One RK4 step of length h of x' = rhs(x, b) for a tuple x of arrays, with
-    start, midpoint and end coefficients."""
-    k1 = rhs(x0, b0)
-    k2 = rhs(tuple(x + 0.5 * h * k for x, k in zip(x0, k1)), bm)
-    k3 = rhs(tuple(x + 0.5 * h * k for x, k in zip(x0, k2)), bm)
-    k4 = rhs(tuple(x + h * k for x, k in zip(x0, k3)), b1)
-    return tuple(x + h / 6.0 * (a + 2 * b + 2 * c + e) for x, a, b, c, e in zip(x0, k1, k2, k3, k4))
-
-
-def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
-    """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
-    F1, m1 = _rk4((frame.F_alpha.astype(complex), frame.m), dt, _frame_rhs, *bundles)
-    out = Frame(frame.grid, F1.real, m1)
-    # the metric consistency mixes in the accuracy of the stored g and is
-    # audited separately by the reconstruction driver
-    defects = out.normal_defects
-    worst = np.max(list(defects.values()))
-    if not worst <= drift_tol:
-        raise FrameDriftError(
-            f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={bundles[2].t:.6g}: {defects}"
-        )
-    return out
-
-
-# -- spatial transport (integrability audit) --------------------------------------
+# -- the frame system ------------------------------------------------------------
 
 
 def _generator(M, c, cu, B):
@@ -142,9 +83,70 @@ def _generator(M, c, cu, B):
     return K
 
 
-def _propagator_rhs(x, K):
-    """(K P,) for the (d+2)x(d+2) matrix fields K and P = x[0]."""
-    return (np.einsum("ik...,kj...->ij...", K, x[0]),)
+def _apply(K, X):
+    """K X for the (d+2)x(d+2) matrix fields K and X."""
+    return np.einsum("ik...,kj...->ij...", K, X)
+
+
+def _rk4(X0, h, K0, Km, K1):
+    """One RK4 step of length h of X' = K X, with start, midpoint and end generators."""
+    k1 = _apply(K0, X0)
+    k2 = _apply(Km, X0 + 0.5 * h * k1)
+    k3 = _apply(Km, X0 + 0.5 * h * k2)
+    k4 = _apply(K1, X0 + h * k3)
+    return X0 + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _pack(F_alpha, m):
+    """The frame as the rows (F_0, ..., F_{d-1}, Re m, Im m) of one real array."""
+    return np.concatenate([F_alpha, m.real[None], m.imag[None]])
+
+
+def _unpack(grid: Grid, X) -> Frame:
+    return Frame(grid, X[:-2], X[-2] + 1j * X[-1])
+
+
+def _bundle(grid: Grid, rec):
+    """(t, K) at one record: the generator of M, c = i(dApsi - i lam V), c raised and B."""
+    s = rec.gauge(grid)
+    sf = rec.second_form(grid)
+    m = s.metric
+    dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
+    dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
+    lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
+    lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
+    nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
+    M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
+    return rec.t, _generator(M, 1j * (dApsi - 1j * lamV), 1j * (dApsi_up - 1j * lamV_up), s.B)
+
+
+def _bundle_midpoint(grid: Grid, rec0, rec1):
+    mid = TrajectoryRecord(
+        t=0.5 * (rec0.t + rec1.t),
+        g=0.5 * (rec0.g + rec1.g),
+        A=0.5 * (rec0.A + rec1.A),
+        lam=0.5 * (rec0.lam + rec1.lam),
+        psi=0.5 * (rec0.psi + rec1.psi),
+    )
+    return _bundle(grid, mid)
+
+
+def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
+    """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
+    (_, K0), (_, Km), (t1, K1) = bundles
+    out = _unpack(frame.grid, _rk4(_pack(frame.F_alpha, frame.m), dt, K0, Km, K1))
+    # the metric consistency mixes in the accuracy of the stored g and is
+    # audited separately by the reconstruction driver
+    defects = out.normal_defects
+    worst = np.max(list(defects.values()))
+    if not worst <= drift_tol:
+        raise FrameDriftError(
+            f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={t1:.6g}: {defects}"
+        )
+    return out
+
+
+# -- spatial transport (integrability audit) --------------------------------------
 
 
 def integrate_frame_space(seed_F, seed_m, sf: SecondForm, A, substeps=16, holonomy_tol=1e-4):
@@ -183,22 +185,22 @@ def integrate_frame_space(seed_F, seed_m, sf: SecondForm, A, substeps=16, holono
         K_mid = generator(2 * s_ + 1)
         K_end = generator(2 * s_ + 2) if s_ + 1 < substeps else np.roll(K_first, -1, axis=-1)
         for b in blocks:
-            (P[b],) = _rk4((P[b],), h, _propagator_rhs, K_start[b], K_mid[b], K_end[b])
+            P[b] = _rk4(P[b], h, K_start[b], K_mid[b], K_end[b])
         K_start = K_end
 
     # chain the cells; the columns of X are the ambient components
-    X = np.concatenate([seed_F, seed_m.real[None], seed_m.imag[None]])
+    X = _pack(seed_F, seed_m)
     out = np.empty((d + 2, d + 2) + grid.shape)
     for j in range(grid.n):
         out[..., j] = X
-        (X,) = _propagator_rhs((X,), P[..., j])
+        X = _apply(P[..., j], X)
     holonomy = float(np.max([np.max(np.abs(X[:d] - seed_F)), np.max(np.abs(X[d] + 1j * X[d + 1] - seed_m))]))
     if not holonomy <= holonomy_tol:
         raise IntegrabilityError(
             f"periodic holonomy {holonomy:.3e} exceeds {holonomy_tol:.1e}: "
             "the supplied data violate the integrability conditions"
         )
-    return Frame(grid, out[:d], out[d] + 1j * out[d + 1]), holonomy
+    return _unpack(grid, out), holonomy
 
 
 # -- immersion path and the flow audit ---------------------------------------------
@@ -209,7 +211,7 @@ class ReconstructionResult:
     times: list
     frames: list
     immersions: list
-    holonomy: float = np.nan
+    holonomy: float
     frame_defects: list = field(default_factory=list)
     consistency_gap: list = field(default_factory=list)
     lambda_closure: list = field(default_factory=list)
@@ -220,8 +222,7 @@ class ReconstructionResult:
 
 def _displacement(grid, frame: Frame, rec):
     disp = -np.imag(np.einsum("...,i...->i...", rec.psi, np.conj(frame.m)))
-    disp = disp + np.einsum("g...,gi...->i...", rec.gauge(grid).V, frame.F_alpha)
-    return disp
+    return disp + np.einsum("g...,gi...->i...", rec.gauge(grid).V, frame.F_alpha)
 
 
 def reconstruct(
@@ -231,40 +232,31 @@ def reconstruct(
     drift_tol=1e-5,
     consistency_tol=1e-4,
     holonomy_tol=1e-4,
-    spatial_audit=False,
 ) -> ReconstructionResult:
     """Transport the frame along the trajectory and integrate the immersion.
 
-    With spatial_audit the initial frame is also re-derived by transporting a
-    seed slice across the grid, and the periodic holonomy is recorded.
+    The initial frame is also re-derived by transporting a seed slice across
+    the grid, and the periodic holonomy is recorded.
     """
     grid = traj.grid
-    frames = [frame0]
+    frames, immersions = [frame0], [F0]
+    disp_prev = _displacement(grid, frame0, traj[0])
     # each step's end bundle is the next step's start; only the (start, mid,
     # end) window of the current step stays alive
     end = _bundle(grid, traj[0])
-    for i in range(len(traj) - 1):
-        rec0, rec1 = traj[i], traj[i + 1]
-        start = end
-        mid = _bundle_midpoint(grid, rec0, rec1)
-        end = _bundle(grid, rec1)
-        frames.append(transport_frame_time(frames[-1], (start, mid, end), rec1.t - rec0.t, drift_tol=drift_tol))
-
-    immersions = [F0]
-    disp_prev = _displacement(grid, frames[0], traj[0])
-    for i in range(len(traj) - 1):
-        dt = traj[i + 1].t - traj[i].t
-        disp_next = _displacement(grid, frames[i + 1], traj[i + 1])
-        dev = immersions[-1].dev + 0.5 * dt * (disp_prev + disp_next)
-        immersions.append(Immersion(grid, dev, graph=F0.graph))
+    for rec0, rec1 in zip(traj.records, traj.records[1:]):
+        dt = rec1.t - rec0.t
+        start, mid, end = end, _bundle_midpoint(grid, rec0, rec1), _bundle(grid, rec1)
+        frames.append(transport_frame_time(frames[-1], (start, mid, end), dt, drift_tol=drift_tol))
+        disp_next = _displacement(grid, frames[-1], rec1)
+        immersions.append(Immersion(grid, immersions[-1].dev + 0.5 * dt * (disp_prev + disp_next), graph=F0.graph))
         disp_prev = disp_next
 
-    result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions)
-    if spatial_audit:
-        # seed on the slice {x_last = 0}, transported along the last axis
-        _, result.holonomy = integrate_frame_space(
-            frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(grid), traj[0].A, holonomy_tol=holonomy_tol
-        )
+    # seed on the slice {x_last = 0}, transported along the last axis
+    _, holonomy = integrate_frame_space(
+        frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(grid), traj[0].A, holonomy_tol=holonomy_tol
+    )
+    result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions, holonomy=holonomy)
     for i, (frame, imm) in enumerate(zip(frames, immersions)):
         rec = traj[i]
         result.frame_defects.append(frame.invariant_defects(rec.g))
@@ -278,8 +270,7 @@ def reconstruct(
         d2F = imm.second_partials()
         lam_rec = grid.dealias(np.einsum("abi...,i...->ab...", d2F, frame.m))
         result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
-        gr = np.einsum("ai...,bi...->ab...", frame.F_alpha, frame.F_alpha)
-        result.metric_closure.append(grid.l2(gr - rec.g))
+        result.metric_closure.append(grid.l2(frame.gram - rec.g))
         if 0 < i < len(traj) - 1:
             dtF = (immersions[i + 1].dev - immersions[i - 1].dev) / (traj[i + 1].t - traj[i - 1].t)
             smcf, ident = _flow_residuals(grid, frame, tang, d2F, dtF, rec.psi)
@@ -310,8 +301,7 @@ def _flow_residuals(grid: Grid, frame: Frame, tang, d2F, dtF, psi):
 
 def write_reconstruction_csv(path, result: ReconstructionResult):
     out = DiagnosticsCSV(path)
-    if np.isfinite(result.holonomy):
-        out.append_many(result.times[0], [("spatial_holonomy", result.holonomy)])
+    out.append_many(result.times[0], [("spatial_holonomy", result.holonomy)])
     for i, t in enumerate(result.times):
         rows = [
             ("consistency_gap", result.consistency_gap[i]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
-from .geometry import SecondForm, identity_metric, laplacian_lower_order
+from .geometry import SecondForm, laplacian_lower_order
 from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic, time_grid
 from .trajectory import Trajectory, TrajectoryRecord
 
@@ -100,7 +100,6 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
         raise SmcfValidationError(f"dt must be positive, got {dt}")
     grid = s_mid.grid
     phase = np.exp(-1j * grid.k_sq * dt / 2.0)
-    ginv_dev = s_mid.metric.ginv - identity_metric(grid)
 
     def free_half(lam):
         return grid.ifft(phase * grid.fft(lam))
@@ -116,7 +115,7 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
             F, dlam = assemble_nonlinearity(stage, s_mid), stage.dlam
         else:
             F, dlam = F_frozen, grid.grad(lam)
-        flux = grid.div(np.einsum("mn...,nab...->mab...", ginv_dev, dlam))
+        flux = grid.div(np.einsum("mn...,nab...->mab...", s_mid.metric.ginv_dev, dlam))
         adv = grid.dealias(np.einsum("s...,sab...->ab...", s_mid.A_up, dlam))
         return 1j * flux - 2.0 * adv - 1j * F
 

@@ -142,6 +142,21 @@ def nested_laplacian_remainder(m: MetricState, A):
 # -- reconstruction ------------------------------------------------------------------
 
 
+def frame_bundle(grid: Grid, rec):
+    """The complex-form coefficients of the frame's time motion at one record:
+    B, M, c = i(dApsi - i lam V) and c raised."""
+    s = rec.gauge(grid)
+    sf = rec.second_form(grid)
+    m = s.metric
+    dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
+    lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
+    c = 1j * (dApsi - 1j * lamV)
+    nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
+    M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
+    cu = np.einsum("ab...,b...->a...", m.ginv, c)
+    return SimpleNamespace(t=rec.t, B=s.B, M=M, c=c, cu=cu)
+
+
 def _frame_rhs(frame_F, frame_m, b):
     """d F_a = M_a^g F_g + Re(c_a mbar), d m = -i B m - c^g F_g at one coefficient bundle."""
     Fdot = np.real(np.einsum("a...,i...->ai...", b.c, np.conj(frame_m)))

@@ -180,7 +180,7 @@ class TestTimeResiduals:
         ]
         res, norms = residual_T5(recs[1].gauge(grid), recs[1].second_form(grid), recs[0], recs[2])
         assert norms.l2 < 1e-13
-        res, norms = residual_metric_evolution(grid, recs[0], recs[1], recs[2])
+        res, norms = residual_metric_evolution(recs[1].gauge(grid), recs[1].second_form(grid), recs[0], recs[2])
         assert norms.l2 < 1e-13
 
     def _cliff_traj(self, dt, T=0.04):
@@ -203,7 +203,10 @@ class TestTimeResiduals:
         for dt in (5e-4, 2.5e-4):
             traj = self._cliff_traj(dt)
             mid = len(traj) // 2
-            _, norms = residual_metric_evolution(traj.grid, traj[mid - 1], traj[mid], traj[mid + 1])
+            rec = traj[mid]
+            _, norms = residual_metric_evolution(
+                rec.gauge(traj.grid), rec.second_form(traj.grid), traj[mid - 1], traj[mid + 1]
+            )
             errs[dt] = norms
         # homogeneous data: the stepper-vs-identity agreement is pointwise
         assert errs[2.5e-4].linf < 1e-6

@@ -96,6 +96,16 @@ class TestPointwiseMatrices:
         with pytest.raises(ImmersionDegeneracyError):
             invert_metric(grid, g)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_metric_rejected(self, d):
+        # a NaN entry reads as a NaN eigenvalue, so inverting rejects it
+        grid = Grid(d=d, n=8, L=2 * np.pi)
+        g = identity_metric(grid)
+        g[0, 0, (0,) * d] = np.nan
+        assert np.isnan(metric_eig_min(grid, g))
+        with pytest.raises(ImmersionDegeneracyError):
+            invert_metric(grid, g)
+
     def test_metric_eig_min_matches_eigvalsh_on_near_conformal_metrics(self):
         # tr^2 - 4 det cancels when the eigenvalues nearly coincide; the
         # smaller eigenvalue must still hold to roundoff

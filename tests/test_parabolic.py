@@ -1,5 +1,6 @@
 """Heat-gauge system: sources, right-hand sides, and the IMEX stepper."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import CONFIGS
 from oracles import deriv, lp_project, nested_laplacian_remainder
 from smcflab import calibration
+from smcflab.config import load_config
+from smcflab.errors import StepRejectedError
 from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import (
     SecondForm,
@@ -19,6 +23,7 @@ from smcflab.geometry import (
     second_form,
 )
 from smcflab.grid import Grid
+from smcflab.harness import generate_scenario
 from smcflab.parabolic import (
     _PHI_SERIES_CUT,
     GaugeState,
@@ -329,6 +334,15 @@ class TestStepParabolic:
         assert maxabs(s.B - B) < 1e-13
         assert maxabs(s.metric.g - np.swapaxes(s.metric.g, 0, 1)) == 0.0
         assert np.isrealobj(s.A)
+
+    def test_degenerate_predictor_rejects_the_step(self):
+        # lambda x 1e4 drives the predicted metric indefinite: a rejected
+        # step, not a validation error
+        cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
+        bundle = generate_scenario(cfg)
+        lam = 1e4 * bundle.sf.lam
+        with pytest.raises(StepRejectedError):
+            step_parabolic(bundle.gauge, (lam, lam), cfg.time_step_dt)
 
     def test_step_builds_only_stage_and_result_states(self, monkeypatch):
         # stage 0 runs on the state passed in; only the predicted stage and

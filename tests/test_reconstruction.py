@@ -8,7 +8,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import CONFIGS
-from oracles import integrate_frame_space_by_lines
+from oracles import _rk4 as complex_form_rk4
+from oracles import frame_bundle, integrate_frame_space_by_lines
 from smcflab.config import load_config
 from smcflab.errors import FrameDriftError, IntegrabilityError, ReconstructionInconsistencyError
 from smcflab.fixtures import cliff_fixture, flat_immersion
@@ -221,6 +222,46 @@ class TestTimeTransport:
         assert maxabs(cur.F_alpha[0] - F1_exact) < 1e-8
         assert maxabs(cur.m - frame.m) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["cliff", "bump"])
+    def test_matches_the_complex_form(self, kind):
+        # the real generator form X' = K X against the complex form of the
+        # same frame system, one step at a time along the records
+        from smcflab.reconstruction import _bundle, _bundle_midpoint
+
+        if kind == "cliff":
+            grid = Grid(d=2, n=8, L=2 * np.pi)
+            _, _, _, frame = cliff_data(grid)
+            recs, _ = self._cliff_oracle_records(grid, [0.0, 0.01, 0.02, 0.03])
+        else:
+            cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
+            bundle = generate_scenario(cfg)
+            frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+            recs = picard_evolve(bundle.sf, bundle.gauge, T=3 * cfg.time_step_dt, dt=cfg.time_step_dt).records
+            grid = bundle.grid
+        cur = frame
+        for rec0, rec1 in zip(recs, recs[1:]):
+            mid = TrajectoryRecord(
+                t=0.5 * (rec0.t + rec1.t),
+                g=0.5 * (rec0.g + rec1.g),
+                A=0.5 * (rec0.A + rec1.A),
+                lam=0.5 * (rec0.lam + rec1.lam),
+                psi=0.5 * (rec0.psi + rec1.psi),
+            )
+            dt = rec1.t - rec0.t
+            ref_F, ref_m = complex_form_rk4(
+                cur.F_alpha.astype(complex),
+                cur.m,
+                dt,
+                frame_bundle(grid, rec0),
+                frame_bundle(grid, mid),
+                frame_bundle(grid, rec1),
+            )
+            bundles = (_bundle(grid, rec0), _bundle_midpoint(grid, rec0, rec1), _bundle(grid, rec1))
+            cur = transport_frame_time(cur, bundles, dt)
+            assert maxabs(ref_F.imag) == 0.0
+            assert maxabs(cur.F_alpha - ref_F.real) <= 1e-15 * max(1.0, maxabs(ref_F))
+            assert maxabs(cur.m - ref_m) <= 1e-15 * max(1.0, maxabs(ref_m))
+
     def test_metric_consistency_second_order_in_snapshot_spacing(self):
         # the coefficient midpoints come from record averaging, so the frame's
         # metric consistency converges at second order
@@ -261,9 +302,10 @@ class TestTimeTransport:
             )
             from smcflab.reconstruction import _bundle
 
-            b = _bundle(grid, rec)
-            b.B = np.full(grid.shape, 2.0)
-            return b
+            # B enters the generator as the rotation block of (Re m, Im m)
+            t, K = _bundle(grid, rec)
+            K[2, 3], K[3, 2] = 2.0, -2.0
+            return t, K
 
         drifts = {}
         for dt in (0.05, 0.025):
@@ -375,7 +417,7 @@ class TestEndToEnd:
             for i in range(5)
         ]
         traj = Trajectory(grid=grid, records=recs)
-        result = reconstruct(traj, frame, F, spatial_audit=True)
+        result = reconstruct(traj, frame, F)
         for imm in result.immersions:
             assert maxabs(imm.dev) == 0.0
         assert result.holonomy < 1e-13
