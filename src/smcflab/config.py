@@ -16,7 +16,8 @@ from .parabolic import SIGN_VARIANTS, time_grid
 # field type (a string under postponed annotations) -> text parser
 _PARSERS = {"int": int, "float": float}
 # allowed values and lower bounds by field.  A tolerance or threshold <= 0 would
-# switch its check off; a zero time_step_dt selects 0.5 dx^2, a zero picard_tol the sweep count alone
+# switch its check off; a zero time_step_dt selects 0.5 dx^2, a zero picard_tol the sweep count alone,
+# a zero bump_profile_width_w L / 8
 _CHOICES = {
     "scenario_kind": ("flat", "cliff", "bump"),
     "coupling_mode": ("perstep", "slab"),
@@ -24,8 +25,8 @@ _CHOICES = {
     "grid_dimension_d": (1, 2, 3),
 }
 _TOLERANCES = ("solver_tol", "frame_drift_tol", "holonomy_tol", "consistency_tol")
-_POSITIVE = ("box_length_L", "final_time_T", "small_data_threshold", "blowup_threshold") + _TOLERANCES
-_NON_NEGATIVE = ("time_step_dt", "picard_tol")
+_POSITIVE = ("box_length_L", "final_time_T", "small_data_threshold", "blowup_threshold", "cliff_radius_r") + _TOLERANCES
+_NON_NEGATIVE = ("time_step_dt", "picard_tol", "bump_profile_width_w")
 _AT_LEAST_ONE = ("picard_sweeps", "snapshot_every_steps", "solver_max_iter")
 
 

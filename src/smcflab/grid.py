@@ -17,6 +17,12 @@ where an FFT's grows as O(log n eps); at n = 16 they match numpy.fft to under
 1e-15 relative, and a constant field leaks that much into the nonzero modes.
 Larger grids call numpy.fft.
 
+A third regime skips the transforms: on grids of at most 64 points n^d, the
+named operators dealias, grad, hessian, grad_hessian and div are each one real
+matrix, the spectral operator built from the unit fields on first use
+(Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), applied by
+Grid._operator alone.
+
 The dyadic projector profile is a fixed C^infinity bump: 1 on [-1, 1],
 supported in [-2, 2] with the transition completed by |r| = 3/2, glued with
 the standard exp(-1/t) smoothstep
@@ -64,6 +70,24 @@ _NUFFT_CHUNK = 1 << 20
 # 19 us; d = 2, n = 32, c2c 70 -> 56 us but its inverse 59 -> 62 us; d = 3,
 # n = 16, c2r 283 -> 132 us but c2c 232 -> 507 us; d = 2, n = 64, c2c 289 -> 423 us.
 _DENSE_DFT_MAX_N = 16
+
+# Grids with at most this many points n^d apply the named operators below as
+# one cached real matrix (Grid._operator).  Per call on a (2, 2) stack of real
+# fields with one BLAS thread, transform pair -> matrix: d = 2, n = 8, dealias
+# 29 -> 8 us, grad 39 -> 12 us, hessian 42 -> 18 us, grad_hessian 48 -> 28 us,
+# div 38 -> 18 us; d = 1, n = 32, dealias 23 -> 4.5 us; d = 1, n = 64, grad
+# 24 -> 6 us; but d = 2, n = 16, grad 37 -> 52 us, hessian 47 -> 207 us, and
+# d = 3, n = 8, dealias 60 -> 188 us.
+_OPERATOR_MATRIX_MAX_POINTS = 64
+# name -> (multiplier stack attribute, whether the operator pairs the stack
+# with the leading axis of its input and sums over it)
+_OPERATORS = {
+    "dealias": ("dealias_mask", False),
+    "grad": ("_grad_mult", False),
+    "hessian": ("_hessian_mult", False),
+    "grad_hessian": ("_grad_hessian_mult", False),
+    "div": ("_div_mult", True),
+}
 
 
 def _smoothstep(t):
@@ -309,27 +333,82 @@ class Grid:
         return self._grad_mult * self.dealias_mask
 
     def grad(self, arr):
-        """[a] = d_a arr for every axis, a new leading axis of length d; one transform pair."""
-        return self.apply(arr, self._over(self._grad_mult, arr))
+        """[a] = d_a arr for every axis, a new leading axis of length d; one transform
+        pair, or one matrix product on a tiny grid (_operator)."""
+        return self._operator("grad", arr)
 
     def hessian(self, arr):
-        """[a, b] = d_a d_b arr, two new leading axes; one transform pair.
+        """[a, b] = d_a d_b arr, two new leading axes; one transform pair, or one
+        matrix product on a tiny grid (_operator).
 
         Mixed derivatives zero the Nyquist planes of both axes, as two first
         derivatives would; the diagonal is the second derivative (i k_a)^2.
         """
-        return self.apply(arr, self._over(self._hessian_mult, arr))
+        return self._operator("hessian", arr)
 
     def grad_hessian(self, arr):
         """(grad(arr), hessian(arr)) from one forward transform and one inverse of
-        the stacked multiplier; bit-identical to the two calls."""
-        both = self.apply(arr, self._over(self._grad_hessian_mult, arr))
+        the stacked multiplier, or one matrix product on a tiny grid;
+        bit-identical to the two calls."""
+        both = self._operator("grad_hessian", arr)
         return both[: self.d], both[self.d :].reshape((self.d, self.d) + both.shape[1:])
 
     def div(self, X):
-        """sum_mu d_mu dealias(X[mu]) over the leading axis of X; one transform pair."""
-        hat, real = self._spectrum(X, self._over(self._div_mult, X[0]))
-        return self.ifft(hat.sum(axis=0), half=real)
+        """sum_mu d_mu dealias(X[mu]) over the leading axis of X; one transform
+        pair, or one matrix product on a tiny grid (_operator)."""
+        return self._operator("div", X)
+
+    def _operator(self, name, arr):
+        """The operator `name` of _OPERATORS over the spatial axes of arr.
+
+        On a grid of at most _OPERATOR_MATRIX_MAX_POINTS points it is one real
+        matrix, (out components * n^d, in components * n^d), built on first use
+        by passing the unit fields through the spectral path and kept in the
+        grid's tables.  Every multiplier here is Hermitian, so the matrix is
+        real, and a complex arr takes it on its interleaved (Re, Im) view.  Each
+        slab of the tensor stack is one batched product mat @ (n^d, 1 or 2), the
+        same BLAS call alone or inside a stack, so a slab comes out
+        bit-identical either way.  Larger grids take the spectral path.
+        """
+        attr, summed = _OPERATORS[name]
+        mult = getattr(self, attr)
+        x = np.asarray(arr)
+        points = self.n**self.d
+        if points > _OPERATOR_MATRIX_MAX_POINTS:
+            return self._spectral(mult, summed, x)
+
+        def build():
+            ins = self.d if summed else 1
+            units = np.eye(ins * points).reshape((ins * points, ins) + self.shape)
+            out = self._spectral(mult, summed, np.moveaxis(units, 1, 0) if summed else units[:, 0])
+            # out[c, q, p] is entry ((c, p), q) of the matrix
+            mat = np.ascontiguousarray(out.reshape(-1, ins * points, points).transpose(0, 2, 1))
+            return mat.reshape(-1, ins * points)
+
+        mat = self.table(("operator", name), build)
+        stack = () if summed else mult.shape[: mult.ndim - self.d]
+        if summed:
+            # each slab's d components side by side; np.moveaxis(x, 0, -d - 1)
+            # costs more than the product at this size
+            k = x.ndim - self.d
+            x = x.transpose((*range(1, k), 0, *range(k, x.ndim)))
+        lead = x.shape[: x.ndim - self.d - summed]
+        if np.isrealobj(x):
+            out = mat @ np.ascontiguousarray(x, dtype=np.float64).reshape(-1, mat.shape[1], 1)
+        else:
+            pairs = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+            out = (mat @ pairs.reshape(-1, mat.shape[1], 2)).view(np.complex128)
+        out = out.reshape(-1, mat.shape[0] // points, points).transpose(1, 0, 2)
+        return np.ascontiguousarray(out).reshape(stack + lead + self.shape)
+
+    def _spectral(self, mult, summed, arr):
+        """The multiplier stack mult applied by one transform pair: broadcast over
+        the tensor axes of arr, or, when summed, paired with its leading axis and
+        summed over it before the inverse."""
+        if summed:
+            hat, real = self._spectrum(arr, self._over(mult, arr[0]))
+            return self.ifft(hat.sum(axis=0), half=real)
+        return self.apply(arr, self._over(mult, arr))
 
     def inv_laplacian(self, arr):
         """Spectral solve of Laplace u = arr with the zero mode projected out."""
@@ -353,8 +432,9 @@ class Grid:
 
     def table(self, key, build):
         """The array build() returns, made on the first call with this key and kept
-        read-only for the grid's lifetime: the band stacks and the norms' weight
-        tables.  A fresh grid holds none."""
+        read-only for the grid's lifetime: the band stacks, the norms' weight
+        tables, the steppers' per-dt factors and the operator matrices of a
+        tiny grid.  A fresh grid holds none."""
         if key not in self._tables:
             arr = build()
             arr.setflags(write=False)
@@ -382,7 +462,7 @@ class Grid:
     # -- dealiasing ------------------------------------------------------------
 
     def dealias(self, arr):
-        return self.apply(arr, self.dealias_mask)
+        return self._operator("dealias", arr)
 
     # -- nonuniform evaluation -------------------------------------------------
 

@@ -164,6 +164,13 @@ def _phi_factors(z):
     return phi1, phi2
 
 
+def _etd2_factors(grid, dt):
+    """(E, dt phi1, dt phi2) of z = -k^2 dt on the r2c half spectrum, stacked."""
+    z = -grid.half(grid.k_sq) * dt
+    phi1, phi2 = _phi_factors(z)
+    return np.stack([np.exp(z), dt * phi1, dt * phi2])
+
+
 def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeState:
     """One exponential-integrator step of the (h, A) system.
 
@@ -186,15 +193,13 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
         return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
 
     # g, A and their right sides are real: the factors act on r2c half spectra
-    z = -grid.half(grid.k_sq) * dt
-    E = np.exp(z)
-    phi1, phi2 = _phi_factors(z)
+    E, dt_phi1, dt_phi2 = grid.table(("etd2", dt), lambda: _etd2_factors(grid, dt))
 
     def predict(u, N):
-        return grid.ifft(E * grid.fft(u, half=True) + dt * phi1 * grid.fft(N, half=True), half=True)
+        return grid.ifft(E * grid.fft(u, half=True) + dt_phi1 * grid.fft(N, half=True), half=True)
 
     def correct(u_star, N0, N1):
-        return u_star + grid.ifft(dt * phi2 * grid.fft(N1 - N0, half=True), half=True)
+        return u_star + grid.ifft(dt_phi2 * grid.fft(N1 - N0, half=True), half=True)
 
     def stage_state(g, A, t):  # inverting g is the degeneracy check
         try:

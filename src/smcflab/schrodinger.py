@@ -99,7 +99,7 @@ def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: Secon
     if dt <= 0:
         raise SmcfValidationError(f"dt must be positive, got {dt}")
     grid = s_mid.grid
-    phase = np.exp(-1j * grid.k_sq * dt / 2.0)
+    phase = grid.table(("free_phase", dt), lambda: np.exp(-1j * grid.k_sq * dt / 2.0))
 
     def free_half(lam):
         return grid.ifft(phase * grid.fft(lam))

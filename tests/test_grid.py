@@ -8,7 +8,7 @@ import pytest
 from oracles import deriv, lp_project
 from smcflab import calibration
 from smcflab.errors import SmcfValidationError
-from smcflab.grid import Grid, GridField, bump_profile, read_field, write_field
+from smcflab.grid import _OPERATORS, Grid, GridField, bump_profile, read_field, write_field
 
 
 def rel_err(a, b):
@@ -166,6 +166,86 @@ def test_grad_hessian_is_one_transform_pair(transform_counts):
     grid = Grid(d=2, n=16, L=2 * np.pi)
     grid.grad_hessian(full_spectrum_stack(grid, (2, 2), real=True))
     assert transform_counts == {"fft": 1, "ifft": 1}
+
+
+# the grids whose named operators are one cached real matrix (n^d <= 64)
+MATRIX_GRIDS = [(1, 8), (1, 32), (1, 64), (2, 8)]
+
+
+def operator_input(grid, name, real, lead=(3, 2), seed=0):
+    """A random tensor stack for the named operator; div reads its leading axis
+    as the d vector components."""
+    return full_spectrum_stack(grid, ((grid.d,) if name == "div" else ()) + lead, real, seed)
+
+
+def named(grid, name, x):
+    """The named operator's output, grad_hessian's pair stacked on one axis."""
+    out = getattr(grid, name)(x)
+    if name == "grad_hessian":
+        grad, hess = out
+        return np.concatenate([grad, hess.reshape((grid.d**2,) + hess.shape[2:])])
+    return out
+
+
+def spectral(grid, name, x):
+    """The named operator by its transform pair, as grids above the cut-off apply it."""
+    attr, summed = _OPERATORS[name]
+    return grid._spectral(getattr(grid, attr), summed, x)
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d, n", MATRIX_GRIDS)
+class TestOperatorMatrices:
+    """Grids with n^d <= 64 apply each named operator as one cached real matrix."""
+
+    def test_matches_the_spectral_path(self, d, n, real, name):
+        grid = Grid(d=d, n=n, L=3.0)
+        stack = operator_input(grid, name, real, seed=100 + d)
+        comps = (slice(None),) if name == "div" else ()
+        # a lone field, a stack, and a stack whose tensor axes are swapped (not contiguous)
+        for x in (stack[comps + (0, 0)], stack, np.swapaxes(stack, -grid.d - 2, -grid.d - 1)):
+            got, want = named(grid, name, x), spectral(grid, name, x)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert rel_err(got, want) <= 1e-13
+
+    def test_a_slab_comes_out_as_it_does_alone(self, d, n, real, name):
+        grid = Grid(d=d, n=n, L=3.0)
+        stack = operator_input(grid, name, real, seed=110 + d)
+        comps = (slice(None),) if name == "div" else ()
+        whole = named(grid, name, stack)
+        out_comps = (slice(None),) * (whole.ndim - 2 - d)
+        for slab in ((0, 0), (2, 1), (1,)):
+            alone = named(grid, name, stack[comps + slab].copy())
+            assert np.array_equal(alone, whole[out_comps + slab])
+
+    def test_built_tables_make_no_transforms(self, d, n, real, name, transform_counts):
+        grid = Grid(d=d, n=n, L=3.0)
+        x = operator_input(grid, name, real, seed=120 + d)
+        first = named(grid, name, x)
+        assert transform_counts == {"fft": 1, "ifft": 1}  # the unit fields' pair
+        transform_counts.update(fft=0, ifft=0)
+        assert np.array_equal(named(grid, name, x), first)
+        assert transform_counts == {"fft": 0, "ifft": 0}
+
+
+@pytest.mark.parametrize("d, n", MATRIX_GRIDS)
+def test_a_fresh_grid_holds_no_operator_matrix(d, n):
+    grid = Grid(d=d, n=n, L=3.0)
+    assert grid._tables == {}
+    grid.dealias(full_spectrum_stack(grid, (), real=True))
+    assert list(grid._tables) == [("operator", "dealias")]
+    mat = grid._tables["operator", "dealias"]
+    assert mat.shape == (n**d, n**d) and mat.dtype == np.float64 and not mat.flags.writeable
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_larger_grids_stay_on_the_spectral_path(d, n, name):
+    grid = Grid(d=d, n=n, L=3.0)
+    x = operator_input(grid, name, real=True, lead=(2,), seed=130 + d)
+    assert np.array_equal(named(grid, name, x), spectral(grid, name, x))
+    assert grid._tables == {}
 
 
 def numpy_transforms(grid, x):

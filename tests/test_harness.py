@@ -114,6 +114,10 @@ class TestConfig:
             ("solver_tol", -1.0),
             ("holonomy_tol", 0.0),
             ("cliff_radius_r", np.inf),
+            # r = 0 divides by zero in the cliff fixture; a negative w was squared away
+            ("cliff_radius_r", 0.0),
+            ("cliff_radius_r", -1.0),
+            ("bump_profile_width_w", -2.0),
             ("picard_tol", -1e-3),
             ("solver_max_iter", 0),
         ],

@@ -54,7 +54,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 _TRANSFORM = re.compile(r"^i?[rh]?fft(2|n)?$")
 # the dense-DFT matrices of a small grid and the products that apply them
 _DENSE_DFT = {"_dft", "_along_last", "_along_leading"}
-_TRANSFORM_SITES = {"Grid.fft", "Grid.ifft"}
+# where each kind of guarded use may sit: every transform inside Grid.fft or
+# Grid.ifft, and every read of a tiny grid's operator matrices, the tables
+# keyed ("operator", name), inside the one method that applies them
+_SITES = {"transform": {"Grid.fft", "Grid.ifft"}, "operator": {"Grid._operator"}}
 
 
 def _dotted(node):
@@ -67,9 +70,11 @@ def _dotted(node):
     return ".".join(reversed(parts))
 
 
-def _transform_uses(tree):
-    """(scope, line, what) of every numpy.fft transform and dense-DFT member the
-    module reads, scope being the dotted name of the enclosing class or function."""
+def _guarded_uses(tree):
+    """(kind, scope, line, what) of every numpy.fft transform and dense-DFT member
+    the module reads ("transform") and of every ("operator", ...) table key it
+    builds ("operator"), scope being the dotted name of the enclosing class or
+    function."""
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -77,13 +82,17 @@ def _transform_uses(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
             for alias in node.names:
                 if node.module == "numpy.fft" or alias.name == "fft":
-                    yield scope, node.lineno, f"from {node.module} import {alias.name}"
+                    yield "transform", scope, node.lineno, f"from {node.module} import {alias.name}"
         if isinstance(node, ast.Attribute):
             name = _dotted(node)
             if name.split(".")[0] in ("np", "numpy") and ".fft." in name and _TRANSFORM.match(node.attr):
-                yield scope, node.lineno, name
+                yield "transform", scope, node.lineno, name
             if node.attr in _DENSE_DFT:
-                yield scope, node.lineno, name
+                yield "transform", scope, node.lineno, name
+        if isinstance(node, ast.Tuple) and node.elts:
+            first = node.elts[0]
+            if isinstance(first, ast.Constant) and first.value == "operator":
+                yield "operator", scope, node.lineno, ast.unparse(node)
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope)
 
@@ -92,13 +101,15 @@ def _transform_uses(tree):
 
 def test_transforms_run_only_inside_grid_fft_and_ifft():
     # one point of instrumentation: every transform, numpy.fft or dense DFT,
-    # passes through Grid.fft or Grid.ifft, where the transform counters sit
+    # passes through Grid.fft or Grid.ifft, where the transform counters sit;
+    # a tiny grid's operator matrices, which replace a transform pair, are
+    # applied only in Grid._operator
     stray = []
     for path, text in _sources("src").items():
-        for scope, line, what in _transform_uses(ast.parse(text)):
-            if scope not in _TRANSFORM_SITES:
+        for kind, scope, line, what in _guarded_uses(ast.parse(text)):
+            if scope not in _SITES[kind]:
                 stray.append(f"{os.path.relpath(path, ROOT)}:{line} {scope or '<module>'} {what}")
-    assert not stray, "transforms outside Grid.fft/Grid.ifft: " + ", ".join(stray)
+    assert not stray, "transforms or operator matrices outside their one site: " + ", ".join(stray)
 
 
 def test_the_transform_guard_sees_a_stray_call():
@@ -111,10 +122,16 @@ def test_the_transform_guard_sees_a_stray_call():
         "        return np.fft.fftn(x) + np.fft.fftfreq(4)\n"
         "    def apply(self, x):\n"
         "        return self._along_last(x, self._dft[0])\n"
+        "    def _operator(self, name, x):\n"
+        "        return self.table(('operator', name), None) @ x\n"
+        "    def grad(self, x):\n"
+        "        return self.table(('operator', 'grad'), None) @ x\n"
     )
-    assert [(scope, what) for scope, _, what in _transform_uses(tree)] == [
-        ("spectrum", "np.fft.rfftn"),
-        ("Grid.fft", "np.fft.fftn"),
-        ("Grid.apply", "self._along_last"),
-        ("Grid.apply", "self._dft"),
+    assert [(kind, scope, what) for kind, scope, _, what in _guarded_uses(tree)] == [
+        ("transform", "spectrum", "np.fft.rfftn"),
+        ("transform", "Grid.fft", "np.fft.fftn"),
+        ("transform", "Grid.apply", "self._along_last"),
+        ("transform", "Grid.apply", "self._dft"),
+        ("operator", "Grid._operator", "('operator', name)"),
+        ("operator", "Grid.grad", "('operator', 'grad')"),
     ]

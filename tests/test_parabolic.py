@@ -361,6 +361,29 @@ class TestStepParabolic:
         step_parabolic(s0, (sf.lam, sf.lam), 0.005)
         assert len(calls) == 2
 
+    def test_a_second_step_at_the_same_dt_builds_no_factors(self, monkeypatch):
+        # E, dt phi1 and dt phi2 are kept per (grid, dt)
+        import smcflab.parabolic as parabolic
+
+        grid = Grid(d=2, n=16, L=16.0)
+        s0, sf = bump_state_and_sf(grid)
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return _phi_factors(z)
+
+        monkeypatch.setattr(parabolic, "_phi_factors", counting)
+        first = step_parabolic(s0, (sf.lam, sf.lam), 0.005)
+        assert len(calls) == 1
+        E, dt_phi1, dt_phi2 = grid._tables["etd2", 0.005]
+        phi1, phi2 = _phi_factors(calls[0])
+        assert np.array_equal(E, np.exp(calls[0]))
+        assert np.array_equal(dt_phi1, 0.005 * phi1) and np.array_equal(dt_phi2, 0.005 * phi2)
+        again = step_parabolic(s0, (sf.lam, sf.lam), 0.005)
+        assert len(calls) == 1
+        assert np.array_equal(again.metric.g, first.metric.g) and np.array_equal(again.A, first.A)
+
     def test_step_builds_the_ricci_representation_once_per_stage(self, monkeypatch):
         # heat_rhs_h and heat_rhs_A share the Ricci form cached on the stage's
         # second form: one build per stage

@@ -286,15 +286,31 @@ class TestPicardEvolve:
         drift = abs(grid.l2(traj[-1].lam) - grid.l2(traj[0].lam)) / grid.l2(traj[0].lam)
         assert drift <= calibration.L2_DRIFT_CONSTANT * dt**2 * T / T
 
-    def test_one_cliff_step_stays_under_149_forward_transforms(self, transform_counts):
+    def test_one_cliff_step_stays_under_21_forward_transforms(self, transform_counts):
         # the cliff config at n=8, where per-call overhead sets the cost; the
-        # initial form's psi is traced outside the count, which covers the step
+        # initial form's psi is traced outside the count, which covers the step.
+        # The named operators are matrices there: the first step builds five,
+        # one forward transform each, and every later step reuses them
         grid = Grid(d=2, n=8, L=2 * np.pi)
         sf, gauge = cliff_setup(grid)
         sf.psi
         transform_counts.update(fft=0, ifft=0)
         evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
-        assert transform_counts["fft"] <= 149
+        assert transform_counts["fft"] <= 21
+        transform_counts.update(fft=0, ifft=0)
+        evolve_coupled(sf, gauge, 1e-3, 1e-3, sign_variant="plus")
+        assert transform_counts["fft"] <= 16
+
+    def test_free_phase_is_built_once_per_dt(self):
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid)
+        first = step_schrodinger(sf, gauge, 1e-3)
+        phase = grid._tables["free_phase", 1e-3]
+        assert np.array_equal(phase, np.exp(-1j * grid.k_sq * 1e-3 / 2.0))
+        assert np.array_equal(step_schrodinger(sf, gauge, 1e-3).lam, first.lam)
+        assert grid._tables["free_phase", 1e-3] is phase
+        step_schrodinger(sf, gauge, 2e-3)
+        assert sorted(key[1] for key in grid._tables if key[0] == "free_phase") == [1e-3, 2e-3]
 
     def test_stepped_forms_trace_psi_only_when_published(self, monkeypatch):
         # neither Schroedinger step's result is published, so neither traces psi;
