@@ -94,7 +94,7 @@ def cmd_evolve(args):
 def cmd_check_constraints(args):
     cfg = _load(args)
     reports = harness.check_constraints_and_write(cfg, _snapshots(args, cfg))
-    worst = max((norms.rel for rep in reports for _, norms in rep.rows()), default=0.0)
+    worst = max((norms.rel for rep in reports for norms in rep.entries.values()), default=0.0)
     print(f"check-constraints: {len(reports)} reports, worst relative residual {worst:.3e}")
 
 

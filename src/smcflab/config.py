@@ -99,8 +99,6 @@ class RunConfig:
 
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)

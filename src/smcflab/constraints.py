@@ -32,10 +32,6 @@ class ConstraintReport:
     t: float
     entries: dict = field(default_factory=dict)
 
-    def rows(self):
-        for name, norms in self.entries.items():
-            yield name, norms
-
 
 def _norms(grid: Grid, res, constituents):
     """Absolute norms of res and its ratio to the largest constituent.
@@ -134,7 +130,7 @@ def write_reports_csv(path, reports):
     with open(path, "w") as fh:
         fh.write("t,name,l2,linf,rel,scale\n")
         for rep in reports:
-            for name, norms in rep.rows():
+            for name, norms in rep.entries.items():
                 fh.write(
                     f"{rep.t:.17g},{name},{norms.l2:.17g},{norms.linf:.17g},"
                     f"{norms.rel:.17g},{norms.scale:.17g}\n"

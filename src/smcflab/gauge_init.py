@@ -274,7 +274,9 @@ def solve_initial_A(sf: SecondForm, tol=1e-9, max_iter=60):
 
 
 def check_elliptic_h(sf: SecondForm, tol=1e-9):
-    """Residual of the harmonic-coordinate elliptic identity for the metric sf carries.
+    """Residual of the harmonic-coordinate elliptic identity for the metric sf carries:
+    the metric flow's right side without its Im(psi lambar) term, g^{ab} d_a d_b g
+    + 2 Ric + the metric's Gamma terms, with lhs the first and rhs minus the rest.
 
     "rel" divides the residual by max(|lhs|, |rhs|, tol k_nyq) in the grid L2
     norm.  The floor is the harmonic solve's tolerance carried one derivative
@@ -286,16 +288,9 @@ def check_elliptic_h(sf: SecondForm, tol=1e-9):
     """
     m = sf.metric
     grid = m.grid
-    dg, d2g = grid.grad_hessian(m.g)
-    lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, d2g))
-    dg = np.moveaxis(dg, 0, 2)
-    dginv = np.moveaxis(m.dginv, 0, 2)
-    # dg[a, b, c] = d_c g_{ab};  dginv[a, b, c] = d_c g^{ab}
-    term1 = -np.einsum("abc...,asb...->cs...", dginv, dg)
-    term2 = -np.einsum("abs...,acb...->cs...", dginv, dg)
-    term3 = np.einsum("abc...,abs...->cs...", dg, dginv)
-    term4 = 2.0 * np.einsum("ab...,san...,nbc...->cs...", m.ginv, m.gamma_l, m.gamma_u)
-    rhs = grid.dealias(term1 + term2 + term3 + term4 - 2.0 * sf.ricci)
+    lhs = grid.dealias(np.einsum("ab...,abcs...->cs...", m.ginv, grid.hessian(m.g)))
+    term_gg, term_dg = m.gamma_terms
+    rhs = -2.0 * sf.ricci - grid.dealias(term_gg + term_dg)
     res = lhs - rhs
     norms_scale = max(grid.l2(lhs), grid.l2(rhs), tol * grid.k_nyq, 1e-300)
     return res, {

@@ -6,11 +6,11 @@ tensors come from the shared contraction helpers below (raise_first,
 harmonic_defect, covariant_divergence, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
-symbols and their gradient, the gradient of ginv, ginv - delta, h and V on
-MetricState (ginv is eager: inverting is the degeneracy check), gauge sources
-and shared contractions on parabolic.GaugeState, and the quadratic forms of
-lambda (the Gauss, Ricci and curl forms) on SecondForm, which carries the
-metric it was traced with.  The curvature (`curvature`) is never kept.
+symbols and their gradient, the gradient of ginv, ginv - delta, h, V and the
+metric flow's Gamma terms on MetricState (ginv is eager: inverting is the
+degeneracy check), gauge sources and shared contractions on
+parabolic.GaugeState, and the quadratic forms of lambda (the Gauss, Ricci and
+curl forms) on SecondForm, which carries the metric it was traced with.  The curvature (`curvature`) is never kept.
 `laplacian_lower_order` writes a covariant Laplacian minus its principal part
 in first-order form from those caches, so the stepper never nests two
 covariant derivatives.
@@ -81,7 +81,8 @@ class Immersion:
 
 @dataclass
 class MetricState:
-    """Metric g with its inverse; Christoffel symbols, h and V are built on first read.
+    """Metric g with its inverse; Christoffel symbols, h, V and the Gamma terms are
+    built on first read.
 
     The cached fields must not change once set, so neither may g.
     """
@@ -131,6 +132,14 @@ class MetricState:
     def V(self):
         """V^g = g^{ab} Gamma^g_{ab}, upper index; see harmonic_defect."""
         return harmonic_defect(self)
+
+    @cached_property
+    def gamma_terms(self):
+        """The Gamma.Gamma and d(g^{-1}).Gamma terms of the metric flow's right side,
+        untruncated; a pair, so each reader adds them in a fixed order."""
+        term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", self.ginv, self.gamma_l, self.gamma_u)
+        term_dg = np.einsum("mab...,abn...->mn...", self.dginv, self.gamma_l)
+        return term_gg, term_dg + np.einsum("mn...->nm...", term_dg)
 
     def eig_min(self):
         return metric_eig_min(self.grid, self.g)
@@ -392,31 +401,13 @@ def normal_connection(grid: Grid, nu1, nu2):
     return grid.dealias(np.einsum("ai...,i...->a...", grid.grad(nu1), nu2))
 
 
-def gram_schmidt_normal(F: Immersion, m: MetricState, nu1, nu2):
-    """One projection/normalization sweep of (nu1, nu2) against the tangents."""
-    t = F.tangents()
-    # degenerate inputs (e.g. tangent vectors) produce non-finite output here,
-    # which frame_defect reports as an infinite defect
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v1 = normal_part(m, t, nu1)
-        v1 = v1 / np.sqrt(np.einsum("i...,i...->...", v1, v1))
-        v2 = normal_part(m, t, nu2)
-        v2 = v2 - np.einsum("i...,i...->...", v2, v1) * v1
-        v2 = v2 / np.sqrt(np.einsum("i...,i...->...", v2, v2))
-    return v1, v2
-
-
 def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
-    """lambda_{ab} = d_a d_b F . (nu1 + i nu2); psi is its metric trace."""
+    """lambda_{ab} = d_a d_b F . (nu1 + i nu2); psi is its metric trace.  The frame
+    must be orthonormal and normal to within tol: none is repaired here."""
     nu1, nu2 = frame
     defect = frame_defect(F, nu1, nu2)
     if defect > tol:
-        nu1, nu2 = gram_schmidt_normal(F, m, nu1, nu2)
-        defect = frame_defect(F, nu1, nu2)
-        if defect > tol:
-            raise FrameNotNormalError(
-                f"normal frame defect {defect:.3e} exceeds {tol:.1e} after re-orthonormalization"
-            )
+        raise FrameNotNormalError(f"normal frame defect {defect:.3e} exceeds {tol:.1e}")
     d2F = F.second_partials()
     mvec = nu1 + 1j * nu2
     lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))

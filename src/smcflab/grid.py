@@ -595,9 +595,6 @@ class GridField:
             return self.grid.ifft(self._half_hat * self.grid.half(mult), half=True)
         return self.grid.ifft(self.hat * mult)
 
-    def l2(self):
-        return self.grid.l2(self.values)
-
 
 # -- snapshot IO -----------------------------------------------------------------
 
@@ -637,8 +634,10 @@ def read_field(path, grid: Grid | None = None) -> GridField:
         version, d, n, L, parity_flag, name_len = _HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise SmcfValidationError(f"{path}: unsupported snapshot version {version}")
-        name = fh.read(name_len)
-        payload = fh.read()
+        if parity_flag not in (0, 1):
+            raise SmcfValidationError(f"{path}: parity byte {parity_flag} is neither 0 (real) nor 1 (complex)")
+        rest = fh.read()  # name_len is not trusted with an allocation of its own
+    name, payload = rest[:name_len], rest[name_len:]
     if len(name) != name_len:
         raise SmcfValidationError(f"{path}: truncated name, {len(name)} of {name_len} bytes")
     try:
@@ -655,5 +654,7 @@ def read_field(path, grid: Grid | None = None) -> GridField:
     pairs = np.frombuffer(payload, dtype="<f8").reshape((n,) * d + (2,))
     if not np.all(np.isfinite(pairs)):
         raise SmcfValidationError(f"{path}: payload holds a non-finite value")
+    if parity_flag == 0 and np.any(pairs[..., 1]):
+        raise SmcfValidationError(f"{path}: real field with a nonzero imaginary part")
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return GridField(grid, values, parity="real" if parity_flag == 0 else "complex", name=name)

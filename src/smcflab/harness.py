@@ -133,7 +133,7 @@ def norm_suite_rows(cfg: RunConfig, grid: Grid, gauge: GaugeState, sf: SecondFor
                 norm, env = measured[b, a]
             else:
                 f = GridField(grid, sf.lam[a, b])
-                norm, env = sobolev_norm(f, cfg.envelope_s), frequency_envelope(f, params).values
+                norm, env = sobolev_norm(f, cfg.envelope_s), frequency_envelope(f, params)
                 measured[a, b] = norm, env
             lam_norm2 += norm**2
             env_acc = env if env_acc is None else np.maximum(env_acc, env)
@@ -232,16 +232,18 @@ def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Traje
         if lam_traj is None:
             nsteps, dt = time_grid(cfg.final_time_T, cfg.time_step_dt)
             times = [i * dt for i in range(nsteps + 1)]
+            steps = [dt] * nsteps
             sf0 = bundle.sf
             lam_path = [sf0.lam] * (nsteps + 1)
         else:
             if not grid.same_grid(lam_traj.grid):
                 raise SmcfValidationError("lambda snapshots live on a different grid than the scenario")
             times = list(lam_traj.times)
+            steps = np.diff(times)
             sf0 = lam_traj[0].second_form(grid)
             lam_path = [rec.lam for rec in lam_traj.records]
         records = []
-        for i, s in enumerate(gauge_path(bundle.gauge, lam_path, times, cfg.sign_variant)):
+        for i, s in enumerate(gauge_path(bundle.gauge, lam_path, steps, cfg.sign_variant)):
             if i == 0:
                 records.append(TrajectoryRecord.from_state(times[0], s, sf0))
             elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:

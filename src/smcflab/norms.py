@@ -57,14 +57,6 @@ class EnvelopeParams:
         return d / 2 - self.delta
 
 
-@dataclass
-class Envelope:
-    """Slowly varying majorant of the dyadic block norms of one field."""
-
-    values: np.ndarray
-    delta: float
-
-
 def _japanese_bracket_sq(grid: Grid, s: float):
     """(1 + k^2)^s, built once per (grid, s)."""
     return grid.table(("sobolev", s), lambda: (1.0 + grid.k_sq) ** s)
@@ -192,8 +184,9 @@ def y0_lo_norm_upper(f: GridField, delta: float) -> float:
 # -- frequency envelopes -----------------------------------------------------
 
 
-def frequency_envelope(f: GridField, params: EnvelopeParams) -> Envelope:
-    """a_j = 2^{-delta j} ||u|| + max_k 2^{-delta |j-k|} ||S_k u||, U = H^s."""
+def frequency_envelope(f: GridField, params: EnvelopeParams):
+    """a_j = 2^{-delta j} ||u|| + max_k 2^{-delta |j-k|} ||S_k u||, U = H^s: a
+    slowly varying majorant of the dyadic block norms of f, indexed [j]."""
     grid = f.grid
     params.validate_for(grid.d)
     weight = _japanese_bracket_sq(grid, params.s)
@@ -202,8 +195,7 @@ def frequency_envelope(f: GridField, params: EnvelopeParams) -> Envelope:
     J = len(blocks) - 1
     j = np.arange(J + 1)
     damp = 2.0 ** (-params.delta * np.abs(j[:, None] - j[None, :]))
-    a = 2.0 ** (-params.delta * j) * total + np.max(damp * blocks[None, :], axis=1)
-    return Envelope(values=a, delta=params.delta)
+    return 2.0 ** (-params.delta * j) * total + np.max(damp * blocks[None, :], axis=1)
 
 
 # -- diagnostics output --------------------------------------------------------

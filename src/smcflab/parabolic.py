@@ -39,8 +39,9 @@ SIGN_VARIANTS = ("minus", "plus")
 class GaugeState:
     """Metric and connection A; B, the contractions several right sides share
     and the lambda-free part of the parabolic right side are built on first read
-    and kept, so g and A must not change (V is kept by the metric).  The flows
-    read the curvature only through lambda; the T1/T2 monitors build it."""
+    and kept, so g and A must not change (V and the Gamma terms are kept by the
+    metric).  The flows read the curvature only through lambda; the T1/T2
+    monitors build it."""
 
     metric: MetricState
     A: np.ndarray  # (d, *shape) real
@@ -78,15 +79,6 @@ class GaugeState:
         return self.B + AA - VA
 
     @cached_property
-    def gamma_terms(self):
-        """The Gamma.Gamma and d(g^{-1}).Gamma terms of heat_rhs_h, untruncated; a
-        pair, so heat_rhs_h adds them to its lambda term in a fixed order."""
-        m = self.metric
-        term_gg = -2.0 * np.einsum("ab...,mbs...,san...->mn...", m.ginv, m.gamma_l, m.gamma_u)
-        term_dg = np.einsum("mab...,abn...->mn...", m.dginv, m.gamma_l)
-        return term_gg, term_dg + np.einsum("mn...->nm...", term_dg)
-
-    @cached_property
     def principal_remainder(self):
         """(g^{ab} - delta^{ab}) d_a d_b g and nabla_s nabla^s A - Lap A: the parts
         of the principal terms that the exponential step leaves to its stages.
@@ -113,7 +105,7 @@ def heat_rhs_h(s: GaugeState, sf: SecondForm):
     exactly the T1 monitor.  sf is traced with s.metric.
     """
     term_im = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
-    term_gg, term_dg = s.gamma_terms
+    term_gg, term_dg = s.metric.gamma_terms
     out = 2.0 * sf.ricci + s.grid.dealias(term_im + term_gg + term_dg)
     return 0.5 * (out + np.swapaxes(out, 0, 1))
 
@@ -226,11 +218,11 @@ def time_grid(T, dt):
     return nsteps, T / nsteps
 
 
-def gauge_path(gauge0: GaugeState, lam_path, times, sign_variant="plus"):
+def gauge_path(gauge0: GaugeState, lam_path, steps, sign_variant="plus"):
     """Yield gauge0, then the (g, A) state stepped along the prescribed lambda
-    values lam_path[i] at times[i], one step_parabolic per interval."""
+    values lam_path[i], one step_parabolic of size steps[i - 1] per interval."""
     s = gauge0
     yield s
-    for i in range(1, len(times)):
-        s = step_parabolic(s, (lam_path[i - 1], lam_path[i]), times[i] - times[i - 1], sign_variant)
+    for i, dt in enumerate(steps, 1):
+        s = step_parabolic(s, (lam_path[i - 1], lam_path[i]), dt, sign_variant)
         yield s

@@ -179,13 +179,15 @@ def evolve_slab(
     sweeps=3,
     tol=None,
     sign_variant="plus",
+    snapshot_every=1,
     blowup_threshold=1e3,
 ) -> Trajectory:
     """Whole-slab Picard iteration with trivial initialization.
 
     Each sweep solves the parabolic system on [0, T] driven by the previous
     lambda iterate, then the linear Schroedinger equation with those
-    coefficients and the previous iterate in the source.
+    coefficients and the previous iterate in the source.  The records keep the
+    steps evolve_coupled keeps.
     """
     grid = gauge0.grid
     nsteps, dt = time_grid(T, dt)
@@ -196,7 +198,7 @@ def evolve_slab(
     path = [zero] * (nsteps + 1)
     distances = []
     for _ in range(sweeps):
-        gauges = list(gauge_path(gauge0, [lam for lam, _ in path], times, sign_variant))
+        gauges = list(gauge_path(gauge0, [lam for lam, _ in path], [dt] * nsteps, sign_variant))
         new_path = [(sf0.lam, sf0.psi)]
         sf = sf0
         for i in range(nsteps):
@@ -218,8 +220,9 @@ def evolve_slab(
         if tol is not None and distance <= tol:
             break
     records = [
-        TrajectoryRecord.from_state(t, s, SecondForm(s.metric, lam))
-        for t, s, (lam, _) in zip(times, gauges, path)
+        TrajectoryRecord.from_state(times[i], gauges[i], SecondForm(gauges[i].metric, path[i][0]))
+        for i in range(nsteps + 1)
+        if i % snapshot_every == 0 or i == nsteps
     ]
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
 
@@ -239,12 +242,9 @@ def picard_evolve(
     """Evolve the coupled system on [0, T]; see the module docstring for modes."""
     if T <= 0 or dt <= 0:
         raise SmcfValidationError("T and dt must be positive")
+    shared = dict(sign_variant=sign_variant, snapshot_every=snapshot_every, blowup_threshold=blowup_threshold)
     if mode == "perstep":
-        return evolve_coupled(
-            sf0, gauge0, T, dt, sign_variant=sign_variant, snapshot_every=snapshot_every, blowup_threshold=blowup_threshold
-        )
+        return evolve_coupled(sf0, gauge0, T, dt, **shared)
     if mode == "slab":
-        return evolve_slab(
-            sf0, gauge0, T, dt, sweeps=sweeps, tol=tol, sign_variant=sign_variant, blowup_threshold=blowup_threshold
-        )
+        return evolve_slab(sf0, gauge0, T, dt, sweeps=sweeps, tol=tol, **shared)
     raise SmcfValidationError(f"mode must be 'perstep' or 'slab', got {mode!r}")

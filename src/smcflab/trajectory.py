@@ -148,18 +148,23 @@ def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
     for t, row in zip(times, rows):
         prefix = row["prefix"]
 
-        def load(tag):
-            return read_field(os.path.join(dirpath, f"{prefix}_{tag}.smcf"), grid=grid)
+        def load(tag, real=False):
+            path = os.path.join(dirpath, f"{prefix}_{tag}.smcf")
+            fld = read_field(path, grid=grid)
+            # h and A are written real: a complex file for them is corrupt
+            if real and fld.parity != "real":
+                raise SmcfValidationError(f"{path}: {tag} must be a real field, the file says complex")
+            return fld.values.real if real else fld.values
 
         g = np.zeros((d, d) + grid.shape)
         lam = np.zeros((d, d) + grid.shape, dtype=complex)
         for a in range(d):
             for b in range(a, d):
-                g[a, b] = load(f"h{a}{b}").values.real + (1.0 if a == b else 0.0)
+                g[a, b] = load(f"h{a}{b}", real=True) + (1.0 if a == b else 0.0)
                 g[b, a] = g[a, b]
-                lam[a, b] = load(f"lam{a}{b}").values
+                lam[a, b] = load(f"lam{a}{b}")
                 lam[b, a] = lam[a, b]
-        A = np.stack([load(f"A{a}").values.real for a in range(d)])
-        psi = load("psi").values if records else first.values
+        A = np.stack([load(f"A{a}", real=True) for a in range(d)])
+        psi = load("psi") if records else first.values
         records.append(TrajectoryRecord(t=t, g=g, A=A, lam=lam, psi=psi))
     return Trajectory(grid=grid, records=records)

@@ -256,11 +256,10 @@ def integrate_frame_space_by_lines(
 # -- norms ------------------------------------------------------------------------
 
 
-def is_slowly_varying(env, tol=1e-12):
-    """Whether the envelope's values a_j obey a_k <= 2^(delta |j - k|) a_j for all j, k."""
-    a = env.values
+def is_slowly_varying(a, delta, tol=1e-12):
+    """Whether the envelope a_j obeys a_k <= 2^(delta |j - k|) a_j for all j, k."""
     j = np.arange(len(a))
-    bound = a[None, :] * 2.0 ** (env.delta * np.abs(j[:, None] - j[None, :]))
+    bound = a[None, :] * 2.0 ** (delta * np.abs(j[:, None] - j[None, :]))
     return bool(np.all(a[:, None] <= bound + tol * np.max(a, initial=0.0)))
 
 

@@ -285,14 +285,14 @@ class TestAcceptance:
         f = GridField(grid, vals)
         hat = f.hat
         spec = np.sqrt(np.sum(np.abs(hat) ** 2) * grid.L**2 / grid.n**4)
-        parseval = abs(f.l2() - spec) / f.l2()
+        parseval = abs(f.grid.l2(f.values) - spec) / f.grid.l2(f.values)
         homog = abs(sobolev_norm(GridField(grid, 2.5 * vals), 2.0) - 2.5 * sobolev_norm(f, 2.0)) / (
             2.5 * sobolev_norm(f, 2.0)
         )
         params = EnvelopeParams(s=2.0, delta=0.25)
         smooth = GridField.from_real(grid, grid.ifft((1 + grid.k_sq) ** -1.5 * hat).real)
         env = frequency_envelope(smooth, params)
-        slow = is_slowly_varying(env)
+        slow = is_slowly_varying(env, params.delta)
         bern = 0.0
         for k in (2, 3, 4):
             band = np.zeros(grid.shape, dtype=complex)

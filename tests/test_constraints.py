@@ -251,7 +251,7 @@ class TestReports:
         assert "T5" in reports[mid].entries
         assert "metric_evolution" in reports[mid].entries
         for rep in reports:
-            for _, norms in rep.rows():
+            for _, norms in rep.entries.items():
                 assert np.isfinite(norms.l2) and norms.l2 >= 0
                 assert np.isfinite(norms.linf) and norms.linf >= 0
         path = tmp_path / "constraints.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from normal_frames import graph_normal_bundle
+from normal_frames import graph_normal_bundle, gram_schmidt_normal
 from oracles import (
     analytic_second_form,
     deriv,
@@ -237,7 +237,7 @@ class TestSecondForm:
             nu2 = np.zeros((4,) + bump_grid.shape)
             nu1[2] = 1.0
             nu2[3] = 1.0
-            sf = second_form(F, (nu1, nu2), m)
+            sf = second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
             d2 = F.second_partials()
             taylor = d2[:, :, 2] + 1j * d2[:, :, 3]
             du_sq = max(
@@ -258,7 +258,7 @@ class TestSecondForm:
         nu2 = np.zeros((4,) + bump_grid.shape)
         nu1[2] = 1.0
         nu2[3] = 1.0
-        sf = second_form(F, (nu1, nu2), m)
+        sf = second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
         tr = np.einsum("ab...,ab...->...", m.ginv, sf.lam)
         assert maxabs(sf.psi - bump_grid.dealias(tr)) < 1e-12
 
@@ -271,6 +271,19 @@ class TestSecondForm:
         nu2[3] = 1.0
         with pytest.raises(FrameNotNormalError):
             second_form(F, (nu1, nu2), m)
+
+    def test_raw_graph_frame_is_rejected_not_repaired(self, bump_grid):
+        # (e_d, e_{d+1}) is not normal to a bump: second_form takes orthonormal
+        # normal frames only, and tests orthonormalize with gram_schmidt_normal
+        F = bump_immersion(bump_grid, eps=0.2, delta=0.5).immersion
+        m = induced_metric(F)
+        nu1 = np.zeros((4,) + bump_grid.shape)
+        nu2 = np.zeros((4,) + bump_grid.shape)
+        nu1[2] = 1.0
+        nu2[3] = 1.0
+        with pytest.raises(FrameNotNormalError, match="normal frame defect"):
+            second_form(F, (nu1, nu2), m)
+        second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])
     def test_one_gauss_stack_serves_the_monitor_and_the_nonlinearity(self, d, n):

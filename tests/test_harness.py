@@ -1,9 +1,14 @@
 """Config round-trip, scenario generation, experiment outputs, CLI contract."""
 
+import contextlib
+import io
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -24,6 +29,11 @@ from smcflab.trajectory import Trajectory, TrajectoryRecord, load_trajectory, sa
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# magic (4 bytes), then version, d, n (uint32 each) and L (float64) before the parity byte
+SNAPSHOT_PARITY_OFFSET = 24
+# the payload closes the file with n^d (real, imaginary) float64 pairs: the first
+# imaginary half of an n = 8, d = 2 snapshot, counted from the end
+FIRST_IMAGINARY_HALF = -16 * 8**2 + 8
 
 
 def canonical_config(name, tmp_path):
@@ -319,7 +329,7 @@ class TestExperiment:
         cfg = small_cliff_config(tmp_path, scenario_kind="flat", grid_points_n=8)
         result = run_experiment(cfg)
         for rep in result["reports"]:
-            for _, norms in rep.rows():
+            for _, norms in rep.entries.items():
                 assert norms.l2 < 1e-10
         files = os.listdir(cfg.output_dir)
         for expected in ("manifest.txt", "diagnostics.csv", "constraints.csv", "reconstruction.csv"):
@@ -568,6 +578,37 @@ class TestCLI:
         assert main([command, "--config", str(path), "--snapshots", str(snapdir)]) == 2
         assert f"smcf: error: {field}: " in capsys.readouterr().err
 
+    @staticmethod
+    def _rewrite(field, offset, value):
+        """Write the bytes of value into the snapshot file at offset (from the end if negative)."""
+        data = bytearray(field.read_bytes())
+        at = offset % len(data)
+        data[at : at + len(value)] = value
+        field.write_bytes(bytes(data))
+
+    def test_imaginary_half_of_a_real_snapshot_exits_2(self, tmp_path, capsys):
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / "snap_000001_h00.smcf"
+        self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([5.0], dtype="<f8").tobytes())
+        assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: real field with a nonzero imaginary part" in capsys.readouterr().err
+
+    def test_unknown_parity_byte_exits_2(self, tmp_path, capsys):
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / "snap_000001_lam01.smcf"
+        self._rewrite(field, SNAPSHOT_PARITY_OFFSET, b"\x02")
+        assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: parity byte 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["h01", "A1"])
+    def test_complex_metric_or_connection_snapshot_exits_2(self, tmp_path, capsys, tag):
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / f"snap_000001_{tag}.smcf"
+        self._rewrite(field, SNAPSHOT_PARITY_OFFSET, b"\x01")
+        self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([0.5], dtype="<f8").tobytes())
+        assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: {field}: {tag} must be a real field" in capsys.readouterr().err
+
     def test_gauge_init_outputs(self, tmp_path):
         cfg = small_bump_config(tmp_path)
         path = tmp_path / "cfg.txt"
@@ -611,3 +652,80 @@ class TestCLI:
         assert main(["write-config", str(path)]) == 0
         cfg = load_config(path)
         assert cfg == cfg.resolve()
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """The config file and snapshot directory of a two-step n = 8 cliff run."""
+    root = tmp_path_factory.mktemp("short_run")
+    cfg = small_cliff_config(root, final_time_T=0.004)
+    path = root / "cfg.txt"
+    save_config(path, cfg)
+    assert main(["evolve", "--config", str(path)]) == 0
+    return path, Path(cfg.output_dir) / "snapshots"
+
+
+class TestSnapshotBytes:
+    """`smcf norms --snapshots` on a copy of short_run with one .smcf file flipped
+    in one byte or cut short: it exits 0 or 2 and raises nothing else.
+
+    A flipped exponent byte can leave a finite value near 1e300 that no check can
+    tell from data; its norms overflow with a RuntimeWarning, which a command-line
+    run prints and goes on.  The warnings are recorded here, as that run would
+    print them, instead of being raised, and they must be RuntimeWarnings."""
+
+    @staticmethod
+    def _norms(config, snapdir, out):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["norms", "--config", str(config), "--snapshots", str(snapdir), "--output", str(out)])
+        assert all(w.category is RuntimeWarning for w in caught), [str(w.message) for w in caught]
+        return code, err.getvalue()
+
+    @staticmethod
+    def _corrupted_copy(snapdir, dest, name, edit):
+        shutil.copytree(snapdir, dest)
+        field = dest / name
+        data = bytearray(field.read_bytes())
+        kind, at, mask = edit
+        if kind == "cut":
+            del data[at:]
+        else:
+            data[at] ^= mask
+        field.write_bytes(bytes(data))
+        return field
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_flipped_or_cut_byte_exits_0_or_2(self, short_run, data):
+        config, snapdir = short_run
+        name = data.draw(st.sampled_from(sorted(f.name for f in snapdir.glob("*.smcf"))), label="file")
+        size = (snapdir / name).stat().st_size
+        edit = data.draw(
+            st.tuples(st.just("cut"), st.integers(0, size - 1), st.just(0))
+            | st.tuples(st.just("flip"), st.integers(0, size - 1), st.integers(1, 255)),
+            label="edit",
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            field = self._corrupted_copy(snapdir, Path(tmp) / "snaps", name, edit)
+            code, err = self._norms(config, field.parent, Path(tmp) / "out")
+        kind, at, _ = edit
+        payload = size - 16 * 8**2
+        real = name.split("_")[-1].startswith(("h", "A"))
+        if kind == "cut" or at < SNAPSHOT_PARITY_OFFSET or (real and at >= payload and (at - payload) % 16 >= 8):
+            # a short file, a flip in the magic, version or grid fields, or in the imaginary half of a real field
+            assert code == 2 and err.startswith(f"smcf: error: {field}: "), (code, err)
+        else:
+            assert code in (0, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(value=st.integers(0, 8**2 - 1), byte=st.integers(0, 7), mask=st.integers(1, 255))
+    def test_a_flip_in_the_imaginary_half_of_a_real_field_exits_2(self, short_run, value, byte, mask):
+        config, snapdir = short_run
+        at = FIRST_IMAGINARY_HALF + 16 * value + byte
+        with tempfile.TemporaryDirectory() as tmp:
+            field = self._corrupted_copy(snapdir, Path(tmp) / "snaps", "snap_000002_A0.smcf", ("flip", at, mask))
+            code, err = self._norms(config, field.parent, Path(tmp) / "out")
+        assert code == 2 and err.startswith(f"smcf: error: {field}: ")

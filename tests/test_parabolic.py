@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import CONFIGS
+from normal_frames import gram_schmidt_normal
 from oracles import deriv, lp_project, nested_laplacian_remainder
 from smcflab import calibration
 from smcflab.config import load_config
@@ -76,7 +77,7 @@ def bump_state_and_sf(grid, eps=0.05, delta=0.5):
     nu2 = np.zeros((4,) + grid.shape)
     nu1[2] = 1.0
     nu2[3] = 1.0
-    sf = second_form(F, (nu1, nu2), m)
+    sf = second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
     # a small divergence-free-ish connection for exercise
     rng = np.random.default_rng(7)
     hat = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (1 + grid.k_sq) ** -3
@@ -432,7 +433,7 @@ def test_gauge_path_steps_between_the_given_times(monkeypatch):
         return step_parabolic(s, lam_path, dt, sign_variant)
 
     monkeypatch.setattr(parabolic, "step_parabolic", recording)
-    states = list(gauge_path(s0, path, [0.0, 0.25, 0.75], "plus"))
+    states = list(gauge_path(s0, path, np.diff([0.0, 0.25, 0.75]), "plus"))
     assert len(states) == 3 and states[0] is s0
     assert [dt for _, dt, _ in calls] == [0.25, 0.5]
     assert calls[1][0][0] is path[1] and calls[1][0][1] is path[2] and calls[1][2] == "plus"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from normal_frames import gram_schmidt_normal
 from oracles import nested_principal_difference
 from smcflab import schrodinger
 from smcflab.config import load_config
@@ -53,7 +54,7 @@ def bump_setup(grid, eps=0.02, delta=0.5):
     nu2 = np.zeros((4,) + grid.shape)
     nu1[2] = 1.0
     nu2[3] = 1.0
-    sf = second_form(F, (nu1, nu2), m)
+    sf = second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
     gauge = gauge_state_from(grid, m.g, np.zeros((2,) + grid.shape))
     return sf, gauge
 
@@ -253,6 +254,23 @@ class TestPicardEvolve:
         assert len(dist) == 4
         for a, b in zip(dist[1:], dist[:-1]):
             assert a <= 0.5 * b
+
+    def test_slab_and_perstep_runs_store_the_same_times(self):
+        # 20 steps at a cadence of 5: steps 0, 5, 10, 15 and 20 are stored in both modes
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid, r=1.0)
+        runs = [
+            picard_evolve(sf, gauge, T=0.02, dt=0.001, mode=mode, snapshot_every=5) for mode in ("perstep", "slab")
+        ]
+        assert len(runs[0]) == 5
+        assert np.array_equal(runs[0].times, runs[1].times)
+
+    def test_a_slab_run_steps_by_one_dt(self):
+        # 0.001 is not dyadic: differences of the times i * dt take 5 values over 40 steps
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        sf, gauge = cliff_setup(grid, r=1.0)
+        traj = picard_evolve(sf, gauge, T=0.04, dt=0.001, mode="slab", sweeps=1)
+        assert [key for key in grid._tables if key[0] == "etd2"] == [("etd2", traj.meta["dt"])]
 
     def test_hs_norm_control(self):
         grid = Grid(d=2, n=32, L=16.0)
