@@ -18,8 +18,8 @@ from dataclasses import replace
 from . import harness
 from .config import RunConfig, load_config, save_config
 from .errors import SmcfError
-from .grid import GridField, write_field
-from .trajectory import load_trajectory
+from .grid import GridField
+from .trajectory import TrajectoryRecord, load_trajectory, record_fields, write_fields
 
 # evolve's command-line overrides: argument name -> config field
 OVERRIDES = {
@@ -42,9 +42,11 @@ def _load(args) -> RunConfig:
     return replace(cfg, **{key: val for key, val in given.items() if val is not None}).resolve()
 
 
-def _snapshots(args, cfg: RunConfig):
-    """The trajectory in --snapshots, by default <output_dir>/snapshots."""
-    traj = load_trajectory(args.snapshots or os.path.join(cfg.output_dir, "snapshots"), grid=harness.make_grid(cfg))
+def _snapshots(args, cfg: RunConfig, stage):
+    """The trajectory in --snapshots, by default <output_dir>/snapshots, loaded
+    under the tag of the stage that reads it."""
+    with harness._Stage(stage):
+        traj = load_trajectory(args.snapshots or os.path.join(cfg.output_dir, "snapshots"), grid=harness.make_grid(cfg))
     os.makedirs(cfg.output_dir, exist_ok=True)
     return traj
 
@@ -58,28 +60,18 @@ def cmd_gauge_init(args):
     cfg = _load(args)
     harness.write_manifest(cfg)
     bundle = harness.gauge_init_and_write(cfg)
-    grid, d = bundle.grid, bundle.grid.d
-
-    def write(tag, fld):
-        write_field(os.path.join(cfg.output_dir, f"init_{tag}.smcf"), fld)
-
-    for a in range(d):
-        for b in range(a, d):
-            write(f"h{a}{b}", GridField.from_real(grid, bundle.gauge.metric.h[a, b], name=f"h{a}{b}"))
-            write(f"lam{a}{b}", GridField(grid, bundle.sf.lam[a, b], name=f"lam{a}{b}"))
-        write(f"A{a}", GridField.from_real(grid, bundle.gauge.A[a], name=f"A{a}"))
+    grid = bundle.grid
+    fields = list(record_fields(grid, TrajectoryRecord.from_state(0.0, bundle.gauge, bundle.sf)))
     for tag, vec in (("nu1", bundle.nu1), ("nu2", bundle.nu2)):
-        for i in range(d + 2):
-            write(f"{tag}_{i}", GridField.from_real(grid, vec[i], name=f"{tag}{i}"))
+        fields += [GridField.from_real(grid, comp, name=f"{tag}_{i}") for i, comp in enumerate(vec)]
+    write_fields(cfg.output_dir, "init", fields)
     print(f"gauge-init: wrote snapshots and residual report to {cfg.output_dir}")
 
 
 def cmd_heat_gauge(args):
     cfg = _load(args)
     harness.write_manifest(cfg)
-    bundle = harness.gauge_init_and_write(cfg)
-    lam_traj = load_trajectory(args.snapshots, grid=bundle.grid) if args.snapshots else None
-    traj = harness.heat_gauge_and_write(cfg, bundle, lam_traj)
+    traj = harness.heat_gauge_and_write(cfg, harness.gauge_init_and_write(cfg), args.snapshots or None)
     print(f"heat-gauge: evolved (h, A) in {traj.meta['mode']} mode for {len(traj) - 1} stored steps")
 
 
@@ -93,21 +85,21 @@ def cmd_evolve(args):
 
 def cmd_check_constraints(args):
     cfg = _load(args)
-    reports = harness.check_constraints_and_write(cfg, _snapshots(args, cfg))
+    reports = harness.check_constraints_and_write(cfg, _snapshots(args, cfg, "check-constraints"))
     worst = max((norms.rel for rep in reports for norms in rep.entries.values()), default=0.0)
     print(f"check-constraints: {len(reports)} reports, worst relative residual {worst:.3e}")
 
 
 def cmd_reconstruct(args):
     cfg = _load(args)
-    traj = _snapshots(args, cfg)
+    traj = _snapshots(args, cfg, "reconstruct")
     result = harness.reconstruct_and_write(cfg, harness.gauge_init_and_write(cfg), traj)
     print(f"reconstruct: flow residual (L2) max {_flow_max(result):.3e} over {len(result.times)} slices")
 
 
 def cmd_norms(args):
     cfg = _load(args)
-    traj = _snapshots(args, cfg)
+    traj = _snapshots(args, cfg, "norms")
     harness.norms_and_write(cfg, traj)
     print(f"norms: wrote rows for {len(traj)} snapshots")
 

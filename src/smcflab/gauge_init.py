@@ -163,56 +163,54 @@ def pullback_immersion(F: Immersion, change: CoordinateChange) -> Immersion:
     return Immersion(grid, grid.dealias(dev_new), graph=F.graph)
 
 
-def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60, initial_frame=None):
-    """Transversal constant direction, projection, and the Coulomb rotation.
-
-    Returns (nu1, nu2, A, report); A is recomputed from the rotated frame.
-    With initial_frame = (nu1, nu2) the transversal search is skipped and the
-    supplied orthonormal normal frame is rotated into the Coulomb gauge (the
-    route for surfaces, like the product torus, whose normal bundle admits no
-    constant transversal direction).
-    """
+def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60):
+    """Transversal constant direction, projection, and the Coulomb rotation:
+    (nu1, nu2, A, report) of coulomb_rotation."""
     grid = F.grid
     t = F.tangents()
     amb = F.ambient_dim
 
-    if initial_frame is not None:
-        nu1_t, nu2_t = initial_frame
+    candidates = []
+    for i in (grid.d, grid.d + 1):
+        e = np.zeros((amb,) + grid.shape)
+        e[i] = 1.0
+        candidates.append(e)
+    for sgn in (1.0, -1.0):
+        e = np.zeros((amb,) + grid.shape)
+        e[grid.d] = 1.0 / np.sqrt(2)
+        e[grid.d + 1] = sgn / np.sqrt(2)
+        candidates.append(e)
+
+    scored = []
+    for v in candidates:
+        proj = normal_part(m, t, v)
+        score = float(np.min(np.sqrt(np.einsum("i...,i...->...", proj, proj))))
+        scored.append((score, v, proj))
+    scored.sort(key=lambda item: -item[0])
+    best_score, _, proj1 = scored[0]
+    if best_score < 0.2:
+        raise TransversalityError(
+            f"no uniformly transversal constant direction: best projection norm {best_score:.3f}"
+        )
+    nu1_t = proj1 / np.sqrt(np.einsum("i...,i...->...", proj1, proj1))
+    # second direction: best remaining candidate, orthonormalized
+    for _, v, proj in scored[1:]:
+        w = normal_part(m, t, v)
+        w = w - np.einsum("i...,i...->...", w, nu1_t) * nu1_t
+        nrm = np.sqrt(np.einsum("i...,i...->...", w, w))
+        if float(np.min(nrm)) > 0.2:
+            nu2_t = w / nrm
+            break
     else:
-        candidates = []
-        for i in (grid.d, grid.d + 1):
-            e = np.zeros((amb,) + grid.shape)
-            e[i] = 1.0
-            candidates.append(e)
-        for sgn in (1.0, -1.0):
-            e = np.zeros((amb,) + grid.shape)
-            e[grid.d] = 1.0 / np.sqrt(2)
-            e[grid.d + 1] = sgn / np.sqrt(2)
-            candidates.append(e)
+        raise TransversalityError("no second transversal direction found")
+    return coulomb_rotation(m, nu1_t, nu2_t, tol, max_iter)
 
-        scored = []
-        for v in candidates:
-            proj = normal_part(m, t, v)
-            score = float(np.min(np.sqrt(np.einsum("i...,i...->...", proj, proj))))
-            scored.append((score, v, proj))
-        scored.sort(key=lambda item: -item[0])
-        best_score, _, proj1 = scored[0]
-        if best_score < 0.2:
-            raise TransversalityError(
-                f"no uniformly transversal constant direction: best projection norm {best_score:.3f}"
-            )
-        nu1_t = proj1 / np.sqrt(np.einsum("i...,i...->...", proj1, proj1))
-        # second direction: best remaining candidate, orthonormalized
-        for _, v, proj in scored[1:]:
-            w = normal_part(m, t, v)
-            w = w - np.einsum("i...,i...->...", w, nu1_t) * nu1_t
-            nrm = np.sqrt(np.einsum("i...,i...->...", w, w))
-            if float(np.min(nrm)) > 0.2:
-                nu2_t = w / nrm
-                break
-        else:
-            raise TransversalityError("no second transversal direction found")
 
+def coulomb_rotation(m: MetricState, nu1_t, nu2_t, tol=1e-9, max_iter=60):
+    """Rotate any orthonormal normal frame (nu1_t, nu2_t) by the angle b with
+    Lap_g b = nabla^a A~_a into the Coulomb gauge nabla^a A_a = 0.  Returns
+    (nu1, nu2, A, report); A is recomputed from the rotated frame."""
+    grid = m.grid
     A_tilde = normal_connection(grid, nu1_t, nu2_t)
     div_tilde = covariant_divergence(m, A_tilde)
     Vg = m.V

@@ -374,19 +374,16 @@ class SecondForm:
         return self.grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", self.lam_up, np.conj(self.lam))))
 
 
-def frame_defect(F: Immersion, nu1, nu2):
-    """Worst pointwise violation of orthonormality/normality of (nu1, nu2)."""
-    if not (np.all(np.isfinite(nu1)) and np.all(np.isfinite(nu2))):
-        return np.inf
-    t = F.tangents()
-    worst = 0.0
-    worst = max(worst, float(np.max(np.abs(np.einsum("i...,i...->...", nu1, nu1) - 1.0))))
-    worst = max(worst, float(np.max(np.abs(np.einsum("i...,i...->...", nu2, nu2) - 1.0))))
-    worst = max(worst, float(np.max(np.abs(np.einsum("i...,i...->...", nu1, nu2)))))
-    for a in range(F.grid.d):
-        worst = max(worst, float(np.max(np.abs(np.einsum("i...,i...->...", t[a], nu1)))))
-        worst = max(worst, float(np.max(np.abs(np.einsum("i...,i...->...", t[a], nu2)))))
-    return worst
+def frame_defects(t, m):
+    """Worst pointwise violations of |m|^2 = 2, m.m = 0 and F_a.m = 0 for tangents
+    t and m = nu1 + i nu2: (nu1, nu2) is an orthonormal normal frame exactly when
+    all three vanish.  A NaN in the frame reads NaN."""
+    dot = lambda u, v: np.einsum("i...,i...->...", u, v)
+    return {
+        "m_norm": float(np.max(np.abs(dot(m, np.conj(m)) - 2.0))),
+        "m_null": float(np.max(np.abs(dot(m, m)))),
+        "tangent_normal": float(np.max([np.max(np.abs(dot(Fa, m))) for Fa in t])),
+    }
 
 
 def normal_part(m: MetricState, t, v):
@@ -405,10 +402,10 @@ def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
     """lambda_{ab} = d_a d_b F . (nu1 + i nu2); psi is its metric trace.  The frame
     must be orthonormal and normal to within tol: none is repaired here."""
     nu1, nu2 = frame
-    defect = frame_defect(F, nu1, nu2)
-    if defect > tol:
-        raise FrameNotNormalError(f"normal frame defect {defect:.3e} exceeds {tol:.1e}")
-    d2F = F.second_partials()
     mvec = nu1 + 1j * nu2
-    lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))
+    # np.max, not max: the builtin drops a NaN that is not first
+    defect = np.max(list(frame_defects(F.tangents(), mvec).values()))
+    if not defect <= tol:
+        raise FrameNotNormalError(f"normal frame defect {defect:.3e} exceeds {tol:.1e}")
+    lam = F.grid.dealias(np.einsum("abi...,i...->ab...", F.second_partials(), mvec))
     return SecondForm(m, lam)

@@ -256,14 +256,6 @@ class Grid:
         nd = np.ndim(arr)
         return tuple(range(nd - self.d, nd))
 
-    def same_grid(self, other):
-        return (
-            self.d == other.d
-            and self.n == other.n
-            and self.L == other.L
-            and self.dealias_fraction == other.dealias_fraction
-        )
-
     # -- measures and norms -------------------------------------------------
 
     @property

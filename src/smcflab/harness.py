@@ -25,7 +25,7 @@ from .geometry import (
     induced_metric,
     second_form,
 )
-from .grid import Grid, GridField, write_field
+from .grid import Grid, GridField
 from .norms import (
     DiagnosticsCSV,
     EnvelopeParams,
@@ -37,7 +37,7 @@ from .norms import (
 from .parabolic import GaugeState, gauge_path, time_grid
 from .reconstruction import frame_from_normal_basis, reconstruct, write_reconstruction_csv
 from .schrodinger import picard_evolve
-from .trajectory import Trajectory, TrajectoryRecord, save_trajectory
+from .trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory, write_fields
 
 
 @dataclass
@@ -219,25 +219,24 @@ def evolve_and_write(cfg: RunConfig, bundle: ScenarioBundle) -> Trajectory:
     return traj
 
 
-def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Trajectory | None = None) -> Trajectory:
+def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, snapshots=None) -> Trajectory:
     """Solve the parabolic (h, A) system alone along a prescribed lambda path
     and write gauge_snapshots/.
 
-    Without lam_traj the scenario's initial lambda is held constant on the
-    config's time grid; with a loaded trajectory its stored lambda path is
+    Without snapshots the scenario's initial lambda is held constant on the
+    config's time grid; with a snapshot directory its stored lambda path is
     prescribed (not evolved) and the gauge system is re-solved at the stored times.
     """
     grid = bundle.grid
     with _Stage("heat-gauge"):
-        if lam_traj is None:
+        if snapshots is None:
             nsteps, dt = time_grid(cfg.final_time_T, cfg.time_step_dt)
             times = [i * dt for i in range(nsteps + 1)]
             steps = [dt] * nsteps
             sf0 = bundle.sf
             lam_path = [sf0.lam] * (nsteps + 1)
         else:
-            if not grid.same_grid(lam_traj.grid):
-                raise SmcfValidationError("lambda snapshots live on a different grid than the scenario")
+            lam_traj = load_trajectory(snapshots, grid=grid)
             times = list(lam_traj.times)
             steps = np.diff(times)
             sf0 = lam_traj[0].second_form(grid)
@@ -249,25 +248,38 @@ def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, lam_traj: Traje
             elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
                 sf = SecondForm(s.metric, lam_path[i])
                 records.append(TrajectoryRecord.from_state(times[i], s, sf))
-    mode = "frozen-lambda" if lam_traj is None else "prescribed-lambda"
+    mode = "frozen-lambda" if snapshots is None else "prescribed-lambda"
     traj = Trajectory(grid=grid, records=records, meta={"mode": mode})
     save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
     return traj
+
+
+def _measurable(t, rows):
+    """rows, a list of (name, value); refuses the record at t if a value is not
+    finite.  A stored value can be finite and still overflow the audit."""
+    for name, value in rows:
+        if not np.isfinite(value):
+            raise SmcfValidationError(f"the record at t={t:.17g} cannot be measured: {name} is {value}")
+    return rows
 
 
 def norms_and_write(cfg: RunConfig, traj: Trajectory):
     """Write the norm and envelope rows of every stored record to diagnostics.csv."""
     grid = traj.grid
     diag = DiagnosticsCSV(os.path.join(cfg.output_dir, "diagnostics.csv"))
-    with _Stage("norms"):
+    with _Stage("norms"), np.errstate(all="ignore"):
         for rec in traj.records:
-            diag.append_many(rec.t, norm_suite_rows(cfg, grid, rec.gauge(grid), rec.second_form(grid)))
+            rows = norm_suite_rows(cfg, grid, rec.gauge(grid), rec.second_form(grid))
+            diag.append_many(rec.t, _measurable(rec.t, rows))
 
 
 def check_constraints_and_write(cfg: RunConfig, traj: Trajectory):
     """Run the T1-T5 monitors over the trajectory and write constraints.csv."""
-    with _Stage("check-constraints"):
+    with _Stage("check-constraints"), np.errstate(all="ignore"):
         reports = constraint_reports(traj)
+        for rep in reports:
+            rows = [(f"{name} {col}", v) for name, res in rep.entries.items() for col, v in vars(res).items()]
+            _measurable(rep.t, rows)
     write_reports_csv(os.path.join(cfg.output_dir, "constraints.csv"), reports)
     return reports
 
@@ -289,9 +301,8 @@ def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajecto
     recon_dir = os.path.join(cfg.output_dir, "immersions")
     os.makedirs(recon_dir, exist_ok=True)
     for i, imm in enumerate(result.immersions):
-        for comp in range(imm.ambient_dim):
-            fld = GridField.from_real(traj.grid, imm.dev[comp], name=f"F{comp}")
-            write_field(os.path.join(recon_dir, f"imm_{i:06d}_F{comp}.smcf"), fld)
+        fields = (GridField.from_real(traj.grid, dev, name=f"F{comp}") for comp, dev in enumerate(imm.dev))
+        write_fields(recon_dir, f"imm_{i:06d}", fields)
     return result
 
 

@@ -73,12 +73,11 @@ def sobolev_norm(f: GridField, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def s_block_norms(f: GridField, s_weight=None):
-    """L2 norms of the S_j blocks, j = 0..J (J covers the resolvable spectrum)."""
+def s_block_norms(f: GridField, s_weight):
+    """L2 norms of the S_j blocks, j = 0..J (J covers the resolvable spectrum),
+    with the spectral weight s_weight."""
     grid = f.grid
-    w = np.abs(grid.lp_bands("S") * f.hat) ** 2
-    if s_weight is not None:
-        w = w * s_weight
+    w = np.abs(grid.lp_bands("S") * f.hat) ** 2 * s_weight
     return np.sqrt(_spectral_sums(grid, w))
 
 

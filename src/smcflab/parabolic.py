@@ -180,9 +180,7 @@ def step_parabolic(s: GaugeState, lam_path, dt, sign_variant="plus") -> GaugeSta
         # metric leaves an O(dt) coefficient bias that costs one global order
         sf_mid = SecondForm(state.metric, lam_mid)
         Nh_free, NA_free = state.principal_remainder
-        Nh = Nh_free + heat_rhs_h(state, sf_mid)
-        NA = NA_free + heat_rhs_A(state, sf_mid, sign_variant)
-        return 0.5 * (Nh + np.swapaxes(Nh, 0, 1)), NA
+        return Nh_free + heat_rhs_h(state, sf_mid), NA_free + heat_rhs_A(state, sf_mid, sign_variant)
 
     # g, A and their right sides are real: the factors act on r2c half spectra
     E, dt_phi1, dt_phi2 = grid.table(("etd2", dt), lambda: _etd2_factors(grid, dt))

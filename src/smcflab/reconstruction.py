@@ -28,7 +28,7 @@ from .errors import (
     IntegrabilityError,
     ReconstructionInconsistencyError,
 )
-from .geometry import Immersion, MetricState, SecondForm, covariant_derivative, normal_part
+from .geometry import Immersion, SecondForm, covariant_derivative, frame_defects, induced_metric, normal_part
 from .grid import Grid
 from .norms import DiagnosticsCSV
 from .trajectory import Trajectory, TrajectoryRecord
@@ -45,14 +45,9 @@ class Frame:
 
     @cached_property
     def normal_defects(self):
-        """Worst pointwise violations of |m|^2 = 2, m.m = 0 and F_a.m = 0: the
-        invariants that the skew structure of the frame motion protects."""
-        dot = lambda u, v: np.einsum("i...,i...->...", u, v)
-        return {
-            "m_norm": float(np.max(np.abs(dot(self.m, np.conj(self.m)) - 2.0))),
-            "m_null": float(np.max(np.abs(dot(self.m, self.m)))),
-            "tangent_normal": float(np.max([np.max(np.abs(dot(Fa, self.m))) for Fa in self.F_alpha])),
-        }
+        """geometry.frame_defects of the frame: the invariants that the skew
+        structure of the frame motion protects."""
+        return frame_defects(self.F_alpha, self.m)
 
     @cached_property
     def gram(self):
@@ -273,7 +268,7 @@ def reconstruct(
         result.metric_closure.append(grid.l2(frame.gram - rec.g))
         if 0 < i < len(traj) - 1:
             dtF = (immersions[i + 1].dev - immersions[i - 1].dev) / (traj[i + 1].t - traj[i - 1].t)
-            smcf, ident = _flow_residuals(grid, frame, tang, d2F, dtF, rec.psi)
+            smcf, ident = _flow_residuals(frame, imm, tang, d2F, dtF, rec.psi)
         else:
             smcf = ident = np.nan
         result.smcf_residual.append(smcf)
@@ -281,12 +276,11 @@ def reconstruct(
     return result
 
 
-def _flow_residuals(grid: Grid, frame: Frame, tang, d2F, dtF, psi):
+def _flow_residuals(frame: Frame, imm: Immersion, tang, d2F, dtF, psi):
     """L2 of (d_t F)^perp - J H(F) and of the displacement identity at one
-    interior record, from the rebuilt surface's tangents and second partials."""
-    # rebuild the geometry of the reconstructed surface from scratch
-    g = np.einsum("ai...,bi...->ab...", tang, tang)
-    mst = MetricState(grid, 0.5 * (g + np.swapaxes(g, 0, 1)))
+    interior record, from the rebuilt immersion, its tangents and second partials."""
+    grid = imm.grid
+    mst = induced_metric(imm)
     H = grid.dealias(
         np.einsum("ab...,abi...->i...", mst.ginv, d2F)
         - np.einsum("ab...,gab...,gi...->i...", mst.ginv, mst.gamma_u, tang)

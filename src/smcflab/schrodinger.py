@@ -19,18 +19,17 @@ from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic,
 from .trajectory import Trajectory, TrajectoryRecord
 
 
-def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
-    """The nonlinearity F of the iteration form of the lambda equation:
+def nonlinearity_terms(sf: SecondForm, s: GaugeState):
+    """The named, untruncated top-level terms of the nonlinearity F of the
+    iteration form of the lambda equation:
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
 
     Its principal difference d_m(g^{mn} d_n lam) - nabla^s nabla_s lam is first
     order in lam, built from dlam and the metric's cached Gamma, d Gamma and
-    d g^{-1}; the nested second-order form is the test oracle.  The sum of the
-    top-level terms is dealiased once (the truncation is linear); the inner
-    products of the cubic chains keep their own.  With
-    breakdown=True a dict of the untruncated named terms is returned too.
-    sf is traced with s.metric.
+    d g^{-1}; the nested second-order form is the test oracle.  The inner
+    products of the cubic chains keep their own truncation.  sf is traced with
+    s.metric.
     """
     grid = s.grid
     m = s.metric
@@ -71,7 +70,7 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
     chain = grid.dealias(sf.lam_lambar)
     term_chain = -np.einsum("as...,sb...->ab...", chain, sf.lam_up)
 
-    terms = {
+    return {
         "principal_difference": term_pdiff,
         "advection": term_adv,
         "magnetic_covariant_correction": term_a_gamma,
@@ -82,11 +81,13 @@ def assemble_nonlinearity(sf: SecondForm, s: GaugeState, breakdown=False):
         "curvature_cubic": term_curv,
         "cubic_chain": term_chain,
     }
-    total = grid.dealias(sum(terms.values()))
-    total = 0.5 * (total + np.swapaxes(total, 0, 1))
-    if breakdown:
-        return total, terms
-    return total
+
+
+def assemble_nonlinearity(sf: SecondForm, s: GaugeState):
+    """F, the sum of nonlinearity_terms dealiased once (the truncation is linear)
+    and symmetrized."""
+    total = s.grid.dealias(sum(nonlinearity_terms(sf, s).values()))
+    return 0.5 * (total + np.swapaxes(total, 0, 1))
 
 
 def step_schrodinger(sf: SecondForm, s_mid: GaugeState, dt, frozen_source: SecondForm | None = None) -> SecondForm:

@@ -63,41 +63,29 @@ class Trajectory:
         return self.records[i]
 
 
-def _components(grid):
-    d = grid.d
-    comps = []
-    for a in range(d):
-        for b in range(a, d):
-            comps.append(("h", (a, b)))
-    for a in range(d):
-        comps.append(("A", (a,)))
-    for a in range(d):
-        for b in range(a, d):
-            comps.append(("lam", (a, b)))
-    comps.append(("psi", ()))
-    return comps
+def record_fields(grid: Grid, rec: TrajectoryRecord):
+    """The snapshot fields of one record, each named by its file tag: h_ab and
+    lambda_ab for a <= b, A_a and psi."""
+    for a in range(grid.d):
+        for b in range(a, grid.d):
+            yield GridField.from_real(grid, rec.g[a, b] - (1.0 if a == b else 0.0), name=f"h{a}{b}")
+            yield GridField(grid, rec.lam[a, b], name=f"lam{a}{b}")
+        yield GridField.from_real(grid, rec.A[a], name=f"A{a}")
+    yield GridField(grid, rec.psi, name="psi")
+
+
+def write_fields(dirpath, prefix, fields):
+    """Write each field to <dirpath>/<prefix>_<name>.smcf."""
+    for fld in fields:
+        write_field(os.path.join(dirpath, f"{prefix}_{fld.name}.smcf"), fld)
 
 
 def save_trajectory(dirpath, traj: Trajectory):
     os.makedirs(dirpath, exist_ok=True)
-    grid = traj.grid
     index_rows = []
     for step, rec in enumerate(traj.records):
         prefix = f"snap_{step:06d}"
-        for kind, idx in _components(grid):
-            tag = kind + "".join(str(i) for i in idx)
-            name = f"{prefix}_{tag}"
-            if kind == "h":
-                a, b = idx
-                fld = GridField.from_real(grid, rec.g[a, b] - (1.0 if a == b else 0.0), name=tag)
-            elif kind == "A":
-                fld = GridField.from_real(grid, rec.A[idx[0]], name=tag)
-            elif kind == "lam":
-                a, b = idx
-                fld = GridField(grid, rec.lam[a, b], parity="complex", name=tag)
-            else:
-                fld = GridField(grid, rec.psi, parity="complex", name=tag)
-            write_field(os.path.join(dirpath, name + ".smcf"), fld)
+        write_fields(dirpath, prefix, record_fields(traj.grid, rec))
         index_rows.append((step, rec.t, prefix))
     with open(os.path.join(dirpath, "index.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -12,7 +12,7 @@ def gram_schmidt_normal(F: Immersion, m: MetricState, nu1, nu2):
     second_form takes only orthonormal normal frames and repairs none."""
     t = F.tangents()
     # degenerate inputs (e.g. tangent vectors) produce non-finite output here,
-    # which frame_defect reports as an infinite defect
+    # which second_form's frame check rejects
     with np.errstate(invalid="ignore", divide="ignore"):
         v1 = normal_part(m, t, nu1)
         v1 = v1 / np.sqrt(np.einsum("i...,i...->...", v1, v1))

@@ -12,9 +12,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from smcflab.errors import IntegrabilityError, SmcfValidationError
-from smcflab.geometry import Immersion, MetricState, SecondForm, covariant_derivative, identity_metric, raise_first
+from smcflab.geometry import (
+    Immersion,
+    MetricState,
+    SecondForm,
+    covariant_derivative,
+    identity_metric,
+    induced_metric,
+    normal_connection,
+    raise_first,
+    second_form,
+)
 from smcflab.grid import Grid, GridField, _smoothstep
 from smcflab.norms import _cube_l2, _spectral_sums, cube_weights
+from smcflab.parabolic import GaugeState
 from smcflab.reconstruction import Frame
 
 
@@ -79,6 +90,49 @@ def sphere_cap_metric(grid: Grid, radius: float, cap_width: float) -> MetricStat
     g[0, 0] = phi**2
     g[1, 1] = phi**2
     return MetricState(grid, g)
+
+
+def helix(d, n=8, a=0.5, k=1.0, L=2 * np.pi, orientation=1.0):
+    """The helix times a flat R^{d-1}, a codimension-two periodic-deviation graph
+    in R^{d+2}: F(x) = (x, 0, 0) + dev with dev_d = a cos(k x_1) and
+    dev_{d+1} = a sin(k x_1), k a wavenumber of the box.
+
+    The frame nu1 = -(0, ..., cos k x_1, sin k x_1) and
+    nu2 = orientation (a k, 0, ..., sin k x_1, -cos k x_1) / c, c = sqrt(1 + a^2 k^2),
+    is orthonormal and normal, and the state is homogeneous: g_11 = c^2,
+    lambda_11 = a k^2, A_1 = orientation k / c, every other component zero,
+    Gamma = V = B = 0.  The exact solution of the flow with orientation 1 is the
+    rigid screw motion of helix_deviation.  A is the frame's normal connection
+    and lambda its second form, both as the package computes them."""
+    grid = Grid(d=d, n=n, L=L)
+    x1 = grid.x[0]
+    c = np.sqrt(1.0 + (a * k) ** 2)
+    F = Immersion(grid, helix_deviation(grid, 0.0, a, k), graph=True)
+    nu1 = np.zeros((d + 2,) + grid.shape)
+    nu1[d], nu1[d + 1] = -np.cos(k * x1), -np.sin(k * x1)
+    nu2 = np.zeros((d + 2,) + grid.shape)
+    nu2[0], nu2[d], nu2[d + 1] = a * k / c, np.sin(k * x1) / c, -np.cos(k * x1) / c
+    nu2 = orientation * nu2
+    m = induced_metric(F)
+    gauge = GaugeState(m, normal_connection(grid, nu1, nu2))
+    sf = second_form(F, (nu1, nu2), m)
+    return SimpleNamespace(grid=grid, immersion=F, nu1=nu1, nu2=nu2, gauge=gauge, sf=sf, a=a, k=k)
+
+
+def helix_deviation(grid: Grid, t, a=0.5, k=1.0):
+    """The deviation of helix(...) with orientation 1 at time t.  The flow moves
+    it rigidly, along the binormal: with c = sqrt(1 + a^2 k^2) and the curvature
+    kappa = a k^2 / c^2, F(t, x) = (x_1 + alpha t, x_2, ..., a cos(k x_1 + omega t),
+    a sin(k x_1 + omega t)), alpha = kappa a k / c and omega = -kappa / (a c)."""
+    d = grid.d
+    c = np.sqrt(1.0 + (a * k) ** 2)
+    kappa = a * k**2 / c**2
+    alpha, omega = kappa * a * k / c, -kappa / (a * c)
+    x1 = grid.x[0]
+    dev = np.zeros((d + 2,) + grid.shape)
+    dev[0] = alpha * t
+    dev[d], dev[d + 1] = a * np.cos(k * x1 + omega * t), a * np.sin(k * x1 + omega * t)
+    return dev
 
 
 def gauge_rotate(sf: SecondForm, A, m_vec, theta):

@@ -19,6 +19,7 @@ from smcflab.geometry import (
     MetricState,
     covariant_derivative,
     curvature,
+    frame_defects,
     identity_metric,
     induced_metric,
     invert_metric,
@@ -270,6 +271,35 @@ class TestSecondForm:
         nu1[0] = 1.0  # tangent direction: cannot be fixed by Gram-Schmidt
         nu2[3] = 1.0
         with pytest.raises(FrameNotNormalError):
+            second_form(F, (nu1, nu2), m)
+
+    @staticmethod
+    def _flat_frame(grid):
+        F = flat_immersion(grid)
+        nu1 = np.zeros((4,) + grid.shape)
+        nu2 = np.zeros((4,) + grid.shape)
+        nu1[2] = 1.0
+        nu2[3] = 1.0
+        return F, induced_metric(F), nu1, nu2
+
+    def test_frame_holding_a_nan_is_rejected(self, grid):
+        # the builtin max drops a NaN that is not its first argument
+        F, m, nu1, nu2 = self._flat_frame(grid)
+        nu2[3, 1, 2] = np.nan
+        with pytest.raises(FrameNotNormalError, match="nan"):
+            second_form(F, (nu1, nu2), m)
+
+    def test_unequal_lengths_are_caught_by_m_dot_m(self, grid):
+        # |nu1|^2 = 1 + eps and |nu2|^2 = 1 - eps keep |m|^2 = 2 and the frame
+        # normal; only m.m = |nu1|^2 - |nu2|^2 = 2 eps sees the defect
+        F, m, nu1, nu2 = self._flat_frame(grid)
+        eps = 1e-6
+        nu1[2] *= np.sqrt(1.0 + eps)
+        nu2[3] *= np.sqrt(1.0 - eps)
+        defects = frame_defects(F.tangents(), nu1 + 1j * nu2)
+        assert defects["m_norm"] < 1e-15 and defects["tangent_normal"] == 0.0
+        assert abs(defects["m_null"] - 2 * eps) < 1e-15
+        with pytest.raises(FrameNotNormalError, match="normal frame defect 2.000e-06"):
             second_form(F, (nu1, nu2), m)
 
     def test_raw_graph_frame_is_rejected_not_repaired(self, bump_grid):

@@ -22,7 +22,7 @@ from smcflab import norms, trajectory
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
 from smcflab.errors import SmcfValidationError, StepRejectedError
-from smcflab.grid import Grid, GridField
+from smcflab.grid import Grid, GridField, read_field
 from smcflab.harness import generate_scenario, heat_gauge_and_write, norm_suite_rows, norms_and_write, run_experiment
 from smcflab.schrodinger import picard_evolve
 from smcflab.trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory
@@ -542,7 +542,7 @@ class TestCLI:
         data = field.read_bytes()
         field.write_bytes(data[:keep])
         assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: " in capsys.readouterr().err
+        assert f"smcf: error: [check-constraints] {field}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new",
@@ -559,14 +559,14 @@ class TestCLI:
         index = snapdir / "index.csv"
         index.write_text(index.read_text().replace(old, new))
         assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {index}" in capsys.readouterr().err
+        assert f"smcf: error: [check-constraints] {index}" in capsys.readouterr().err
 
     def test_missing_snapshot_field_exits_2(self, tmp_path, capsys):
         path, snapdir = self._two_snapshots(tmp_path)
         field = snapdir / "snap_000001_A1.smcf"
         field.unlink()
         assert main(["check-constraints", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: " in capsys.readouterr().err
+        assert f"smcf: error: [check-constraints] {field}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["norms", "check-constraints", "reconstruct"])
     def test_non_finite_snapshot_exits_2(self, tmp_path, capsys, command):
@@ -576,7 +576,7 @@ class TestCLI:
         data = field.read_bytes()
         field.write_bytes(data[:-16] + np.array([np.nan], dtype="<f8").tobytes() + data[-8:])
         assert main([command, "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: " in capsys.readouterr().err
+        assert f"smcf: error: [{command}] {field}: " in capsys.readouterr().err
 
     @staticmethod
     def _rewrite(field, offset, value):
@@ -591,14 +591,14 @@ class TestCLI:
         field = snapdir / "snap_000001_h00.smcf"
         self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([5.0], dtype="<f8").tobytes())
         assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: real field with a nonzero imaginary part" in capsys.readouterr().err
+        assert f"smcf: error: [norms] {field}: real field with a nonzero imaginary part" in capsys.readouterr().err
 
     def test_unknown_parity_byte_exits_2(self, tmp_path, capsys):
         path, snapdir = self._two_snapshots(tmp_path)
         field = snapdir / "snap_000001_lam01.smcf"
         self._rewrite(field, SNAPSHOT_PARITY_OFFSET, b"\x02")
         assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: parity byte 2" in capsys.readouterr().err
+        assert f"smcf: error: [norms] {field}: parity byte 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tag", ["h01", "A1"])
     def test_complex_metric_or_connection_snapshot_exits_2(self, tmp_path, capsys, tag):
@@ -607,7 +607,7 @@ class TestCLI:
         self._rewrite(field, SNAPSHOT_PARITY_OFFSET, b"\x01")
         self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([0.5], dtype="<f8").tobytes())
         assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
-        assert f"smcf: error: {field}: {tag} must be a real field" in capsys.readouterr().err
+        assert f"smcf: error: [norms] {field}: {tag} must be a real field" in capsys.readouterr().err
 
     def test_gauge_init_outputs(self, tmp_path):
         cfg = small_bump_config(tmp_path)
@@ -618,6 +618,36 @@ class TestCLI:
         assert "init_h00.smcf" in files
         assert "init_A0.smcf" in files
         assert "gauge_init.csv" in files
+
+    def test_gauge_init_files_read_back_as_the_bundle(self, tmp_path):
+        # the snapshot layout of one record, h_ab and lambda_ab for a <= b, A_a
+        # and psi, plus the frame components nu1_i and nu2_i
+        cfg = small_bump_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        assert main(["gauge-init", "--config", str(path)]) == 0
+        bundle = generate_scenario(cfg)
+        d = bundle.grid.d
+
+        def back(tag, real):
+            fld = read_field(os.path.join(cfg.output_dir, f"init_{tag}.smcf"), grid=bundle.grid)
+            assert fld.name == tag and fld.parity == ("real" if real else "complex")
+            return fld.values.real if real else fld.values
+
+        expected = {"psi": (bundle.sf.psi, False)}
+        for a in range(d):
+            expected[f"A{a}"] = bundle.gauge.A[a], True
+            for b in range(a, d):
+                expected[f"h{a}{b}"] = bundle.gauge.metric.h[a, b], True
+                expected[f"lam{a}{b}"] = bundle.sf.lam[a, b], False
+        for i in range(d + 2):
+            expected[f"nu1_{i}"] = bundle.nu1[i], True
+            expected[f"nu2_{i}"] = bundle.nu2[i], True
+        for tag, (values, real) in expected.items():
+            assert np.array_equal(back(tag, real), values), tag
+        assert sorted(f for f in os.listdir(cfg.output_dir) if f.endswith(".smcf")) == sorted(
+            f"init_{tag}.smcf" for tag in expected
+        )
 
     def test_solver_no_convergence_exits_3(self, tmp_path, capsys):
         bump = os.path.join(os.path.dirname(__file__), "..", "configs", "bump_smalldata.txt")
@@ -667,12 +697,14 @@ def short_run(tmp_path_factory):
 
 class TestSnapshotBytes:
     """`smcf norms --snapshots` on a copy of short_run with one .smcf file flipped
-    in one byte or cut short: it exits 0 or 2 and raises nothing else.
+    in one byte or cut short: it exits 0 or 2, raises nothing else and lets no
+    warning escape.
 
-    A flipped exponent byte can leave a finite value near 1e300 that no check can
-    tell from data; its norms overflow with a RuntimeWarning, which a command-line
-    run prints and goes on.  The warnings are recorded here, as that run would
-    print them, instead of being raised, and they must be RuntimeWarnings."""
+    A flipped exponent byte can leave a finite value near 1e300 that the loader
+    cannot tell from data; its norms overflow, and the norms stage refuses the
+    record with exit 2 instead of writing a non-finite row.  Warnings are
+    recorded here, as a command-line run would print them, and there must be
+    none."""
 
     @staticmethod
     def _norms(config, snapdir, out):
@@ -681,7 +713,7 @@ class TestSnapshotBytes:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main(["norms", "--config", str(config), "--snapshots", str(snapdir), "--output", str(out)])
-        assert all(w.category is RuntimeWarning for w in caught), [str(w.message) for w in caught]
+        assert not caught, [str(w.message) for w in caught]
         return code, err.getvalue()
 
     @staticmethod
@@ -716,7 +748,7 @@ class TestSnapshotBytes:
         real = name.split("_")[-1].startswith(("h", "A"))
         if kind == "cut" or at < SNAPSHOT_PARITY_OFFSET or (real and at >= payload and (at - payload) % 16 >= 8):
             # a short file, a flip in the magic, version or grid fields, or in the imaginary half of a real field
-            assert code == 2 and err.startswith(f"smcf: error: {field}: "), (code, err)
+            assert code == 2 and err.startswith(f"smcf: error: [norms] {field}: "), (code, err)
         else:
             assert code in (0, 2)
 
@@ -728,4 +760,55 @@ class TestSnapshotBytes:
         with tempfile.TemporaryDirectory() as tmp:
             field = self._corrupted_copy(snapdir, Path(tmp) / "snaps", "snap_000002_A0.smcf", ("flip", at, mask))
             code, err = self._norms(config, field.parent, Path(tmp) / "out")
-        assert code == 2 and err.startswith(f"smcf: error: {field}: ")
+        assert code == 2 and err.startswith(f"smcf: error: [norms] {field}: ")
+
+
+class TestAuditRefusal:
+    """A stored value that is finite but overflows the audit: byte 41 of
+    snap_000000_lam00.smcf is the top byte of its first real part, and XOR 64
+    with it sets the top exponent bit.  norms and check-constraints refuse the
+    record with exit 2, naming t and the row, let no warning escape and write
+    no non-finite row."""
+
+    @staticmethod
+    def _overflowing_copy(snapdir, dest):
+        shutil.copytree(snapdir, dest)
+        field = dest / "snap_000000_lam00.smcf"
+        data = bytearray(field.read_bytes())
+        assert len(data) - 16 * 8**2 + 7 == 41
+        data[41] ^= 64
+        field.write_bytes(bytes(data))
+        value = read_field(field).values.flat[0].real
+        assert np.isfinite(value) and abs(value) > 1e307
+        return dest
+
+    @pytest.mark.parametrize("command, row", [("norms", "lambda_Hs"), ("check-constraints", "T1 l2")])
+    def test_an_overflowing_record_exits_2(self, short_run, tmp_path, command, row):
+        config, snapdir = short_run
+        snaps = self._overflowing_copy(snapdir, tmp_path / "snaps")
+        out = tmp_path / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(config), "--snapshots", str(snaps), "--output", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2
+        assert err.getvalue().startswith(f"smcf: error: [{command}] the record at t=0 cannot be measured: {row} is ")
+        for name in ("diagnostics.csv", "constraints.csv"):
+            if (out / name).exists():
+                assert (out / name).read_text().count("\n") == 1, name
+
+
+class TestSnapshotStageTags:
+    """A snapshot directory that cannot be loaded fails with the tag of the stage
+    that reads it, as every other error of that stage does."""
+
+    @pytest.mark.parametrize("command", ["norms", "check-constraints", "reconstruct", "heat-gauge"])
+    def test_a_missing_snapshot_directory_names_its_stage(self, tmp_path, capsys, command):
+        cfg = small_cliff_config(tmp_path)
+        path = tmp_path / "cfg.txt"
+        save_config(path, cfg)
+        missing = tmp_path / "missing"
+        assert main([command, "--config", str(path), "--snapshots", str(missing)]) == 2
+        assert capsys.readouterr().err == f"smcf: error: [{command}] {missing}: no trajectory index found\n"

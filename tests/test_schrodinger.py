@@ -1,6 +1,7 @@
 """Covariant Schroedinger stepper and the coupled evolution drivers."""
 
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,14 @@ from smcflab.fixtures import bump_immersion, cliff_fixture
 from smcflab.geometry import SecondForm, identity_metric, induced_metric, second_form
 from smcflab.grid import Grid
 from smcflab.harness import generate_scenario
-from smcflab.parabolic import gauge_state_from
-from smcflab.schrodinger import assemble_nonlinearity, evolve_coupled, picard_evolve, step_schrodinger
+from smcflab.parabolic import gauge_state_from, heat_rhs_h
+from smcflab.schrodinger import (
+    assemble_nonlinearity,
+    evolve_coupled,
+    nonlinearity_terms,
+    picard_evolve,
+    step_schrodinger,
+)
 
 CLIFF_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cliff_oracle.txt"
 
@@ -69,7 +76,7 @@ class TestAssembleNonlinearity:
     def test_cliff_reduces_to_cubics(self, r):
         grid = Grid(d=2, n=8, L=2 * np.pi * r)
         sf, gauge = cliff_setup(grid, r)
-        total, terms = assemble_nonlinearity(sf, gauge, breakdown=True)
+        total, terms = assemble_nonlinearity(sf, gauge), nonlinearity_terms(sf, gauge)
         # only the three cubic terms survive; psi-quadratic at (0,0) is psi |lam11|^2
         for name in (
             "principal_difference",
@@ -88,7 +95,7 @@ class TestAssembleNonlinearity:
     def test_term_isolation_zero_connection(self):
         grid = Grid(d=2, n=32, L=16.0)
         sf, gauge = bump_setup(grid, eps=0.1)
-        _, terms = assemble_nonlinearity(sf, gauge, breakdown=True)
+        terms = nonlinearity_terms(sf, gauge)
         assert maxabs(terms["magnetic_covariant_correction"]) == 0.0
         assert maxabs(terms["div_A"]) == 0.0
         # with A = 0 the potential reduces to B = div A = 0 too
@@ -110,7 +117,7 @@ class TestPrincipalDifference:
     def test_bump_matches_nested_form(self, bump_scenario):
         name, bundle = bump_scenario
         grid = bundle.grid
-        _, terms = assemble_nonlinearity(bundle.sf, bundle.gauge, breakdown=True)
+        terms = nonlinearity_terms(bundle.sf, bundle.gauge)
         closed = grid.dealias(terms["principal_difference"])
         nested = grid.dealias(nested_principal_difference(bundle.sf, bundle.gauge.metric))
         rel_tol = {"d2-n64": 1e-9, "d3-n32": 1e-8}[name]
@@ -120,7 +127,7 @@ class TestPrincipalDifference:
         # the graph metric has V != 0, which harmonic coordinates remove
         grid = Grid(d=2, n=64, L=16.0)
         sf, gauge = bump_setup(grid, eps=0.1)
-        _, terms = assemble_nonlinearity(sf, gauge, breakdown=True)
+        terms = nonlinearity_terms(sf, gauge)
         nested = grid.dealias(nested_principal_difference(sf, gauge.metric))
         assert maxabs(grid.dealias(terms["principal_difference"]) - nested) <= 1e-9 * maxabs(nested)
 
@@ -128,7 +135,7 @@ class TestPrincipalDifference:
         # the flat cliff metric leaves pdiff at roundoff, so the bound is absolute
         bundle = generate_scenario(load_config(CLIFF_CONFIG))
         grid = bundle.grid
-        _, terms = assemble_nonlinearity(bundle.sf, bundle.gauge, breakdown=True)
+        terms = nonlinearity_terms(bundle.sf, bundle.gauge)
         nested = nested_principal_difference(bundle.sf, bundle.gauge.metric)
         assert maxabs(grid.dealias(terms["principal_difference"]) - grid.dealias(nested)) <= 1e-11
 
@@ -254,6 +261,23 @@ class TestPicardEvolve:
         assert len(dist) == 4
         for a, b in zip(dist[1:], dist[:-1]):
             assert a <= 0.5 * b
+
+    def test_records_stay_bitwise_symmetric(self):
+        # g is symmetrized once per parabolic step; lambda and the metric flow's
+        # right side N_h = (g^{ab} - delta^{ab}) d_a d_b g + heat_rhs_h are
+        # symmetric bit for bit without a guard of their own
+        bump = Path(__file__).resolve().parents[1] / "configs" / "bump_smalldata.txt"
+        bundle = generate_scenario(replace(load_config(bump), grid_points_n=32))
+        grid = bundle.grid
+        assert maxabs(bundle.gauge.A) > 0
+        for mode in ("perstep", "slab"):
+            traj = picard_evolve(bundle.sf, bundle.gauge, T=5 * 0.03125, dt=0.03125, mode=mode)
+            assert len(traj) == 6
+            for rec in traj.records:
+                s = rec.gauge(grid)
+                Nh = s.principal_remainder[0] + heat_rhs_h(s, SecondForm(s.metric, rec.lam))
+                for field in (rec.g, rec.lam, Nh):
+                    assert np.array_equal(field, np.swapaxes(field, 0, 1)), (mode, rec.t)
 
     def test_slab_and_perstep_runs_store_the_same_times(self):
         # 20 steps at a cadence of 5: steps 0, 5, 10, 15 and 20 are stored in both modes
