@@ -61,7 +61,7 @@ def cmd_gauge_init(args):
     harness.write_manifest(cfg)
     bundle = harness.gauge_init_and_write(cfg)
     grid = bundle.grid
-    fields = list(record_fields(grid, TrajectoryRecord.from_state(0.0, bundle.gauge, bundle.sf)))
+    fields = list(record_fields(TrajectoryRecord.from_state(0.0, bundle.gauge, bundle.sf)))
     for tag, vec in (("nu1", bundle.nu1), ("nu2", bundle.nu2)):
         fields += [GridField.from_real(grid, comp, name=f"{tag}_{i}") for i, comp in enumerate(vec)]
     write_fields(cfg.output_dir, "init", fields)

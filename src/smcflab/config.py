@@ -40,7 +40,6 @@ class RunConfig:
     grid_dimension_d: int = 2
     grid_points_n: int = 64
     box_length_L: float = 16.0
-    dealias_fraction: float = 2.0 / 3.0
     time_step_dt: float = 0.0  # 0 -> resolved to 0.5 * dx^2
     final_time_T: float = 0.25
     picard_sweeps: int = 3
@@ -75,8 +74,6 @@ class RunConfig:
         n = self.grid_points_n
         if n < 8 or n & (n - 1):
             raise SmcfValidationError("grid_points_n must be a power of two >= 8")
-        if not 0 < self.dealias_fraction <= 1:
-            raise SmcfValidationError("dealias_fraction must lie in (0, 1]")
         if self.scenario_kind == "bump":
             if not 0 < self.bump_epsilon < 1:
                 raise SmcfValidationError("bump_epsilon must lie in (0, 1)")

@@ -40,7 +40,7 @@ def _norms(grid: Grid, res, constituents):
     field, the constituents have no digits left to compare against and rel
     reads 0; a NaN scale reads rel = NaN.
     """
-    scale = max([grid.l2(c) for c in constituents] + [0.0])
+    scale = float(np.max([grid.l2(c) for c in constituents]))
     l2 = grid.l2(res)
     floor = 1e3 * np.finfo(float).eps * grid.L ** (grid.d / 2)
     return ResidualNorms(
@@ -106,11 +106,10 @@ def residual_metric_evolution(s: GaugeState, sf: SecondForm, rec_prev, rec_next)
 
 def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     """All monitors at stored time i; time residuals only at interior indices."""
-    grid = traj.grid
     rec = traj[i]
-    s = rec.gauge(grid)
+    s = rec.gauge
     riem, ric = curvature(s.metric)
-    sf = rec.second_form(grid)
+    sf = rec.second_form()
     report = ConstraintReport(t=rec.t)
     _, report.entries["T1"] = residual_T1(sf, ric)
     _, report.entries["T2"] = residual_T2(sf, riem)

@@ -185,18 +185,17 @@ def build_coulomb_frame(F: Immersion, m: MetricState, tol=1e-9, max_iter=60):
     for v in candidates:
         proj = normal_part(m, t, v)
         score = float(np.min(np.sqrt(np.einsum("i...,i...->...", proj, proj))))
-        scored.append((score, v, proj))
+        scored.append((score, proj))
     scored.sort(key=lambda item: -item[0])
-    best_score, _, proj1 = scored[0]
+    best_score, proj1 = scored[0]
     if best_score < 0.2:
         raise TransversalityError(
             f"no uniformly transversal constant direction: best projection norm {best_score:.3f}"
         )
     nu1_t = proj1 / np.sqrt(np.einsum("i...,i...->...", proj1, proj1))
     # second direction: best remaining candidate, orthonormalized
-    for _, v, proj in scored[1:]:
-        w = normal_part(m, t, v)
-        w = w - np.einsum("i...,i...->...", w, nu1_t) * nu1_t
+    for _, proj in scored[1:]:
+        w = proj - np.einsum("i...,i...->...", proj, nu1_t) * nu1_t
         nrm = np.sqrt(np.einsum("i...,i...->...", w, w))
         if float(np.min(nrm)) > 0.2:
             nu2_t = w / nrm

@@ -79,6 +79,10 @@ _DENSE_DFT_MAX_N = 16
 # 24 -> 6 us; but d = 2, n = 16, grad 37 -> 52 us, hessian 47 -> 207 us, and
 # d = 3, n = 8, dealias 60 -> 188 us.
 _OPERATOR_MATRIX_MAX_POINTS = 64
+# The 2/3 rule (Orszag, J. Atmos. Sci. 28, 1971): a product of two fields kept
+# below 2/3 of the Nyquist wavenumber aliases only onto modes the dealias mask
+# removes.  It is fixed, so (d, n, L) alone determine a grid.
+DEALIAS_FRACTION = 2.0 / 3.0
 # name -> (multiplier stack attribute, whether the operator pairs the stack
 # with the leading axis of its input and sums over it)
 _OPERATORS = {
@@ -117,19 +121,16 @@ def bump_profile(r):
 class Grid:
     """Uniform periodic grid over [0, L)^d, n points per axis (n a power of two)."""
 
-    def __init__(self, d, n, L, dealias_fraction=2.0 / 3.0):
+    def __init__(self, d, n, L):
         if d not in (1, 2, 3):
             raise SmcfValidationError(f"dimension must be 1, 2 or 3, got {d}")
         if n < 8 or (n & (n - 1)) != 0:
             raise SmcfValidationError(f"points per axis must be a power of two >= 8, got {n}")
         if not L > 0:
             raise SmcfValidationError(f"box length must be positive, got {L}")
-        if not 0.0 < dealias_fraction <= 1.0:
-            raise SmcfValidationError(f"dealias fraction must lie in (0,1], got {dealias_fraction}")
         self.d = int(d)
         self.n = int(n)
         self.L = float(L)
-        self.dealias_fraction = float(dealias_fraction)
         self.dx = self.L / self.n
         self.shape = (self.n,) * self.d
 
@@ -160,7 +161,7 @@ class Grid:
 
     @cached_property
     def dealias_mask(self):
-        cut = self.dealias_fraction * self.k_nyq
+        cut = DEALIAS_FRACTION * self.k_nyq
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.d):
             mask &= np.abs(self.k[a]) <= cut + 1e-12 * self.k_nyq
@@ -461,7 +462,7 @@ class Grid:
     @cached_property
     def _fine(self):
         """The grid oversampled _NUFFT_SIGMA times that eval_at_points interpolates from."""
-        return Grid(self.d, _NUFFT_SIGMA * self.n, self.L, self.dealias_fraction)
+        return Grid(self.d, _NUFFT_SIGMA * self.n, self.L)
 
     @cached_property
     def _kernel_factors(self):
@@ -556,9 +557,7 @@ class GridField:
             )
         if self.parity not in ("real", "complex"):
             raise SmcfValidationError(f"parity must be 'real' or 'complex', got {self.parity!r}")
-        values = vals.astype(np.complex128, copy=True)
-        if self.parity == "real":
-            values = values.real.astype(np.complex128)
+        values = np.array(vals.real if self.parity == "real" else vals, dtype=np.complex128)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__, calibration
 from .config import RunConfig, config_to_text
 from .constraints import constraint_reports, write_reports_csv
-from .errors import SmcfError, SmcfValidationError
+from .errors import SmcfError
 from .fixtures import bump_immersion, cliff_fixture, flat_immersion
 from .gauge_init import (
     build_coulomb_frame,
@@ -37,7 +37,7 @@ from .norms import (
 from .parabolic import GaugeState, gauge_path, time_grid
 from .reconstruction import frame_from_normal_basis, reconstruct, write_reconstruction_csv
 from .schrodinger import picard_evolve
-from .trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory, write_fields
+from .trajectory import Trajectory, load_trajectory, measurable, records_along, save_trajectory, write_fields
 
 
 @dataclass
@@ -52,12 +52,7 @@ class ScenarioBundle:
 
 
 def make_grid(cfg: RunConfig) -> Grid:
-    return Grid(
-        d=cfg.grid_dimension_d,
-        n=cfg.grid_points_n,
-        L=cfg.box_length_L,
-        dealias_fraction=cfg.dealias_fraction,
-    )
+    return Grid(d=cfg.grid_dimension_d, n=cfg.grid_points_n, L=cfg.box_length_L)
 
 
 def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
@@ -118,8 +113,9 @@ def generate_scenario(cfg: RunConfig) -> ScenarioBundle:
     return ScenarioBundle(grid, F, nu1, nu2, gauge, SecondForm(m, sf.lam, sf.psi), residuals=residuals)
 
 
-def norm_suite_rows(cfg: RunConfig, grid: Grid, gauge: GaugeState, sf: SecondForm):
-    """Deterministic diagnostics rows for one state."""
+def norm_suite_rows(cfg: RunConfig, gauge: GaugeState, sf: SecondForm):
+    """Deterministic diagnostics rows for one state; lambda is bitwise symmetric."""
+    grid = gauge.grid
     params = EnvelopeParams(s=cfg.envelope_s, delta=cfg.envelope_delta)
     sigma_d = params.sigma_d(grid.d)
     rows = []
@@ -128,13 +124,12 @@ def norm_suite_rows(cfg: RunConfig, grid: Grid, gauge: GaugeState, sf: SecondFor
     measured = {}
     for a in range(grid.d):
         for b in range(grid.d):
-            if b < a and np.array_equal(sf.lam[a, b], sf.lam[b, a]):
-                # lambda is symmetric: reuse the (b, a) component's numbers
+            if b < a:
+                # reuse the (b, a) component's numbers
                 norm, env = measured[b, a]
             else:
                 f = GridField(grid, sf.lam[a, b])
-                norm, env = sobolev_norm(f, cfg.envelope_s), frequency_envelope(f, params)
-                measured[a, b] = norm, env
+                norm, env = measured[a, b] = sobolev_norm(f, cfg.envelope_s), frequency_envelope(f, params)
             lam_norm2 += norm**2
             env_acc = env if env_acc is None else np.maximum(env_acc, env)
     rows.append(("lambda_Hs", float(np.sqrt(lam_norm2))))
@@ -227,50 +222,32 @@ def heat_gauge_and_write(cfg: RunConfig, bundle: ScenarioBundle, snapshots=None)
     config's time grid; with a snapshot directory its stored lambda path is
     prescribed (not evolved) and the gauge system is re-solved at the stored times.
     """
-    grid = bundle.grid
     with _Stage("heat-gauge"):
         if snapshots is None:
             nsteps, dt = time_grid(cfg.final_time_T, cfg.time_step_dt)
             times = [i * dt for i in range(nsteps + 1)]
             steps = [dt] * nsteps
-            sf0 = bundle.sf
-            lam_path = [sf0.lam] * (nsteps + 1)
+            lam_path = [bundle.sf.lam] * (nsteps + 1)
         else:
-            lam_traj = load_trajectory(snapshots, grid=grid)
+            lam_traj = load_trajectory(snapshots, grid=bundle.grid)
             times = list(lam_traj.times)
             steps = np.diff(times)
-            sf0 = lam_traj[0].second_form(grid)
             lam_path = [rec.lam for rec in lam_traj.records]
-        records = []
-        for i, s in enumerate(gauge_path(bundle.gauge, lam_path, steps, cfg.sign_variant)):
-            if i == 0:
-                records.append(TrajectoryRecord.from_state(times[0], s, sf0))
-            elif i % cfg.snapshot_every_steps == 0 or i == len(times) - 1:
-                sf = SecondForm(s.metric, lam_path[i])
-                records.append(TrajectoryRecord.from_state(times[i], s, sf))
+        gauges = gauge_path(bundle.gauge, lam_path, steps, cfg.sign_variant)
+        records = records_along(times, gauges, lam_path, cfg.snapshot_every_steps)
     mode = "frozen-lambda" if snapshots is None else "prescribed-lambda"
-    traj = Trajectory(grid=grid, records=records, meta={"mode": mode})
+    traj = Trajectory(grid=bundle.grid, records=records, meta={"mode": mode})
     save_trajectory(os.path.join(cfg.output_dir, "gauge_snapshots"), traj)
     return traj
 
 
-def _measurable(t, rows):
-    """rows, a list of (name, value); refuses the record at t if a value is not
-    finite.  A stored value can be finite and still overflow the audit."""
-    for name, value in rows:
-        if not np.isfinite(value):
-            raise SmcfValidationError(f"the record at t={t:.17g} cannot be measured: {name} is {value}")
-    return rows
-
-
 def norms_and_write(cfg: RunConfig, traj: Trajectory):
     """Write the norm and envelope rows of every stored record to diagnostics.csv."""
-    grid = traj.grid
     diag = DiagnosticsCSV(os.path.join(cfg.output_dir, "diagnostics.csv"))
     with _Stage("norms"), np.errstate(all="ignore"):
         for rec in traj.records:
-            rows = norm_suite_rows(cfg, grid, rec.gauge(grid), rec.second_form(grid))
-            diag.append_many(rec.t, _measurable(rec.t, rows))
+            rows = norm_suite_rows(cfg, rec.gauge, rec.second_form())
+            diag.append_many(rec.t, measurable(rec.t, rows))
 
 
 def check_constraints_and_write(cfg: RunConfig, traj: Trajectory):
@@ -279,7 +256,7 @@ def check_constraints_and_write(cfg: RunConfig, traj: Trajectory):
         reports = constraint_reports(traj)
         for rep in reports:
             rows = [(f"{name} {col}", v) for name, res in rep.entries.items() for col, v in vars(res).items()]
-            _measurable(rep.t, rows)
+            measurable(rep.t, rows)
     write_reports_csv(os.path.join(cfg.output_dir, "constraints.csv"), reports)
     return reports
 
@@ -288,7 +265,7 @@ def reconstruct_and_write(cfg: RunConfig, bundle: ScenarioBundle, traj: Trajecto
     """Rebuild the immersion from the scenario's initial frame, with the
     spatial holonomy audit, and write reconstruction.csv and immersions/."""
     frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-    with _Stage("reconstruct"):
+    with _Stage("reconstruct"), np.errstate(all="ignore"):
         result = reconstruct(
             traj,
             frame0,

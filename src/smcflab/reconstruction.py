@@ -31,7 +31,7 @@ from .errors import (
 from .geometry import Immersion, SecondForm, covariant_derivative, frame_defects, induced_metric, normal_part
 from .grid import Grid
 from .norms import DiagnosticsCSV
-from .trajectory import Trajectory, TrajectoryRecord
+from .trajectory import Trajectory, TrajectoryRecord, measurable
 
 
 @dataclass
@@ -101,29 +101,33 @@ def _unpack(grid: Grid, X) -> Frame:
     return Frame(grid, X[:-2], X[-2] + 1j * X[-1])
 
 
-def _bundle(grid: Grid, rec):
+def _bundle(rec):
     """(t, K) at one record: the generator of M, c = i(dApsi - i lam V), c raised and B."""
-    s = rec.gauge(grid)
-    sf = rec.second_form(grid)
+    s = rec.gauge
+    sf = rec.second_form()
     m = s.metric
+    grid = rec.grid
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
     dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
     lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
     lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
     M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
-    return rec.t, _generator(M, 1j * (dApsi - 1j * lamV), 1j * (dApsi_up - 1j * lamV_up), s.B)
+    K = _generator(M, 1j * (dApsi - 1j * lamV), 1j * (dApsi_up - 1j * lamV_up), s.B)
+    measurable(rec.t, [("frame generator l2", grid.l2(K))])
+    return rec.t, K
 
 
-def _bundle_midpoint(grid: Grid, rec0, rec1):
+def _bundle_midpoint(rec0, rec1):
     mid = TrajectoryRecord(
+        grid=rec0.grid,
         t=0.5 * (rec0.t + rec1.t),
         g=0.5 * (rec0.g + rec1.g),
         A=0.5 * (rec0.A + rec1.A),
         lam=0.5 * (rec0.lam + rec1.lam),
         psi=0.5 * (rec0.psi + rec1.psi),
     )
-    return _bundle(grid, mid)
+    return _bundle(mid)
 
 
 def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
@@ -215,9 +219,9 @@ class ReconstructionResult:
     identity_residual: list = field(default_factory=list)
 
 
-def _displacement(grid, frame: Frame, rec):
+def _displacement(frame: Frame, rec):
     disp = -np.imag(np.einsum("...,i...->i...", rec.psi, np.conj(frame.m)))
-    return disp + np.einsum("g...,gi...->i...", rec.gauge(grid).V, frame.F_alpha)
+    return disp + np.einsum("g...,gi...->i...", rec.gauge.V, frame.F_alpha)
 
 
 def reconstruct(
@@ -235,21 +239,21 @@ def reconstruct(
     """
     grid = traj.grid
     frames, immersions = [frame0], [F0]
-    disp_prev = _displacement(grid, frame0, traj[0])
-    # each step's end bundle is the next step's start; only the (start, mid,
-    # end) window of the current step stays alive
-    end = _bundle(grid, traj[0])
+    disp_prev = _displacement(frame0, traj[0])
+    # each step's end bundle, built before its midpoint so that a refused record
+    # is named by its own time, is the next step's start
+    end = _bundle(traj[0])
     for rec0, rec1 in zip(traj.records, traj.records[1:]):
         dt = rec1.t - rec0.t
-        start, mid, end = end, _bundle_midpoint(grid, rec0, rec1), _bundle(grid, rec1)
+        start, end, mid = end, _bundle(rec1), _bundle_midpoint(rec0, rec1)
         frames.append(transport_frame_time(frames[-1], (start, mid, end), dt, drift_tol=drift_tol))
-        disp_next = _displacement(grid, frames[-1], rec1)
+        disp_next = _displacement(frames[-1], rec1)
         immersions.append(Immersion(grid, immersions[-1].dev + 0.5 * dt * (disp_prev + disp_next), graph=F0.graph))
         disp_prev = disp_next
 
     # seed on the slice {x_last = 0}, transported along the last axis
     _, holonomy = integrate_frame_space(
-        frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(grid), traj[0].A, holonomy_tol=holonomy_tol
+        frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(), traj[0].A, holonomy_tol=holonomy_tol
     )
     result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions, holonomy=holonomy)
     for i, (frame, imm) in enumerate(zip(frames, immersions)):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BlowupError, IterationDivergenceError, SmcfValidationError
 from .geometry import SecondForm, laplacian_lower_order
 from .parabolic import GaugeState, gauge_path, gauge_state_from, step_parabolic, time_grid
-from .trajectory import Trajectory, TrajectoryRecord
+from .trajectory import Trajectory, TrajectoryRecord, records_along, stored
 
 
 def nonlinearity_terms(sf: SecondForm, s: GaugeState):
@@ -167,7 +167,7 @@ def evolve_coupled(
         sf_new = SecondForm(s_new.metric, sf_new.lam)
         _check_blowup(grid, sf_new.lam, t_new, blowup_threshold)
         s, sf = s_new, sf_new
-        if step % snapshot_every == 0 or step == nsteps:
+        if stored(step, nsteps, snapshot_every):
             records.append(TrajectoryRecord.from_state(t_new, s, sf))
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "perstep"})
 
@@ -220,11 +220,7 @@ def evolve_slab(
             )
         if tol is not None and distance <= tol:
             break
-    records = [
-        TrajectoryRecord.from_state(times[i], gauges[i], SecondForm(gauges[i].metric, path[i][0]))
-        for i in range(nsteps + 1)
-        if i % snapshot_every == 0 or i == nsteps
-    ]
+    records = records_along(times, gauges, [lam for lam, _ in path], snapshot_every)
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
 
 

@@ -11,39 +11,57 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SmcfValidationError
 from .geometry import SecondForm
 from .grid import Grid, GridField, read_field, write_field
+from .parabolic import GaugeState, gauge_state_from
 
 
 @dataclass
 class TrajectoryRecord:
+    """The state at time t on its grid; a state never changes its arrays, so
+    neither may a record, whose gauge state is built on first read and kept."""
+
+    grid: Grid
     t: float
     g: np.ndarray
     A: np.ndarray
     lam: np.ndarray
     psi: np.ndarray
-    _gauge: object = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_state(cls, t, gauge, sf: SecondForm):
-        """Copies of a gauge state's (g, A) and a second form's (lam, psi) at time t."""
-        return cls(t=t, g=gauge.metric.g.copy(), A=gauge.A.copy(), lam=sf.lam.copy(), psi=sf.psi.copy())
+    def from_state(cls, t, gauge: GaugeState, sf: SecondForm):
+        """A gauge state's (g, A) and a second form's (lam, psi) at time t, stored, not copied."""
+        return cls(gauge.grid, t, gauge.metric.g, gauge.A, sf.lam, sf.psi)
 
-    def gauge(self, grid: Grid):
-        if self._gauge is None or self._gauge.grid is not grid:
-            from .parabolic import gauge_state_from
+    @cached_property
+    def gauge(self) -> GaugeState:
+        return gauge_state_from(self.grid, self.g, self.A, t=self.t)
 
-            self._gauge = gauge_state_from(grid, self.g, self.A, t=self.t)
-        return self._gauge
-
-    def second_form(self, grid: Grid) -> SecondForm:
+    def second_form(self) -> SecondForm:
         """A new second form on the record's metric each call: the record keeps
         none of its contractions."""
-        return SecondForm(self.gauge(grid).metric, self.lam, self.psi)
+        return SecondForm(self.gauge.metric, self.lam, self.psi)
+
+
+def stored(i, nsteps, every):
+    """Whether step i of nsteps is kept: every every-th step and the last."""
+    return i % every == 0 or i == nsteps
+
+
+def records_along(times, gauges, lams, every):
+    """The stored records of the gauge states gauges[i] at times[i], each paired
+    with lams[i] and its psi traced on that state's own metric."""
+    nsteps = len(times) - 1
+    return [
+        TrajectoryRecord.from_state(t, s, SecondForm(s.metric, lam))
+        for i, (t, s, lam) in enumerate(zip(times, gauges, lams))
+        if stored(i, nsteps, every)
+    ]
 
 
 @dataclass
@@ -63,9 +81,19 @@ class Trajectory:
         return self.records[i]
 
 
-def record_fields(grid: Grid, rec: TrajectoryRecord):
+def measurable(t, rows):
+    """rows, a list of (name, value); refuses the record at t if a value is not
+    finite.  A stored value can be finite and still overflow the audit."""
+    for name, value in rows:
+        if not np.isfinite(value):
+            raise SmcfValidationError(f"the record at t={t:.17g} cannot be measured: {name} is {value}")
+    return rows
+
+
+def record_fields(rec: TrajectoryRecord):
     """The snapshot fields of one record, each named by its file tag: h_ab and
     lambda_ab for a <= b, A_a and psi."""
+    grid = rec.grid
     for a in range(grid.d):
         for b in range(a, grid.d):
             yield GridField.from_real(grid, rec.g[a, b] - (1.0 if a == b else 0.0), name=f"h{a}{b}")
@@ -85,7 +113,7 @@ def save_trajectory(dirpath, traj: Trajectory):
     index_rows = []
     for step, rec in enumerate(traj.records):
         prefix = f"snap_{step:06d}"
-        write_fields(dirpath, prefix, record_fields(traj.grid, rec))
+        write_fields(dirpath, prefix, record_fields(rec))
         index_rows.append((step, rec.t, prefix))
     with open(os.path.join(dirpath, "index.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -97,8 +125,8 @@ def save_trajectory(dirpath, traj: Trajectory):
 def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
     """Rebuild a trajectory from a snapshot directory.
 
-    Pass the run's Grid to preserve a non-default dealias fraction; snapshot
-    headers carry only (d, n, L).
+    With the run's Grid the records share that grid object and its tables, and
+    every snapshot header must match its (d, n, L).
     """
     index_path = os.path.join(dirpath, "index.csv")
     if not os.path.exists(index_path):
@@ -154,5 +182,5 @@ def load_trajectory(dirpath, grid: Grid | None = None) -> Trajectory:
                 lam[b, a] = lam[a, b]
         A = np.stack([load(f"A{a}", real=True) for a in range(d)])
         psi = load("psi") if records else first.values
-        records.append(TrajectoryRecord(t=t, g=g, A=A, lam=lam, psi=psi))
+        records.append(TrajectoryRecord(grid, t, g, A, lam, psi))
     return Trajectory(grid=grid, records=records)

@@ -196,12 +196,13 @@ def nested_laplacian_remainder(m: MetricState, A):
 # -- reconstruction ------------------------------------------------------------------
 
 
-def frame_bundle(grid: Grid, rec):
+def frame_bundle(rec):
     """The complex-form coefficients of the frame's time motion at one record:
     B, M, c = i(dApsi - i lam V) and c raised."""
-    s = rec.gauge(grid)
-    sf = rec.second_form(grid)
+    s = rec.gauge
+    sf = rec.second_form()
     m = s.metric
+    grid = rec.grid
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
     lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
     c = 1j * (dApsi - 1j * lamV)
@@ -305,6 +306,108 @@ def integrate_frame_space_by_lines(
             "the supplied data violate the integrability conditions"
         )
     return Frame(grid, frame_F, frame_m), holonomy
+
+
+# -- gauge-free references ----------------------------------------------------------
+# Solutions of the flow written in other unknowns than the heat gauge's: numpy's
+# FFT on their own wavenumbers, no formula shared with the package.
+
+
+def _wavenumbers(n, L, d):
+    k1 = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+    return [k1.reshape([n if b == a else 1 for b in range(d)]) for a in range(d)]
+
+
+def hasimoto_modulus(chi0, length, beta, T, dt=2e-4, orientation=1.0):
+    """|chi(T)| for the cubic NLS of a filament's Hasimoto function, twisted by beta,
+
+        i chi_t + (d_s + i beta)^2 chi + |chi|^2 chi / 2 = 0,
+
+    on the periodic interval of the given length that chi0 samples.  Orientation
+    -1 is the flow of the opposite J, which runs this equation backwards.
+    Strang split-step Fourier: the linear flow is the exact phase
+    exp(-i (k + beta)^2 h) of each mode, and the cubic flow keeps |chi| at each
+    point, so it is the exact phase exp(i |chi|^2 h / 2)."""
+    n = len(chi0)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=length / n)
+    steps = max(1, int(round(T / dt)))
+    h = orientation * T / steps
+    half = np.exp(-0.5j * (k + beta) ** 2 * h)
+    chi = np.asarray(chi0, dtype=complex)
+    for _ in range(steps):
+        chi = np.fft.ifft(half * np.fft.fft(chi))
+        chi = chi * np.exp(0.5j * np.abs(chi) ** 2 * h)
+        chi = np.fft.ifft(half * np.fft.fft(chi))
+    return np.abs(chi)
+
+
+def _pointwise_inverse(M):
+    """The inverse of the matrix field M[i, j, *shape] at every point."""
+    return np.moveaxis(np.linalg.inv(np.moveaxis(M, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+
+
+def graph_flow(u0, L, T, dt, orientation=1.0):
+    """The spectrum (numpy.fft.fftn) at time T of w = u_1 + i u_2 for the
+    codimension-two graph F = (x, u(x)) in R^(d+2), u0 = (u_1, u_2) on the
+    periodic box of side L, moving by (d_t F)^perp = J H(F) with x held fixed:
+
+        u_t = orientation G R G c / sqrt(det G).
+
+    The graph normals n_j = (-grad u_j, e_j) have the Gram matrix
+    G_jk = delta_jk + grad u_j . grad u_k, and the normal part of (0, v) is
+    (G^-1 v)_j n_j.  So d_t F = (0, u_t) has the normal coefficients G^-1 u_t,
+    and H = c_j n_j with c = G^-1 g^ab d_a d_b u for the induced metric
+    g_ab = delta_ab + d_a u . d_b u.  On coefficients in the basis (n_1, n_2)
+    the rotation by +pi/2 is R G / sqrt(det G), R = ((0, -1), (1, 0));
+    orientation is the sign of (nu1, nu2) against (n_1, n_2).  Near u = 0 the
+    flow is w_t = orientation i Lap w: that part is integrated exactly and the
+    rest by RK4, the integrating-factor scheme of Kassam & Trefethen (SISC 26,
+    2005)."""
+    d = u0.ndim - 1
+    axes = tuple(range(-d, 0))
+    k = _wavenumbers(u0.shape[-1], L, d)
+    grad_mult = np.stack([1j * ka * np.ones(u0.shape[1:]) for ka in k])
+    hess_mult = np.stack([np.stack([-ka * kb * np.ones(u0.shape[1:]) for kb in k]) for ka in k])
+    lin = -1j * orientation * sum(ka**2 for ka in k)
+    eye_d = np.eye(d).reshape((d, d) + (1,) * d)
+    eye_2 = np.eye(2).reshape((2, 2) + (1,) * d)
+
+    def nonlinear(w_hat):
+        dw = np.fft.ifftn(grad_mult * w_hat, axes=axes)  # [a]
+        d2w = np.fft.ifftn(hess_mult * w_hat, axes=axes)  # [a, b]
+        du = np.stack([dw.real, dw.imag])  # [j, a]
+        d2u = np.stack([d2w.real, d2w.imag])  # [j, a, b]
+        ginv = _pointwise_inverse(eye_d + np.einsum("ja...,jb...->ab...", du, du))
+        G = eye_2 + np.einsum("ja...,ka...->jk...", du, du)
+        c = np.einsum("jk...,k...->j...", _pointwise_inverse(G), np.einsum("ab...,jab...->j...", ginv, d2u))
+        Gc = np.einsum("jk...,k...->j...", G, c)
+        v = np.einsum("jk...,k...->j...", G, np.stack([-Gc[1], Gc[0]]))
+        v *= orientation / np.sqrt(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
+        return np.fft.fftn(v[0] + 1j * v[1], axes=axes) - lin * w_hat
+
+    steps = max(1, int(round(T / dt)))
+    h = T / steps
+    E = np.exp(0.5 * h * lin)
+    w_hat = np.fft.fftn(u0[0] + 1j * u0[1], axes=axes)
+    for _ in range(steps):
+        k1 = h * nonlinear(w_hat)
+        k2 = h * nonlinear(E * (w_hat + 0.5 * k1))
+        k3 = h * nonlinear(E * w_hat + 0.5 * k2)
+        k4 = h * nonlinear(E * E * w_hat + E * k3)
+        w_hat = E * E * w_hat + (E * E * k1 + 2.0 * E * (k2 + k3) + k4) / 6.0
+    return w_hat
+
+
+def fourier_sum(hat, L, pts):
+    """The trigonometric interpolant with spectrum hat (numpy.fft.fftn over all
+    of its d axes, box side L) at the points pts[a, p], by a direct sum over the
+    FFT box."""
+    n = hat.shape[0]
+    k1 = 2 * np.pi * np.fft.fftfreq(n, d=L / n)
+    out = np.einsum("pk,k...->p...", np.exp(1j * np.outer(pts[0], k1)), hat)
+    for x in pts[1:]:
+        out = np.einsum("pk,pk...->p...", np.exp(1j * np.outer(x, k1)), out)
+    return out / hat.size
 
 
 # -- norms ------------------------------------------------------------------------

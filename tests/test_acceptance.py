@@ -334,7 +334,7 @@ class TestAcceptance:
         # inline recomputation of the two contractions
         worst_vb = 0.0
         for rec in traj.records[:: max(1, len(traj) // 4)]:
-            s = rec.gauge(grid)
+            s = rec.gauge
             m = s.metric
             V_chk = np.einsum("ab...,gab...->g...", m.ginv, m.gamma_u)
             nabA = np.stack(

@@ -170,6 +170,7 @@ class TestTimeResiduals:
         grid = Grid(d=2, n=16, L=2 * np.pi)
         recs = [
             TrajectoryRecord(
+                grid=grid,
                 t=0.1 * i,
                 g=identity_metric(grid),
                 A=np.zeros((2,) + grid.shape),
@@ -178,9 +179,9 @@ class TestTimeResiduals:
             )
             for i in range(3)
         ]
-        res, norms = residual_T5(recs[1].gauge(grid), recs[1].second_form(grid), recs[0], recs[2])
+        res, norms = residual_T5(recs[1].gauge, recs[1].second_form(), recs[0], recs[2])
         assert norms.l2 < 1e-13
-        res, norms = residual_metric_evolution(recs[1].gauge(grid), recs[1].second_form(grid), recs[0], recs[2])
+        res, norms = residual_metric_evolution(recs[1].gauge, recs[1].second_form(), recs[0], recs[2])
         assert norms.l2 < 1e-13
 
     def _cliff_traj(self, dt, T=0.04):
@@ -195,7 +196,7 @@ class TestTimeResiduals:
         traj = self._cliff_traj(2e-3)
         mid = len(traj) // 2
         rec = traj[mid]
-        _, norms = residual_T5(rec.gauge(traj.grid), rec.second_form(traj.grid), traj[mid - 1], traj[mid + 1])
+        _, norms = residual_T5(rec.gauge, rec.second_form(), traj[mid - 1], traj[mid + 1])
         assert norms.l2 < 1e-10
 
     def test_cliff_metric_evolution_small_and_second_order(self):
@@ -205,7 +206,7 @@ class TestTimeResiduals:
             mid = len(traj) // 2
             rec = traj[mid]
             _, norms = residual_metric_evolution(
-                rec.gauge(traj.grid), rec.second_form(traj.grid), traj[mid - 1], traj[mid + 1]
+                rec.gauge, rec.second_form(), traj[mid - 1], traj[mid + 1]
             )
             errs[dt] = norms
         # homogeneous data: the stepper-vs-identity agreement is pointwise
@@ -223,6 +224,7 @@ class TestTimeResiduals:
         def rec(t, dt_scale):
             a = np.exp(np.sin(3 * t))
             return TrajectoryRecord(
+                grid=grid,
                 t=t,
                 g=identity_metric(grid),
                 A=a * A0,
@@ -233,9 +235,9 @@ class TestTimeResiduals:
         errs = []
         for dt in (0.02, 0.01):
             r = [rec(0.3 - dt, dt), rec(0.3, dt), rec(0.3 + dt, dt)]
-            res, _ = residual_T5(r[1].gauge(grid), r[1].second_form(grid), r[0], r[2])
+            res, _ = residual_T5(r[1].gauge, r[1].second_form(), r[0], r[2])
             # subtract the exact d_t A - grad B (B = div A here is nonzero)
-            s = r[1].gauge(grid)
+            s = r[1].gauge
             exact_dtA = 3 * np.cos(3 * 0.3) * np.exp(np.sin(3 * 0.3)) * A0
             defect = res - (exact_dtA - grid.grad(s.B))
             errs.append(maxabs(defect))
@@ -273,6 +275,13 @@ class TestReports:
         grid = Grid(d=2, n=8, L=2 * np.pi)
         bad = np.full(grid.shape, np.nan)
         assert np.isnan(_norms(grid, bad, [bad]).rel)
+
+    def test_nan_constituent_reads_nan_wherever_it_sits(self):
+        # the builtin max drops a NaN that is not first; np.max does not
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        ones, bad = np.ones(grid.shape), np.full(grid.shape, np.nan)
+        assert np.isnan(_norms(grid, ones, [ones, bad]).rel)
+        assert np.isnan(_norms(grid, ones, [bad, ones]).rel)
 
     def test_interior_report_raises_lambda_once(self, monkeypatch):
         # T1, T4 and T5 share the one raised lambda of their record's second form

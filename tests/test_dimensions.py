@@ -1,19 +1,27 @@
 """The machinery is dimension-generic: d=1 filaments and d=3 graphs run too."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normal_frames import graph_normal_bundle
-from oracles import gauge_rotate, helix, helix_deviation
+from oracles import fourier_sum, gauge_rotate, graph_flow, hasimoto_modulus, helix, helix_deviation
+from smcflab.config import load_config
 from smcflab.constraints import residual_T1, residual_T2, residual_T3, residual_T4
 from smcflab.fixtures import bump_immersion
 from smcflab.geometry import curvature, induced_metric, second_form
 from smcflab.grid import Grid, GridField, read_field, write_field
+from smcflab.harness import generate_scenario
 from smcflab.parabolic import gauge_state_from
 from smcflab.reconstruction import frame_from_normal_basis, reconstruct
 from smcflab.schrodinger import picard_evolve
+from smcflab.trajectory import Trajectory
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bundle_for(d, n, eps=0.1, delta=None):
@@ -142,6 +150,136 @@ class TestHelixOracle:
         miss = np.max(np.abs(reversed_rebuilt.immersions[-1].dev - helix_deviation(h.grid, T)))
         # half the measured miss
         assert miss >= 0.35 * T
+
+
+# the Hasimoto runs: a d = 1 bump evolved to T = 0.5 at both steps
+HASIMOTO_DT = (0.01, 0.005)
+
+
+@pytest.fixture(scope="module")
+def hasimoto_runs():
+    """The d = 1 bump (eps = 0.1, n = 64) evolved to T at both steps, and |chi(T)|
+    of the NLS from its chi(0) = lambda_0 / g with either orientation."""
+    base = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_dimension_d=1, bump_epsilon=0.1, final_time_T=0.5)
+    bundle = generate_scenario(base)
+    g0 = float(np.mean(bundle.gauge.metric.g[0, 0]))
+    chi0 = bundle.sf.lam[0, 0] / g0
+    length, beta = np.sqrt(g0) * base.box_length_L, float(np.mean(bundle.gauge.A[0])) / np.sqrt(g0)
+    T = base.final_time_T
+    runs = {dt: picard_evolve(bundle.sf, bundle.gauge, T=T, dt=dt) for dt in HASIMOTO_DT}
+    return runs, hasimoto_modulus(chi0, length, beta, T), hasimoto_modulus(chi0, length, beta, T, orientation=-1.0)
+
+
+class TestHasimotoOracle:
+    """At d = 1 the flow is the binormal flow of a curve in R^3 (Da Rios 1906),
+    and Hasimoto (J. Fluid Mech. 51, 1972) showed that psi = kappa exp(i int tau ds)
+    solves i psi_t + psi_ss + |psi|^2 psi / 2 = 0, up to a real time-only
+    potential that |psi| does not see.  Harmonic coordinates make g_11
+    constant in space at d = 1, the flow keeps arclength, so s = sqrt(g) x and
+    |lambda_11| / g = kappa.  The Coulomb frame twists against the parallel
+    frame at the constant rate beta = A_1 / sqrt(g) of the initial data, so
+    chi(0) = lambda_0 / g solves the twisted NLS of oracles.hasimoto_modulus
+    (A itself spreads by 2.9e-3 by T = 0.5, so this checks the A flow too).
+
+    Measured on the bump_smalldata config at d = 1, eps = 0.1, T = 0.5: g_11
+    spread over x by <= 5.3e-10; the error in |lambda_11| / g was 8.26e-9 at
+    dt = 0.01 and 2.06e-9 at dt = 0.005 (ratio 4.01); beta of the wrong sign
+    missed by 2.4e-4 and the opposite orientation by 5.5e-2.  Dropping the
+    potential term of the lambda equation made the error 3.3e-5.  Each bound
+    states what it must tell apart."""
+
+    def test_metric_is_constant_in_space(self, hasimoto_runs):
+        runs, _, _ = hasimoto_runs
+        for traj in runs.values():
+            for rec in traj.records:
+                # 19x the measured spread; the NLS lives on s = sqrt(g) x
+                assert np.ptp(rec.g[0, 0]) <= 1e-8
+
+    def test_modulus_follows_the_nls(self, hasimoto_runs):
+        runs, modulus, _ = hasimoto_runs
+        traj = runs[HASIMOTO_DT[0]]
+        err = np.max(np.abs(np.abs(traj[-1].lam[0, 0]) / traj[-1].g[0, 0] - modulus))
+        # 12x the measured error, 330x below the smallest dropped-term miss
+        assert err <= 1e-7
+
+    def test_error_is_second_order(self, hasimoto_runs):
+        runs, modulus, _ = hasimoto_runs
+        err = [np.max(np.abs(np.abs(runs[dt][-1].lam[0, 0]) / runs[dt][-1].g[0, 0] - modulus)) for dt in HASIMOTO_DT]
+        assert err[0] / err[1] >= 3.5
+
+    def test_the_opposite_orientation_misses(self, hasimoto_runs):
+        runs, _, reversed_modulus = hasimoto_runs
+        traj = runs[HASIMOTO_DT[1]]
+        miss = np.max(np.abs(np.abs(traj[-1].lam[0, 0]) / traj[-1].g[0, 0] - reversed_modulus))
+        # a fifth of the measured miss
+        assert miss >= 1e-2
+
+
+# the graph run: steps of 1/64 rebuilt at the cadences 1/32 and 1/64
+GRAPH_EVERY = (2, 1)
+
+
+@pytest.fixture(scope="module")
+def graph_runs():
+    """The bump_smalldata config at n = 32 and dt = 1/64, rebuilt from every
+    second record and from every record; the rebuilt surface at T against the
+    graph flow of the same initial graph, of either orientation."""
+    cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32, time_step_dt=1 / 64).resolve()
+    bundle = generate_scenario(cfg)
+    grid, d = bundle.grid, bundle.grid.d
+    traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.final_time_T, dt=cfg.time_step_dt)
+    frame0 = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+    u0 = bump_immersion(grid, cfg.bump_epsilon, cfg.bump_delta, cfg.bump_profile_width_w).immersion.dev[d:]
+    nu1, nu2 = bundle.nu1[d:], bundle.nu2[d:]
+    orientation = np.sign(nu1[0] * nu2[1] - nu1[1] * nu2[0])
+    assert np.all(orientation == orientation.flat[0])
+    orientation = float(orientation.flat[0])
+    gaps = {}
+    for every in GRAPH_EVERY:
+        rebuilt = reconstruct(Trajectory(grid, traj.records[::every]), frame0, bundle.immersion)
+        assert rebuilt.times[-1] == cfg.final_time_T
+        dev = rebuilt.immersions[-1].dev
+        points = np.stack([grid.x[a] + dev[a] for a in range(d)]).reshape(d, -1)
+        gaps[every] = (dev[d] + 1j * dev[d + 1]).ravel(), points
+    flows = {sign: graph_flow(u0, grid.L, cfg.final_time_T, 0.005, sign * orientation) for sign in (1.0, -1.0)}
+    return {
+        sign: {every: U - fourier_sum(w_hat, grid.L, points) for every, (U, points) in gaps.items()}
+        for sign, w_hat in flows.items()
+    }
+
+
+class TestGraphOracle:
+    """At d = 2 a codimension-two graph F = (x, u(x)) that moves by
+    (d_t F)^perp = J H(F) with x held fixed obeys u_t = G R G c / sqrt(det G)
+    (oracles.graph_flow), a flow in the graph's own unknowns with no gauge.
+    The run's rebuilt immersion (X, U) at T is compared with it as a point set,
+    U(y) - u(T, X(y)), u evaluated by a direct Fourier sum.
+
+    Measured on the bump_smalldata config at n = 32, dt = 1/64, T = 0.25 (the
+    surface moves by 1.6e-3): the gap was 5.13e-7 at a snapshot cadence of
+    1/32 and 1.28e-7 at 1/64 (ratio 4.00), the audit's time quadrature; the
+    Richardson combination (4 gap_64 - gap_32) / 3 of the two gap fields,
+    which removes that quadrature's dt^2 term, read 6.4e-11.  The opposite
+    orientation missed by 3.9e-3.  Dropping the principal difference of the
+    lambda equation left the cadence gaps within 1 % but made the Richardson
+    gap 7.8e-9.  Each bound states what it must tell apart."""
+
+    def test_the_rebuilt_surface_is_the_graph_flow(self, graph_runs):
+        # 2x the measured gap
+        assert np.max(np.abs(graph_runs[1.0][GRAPH_EVERY[0]])) <= 1e-6
+
+    def test_gap_is_second_order_in_the_cadence(self, graph_runs):
+        coarse, fine = (np.max(np.abs(graph_runs[1.0][every])) for every in GRAPH_EVERY)
+        assert coarse / fine >= 3.5
+
+    def test_extrapolated_gap_is_at_the_stepper_floor(self, graph_runs):
+        coarse, fine = (graph_runs[1.0][every] for every in GRAPH_EVERY)
+        # 16x the measured gap, 7.8x below the dropped principal difference
+        assert np.max(np.abs(4.0 * fine - coarse)) / 3.0 <= 1e-9
+
+    def test_the_opposite_orientation_misses(self, graph_runs):
+        # a quarter of the measured miss
+        assert np.max(np.abs(graph_runs[-1.0][GRAPH_EVERY[0]])) >= 1e-3
 
 
 class TestPropertyBased:

@@ -22,8 +22,16 @@ from smcflab import norms, trajectory
 from smcflab.cli import main
 from smcflab.config import RunConfig, config_from_text, config_to_text, load_config, save_config
 from smcflab.errors import SmcfValidationError, StepRejectedError
-from smcflab.grid import Grid, GridField, read_field
-from smcflab.harness import generate_scenario, heat_gauge_and_write, norm_suite_rows, norms_and_write, run_experiment
+from smcflab.grid import Grid, GridField, read_field, write_field
+from smcflab.geometry import MetricState, SecondForm
+from smcflab.harness import (
+    evolve_and_write,
+    generate_scenario,
+    heat_gauge_and_write,
+    norm_suite_rows,
+    norms_and_write,
+    run_experiment,
+)
 from smcflab.schrodinger import picard_evolve
 from smcflab.trajectory import Trajectory, TrajectoryRecord, load_trajectory, save_trajectory
 
@@ -94,6 +102,20 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(SmcfValidationError):
             config_from_text("not_a_key = 3\n")
+
+    def test_dealias_fraction_is_not_a_key(self, tmp_path, capsys):
+        # the 2/3 rule is fixed, so a snapshot's (d, n, L) determine its grid
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_to_text(RunConfig(output_dir=str(tmp_path / "out"))) + "dealias_fraction = 0.5\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown config key 'dealias_fraction'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda path: path.stem)
+    def test_shipped_configs_are_canonical(self, path):
+        # every field once, in field order: a field that goes cannot leave a
+        # shipped config behind that exits 2
+        assert path.read_text() == config_to_text(load_config(path))
 
     def test_validation(self):
         with pytest.raises(SmcfValidationError):
@@ -282,9 +304,9 @@ class TestNormStage:
         cfg = canonical_config("bump_smalldata", tmp_path)
         bundle = generate_scenario(cfg)
         traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.time_step_dt, dt=cfg.time_step_dt)
-        gauge, sf = traj[-1].gauge(traj.grid), traj[-1].second_form(traj.grid)
+        gauge, sf = traj[-1].gauge, traj[-1].second_form()
         transform_counts.update(fft=0, ifft=0)
-        norm_suite_rows(cfg, traj.grid, gauge, sf)
+        norm_suite_rows(cfg, gauge, sf)
         assert transform_counts == {"fft": 6, "ifft": 6}
 
     @pytest.mark.parametrize("name, scales", [("bump_smalldata", 5), ("cliff_oracle", 4)])
@@ -308,7 +330,7 @@ class TestNormStage:
         cfg = canonical_config("bump_smalldata", tmp_path)
         bundle = generate_scenario(cfg)
         grid = bundle.grid
-        norm_suite_rows(cfg, grid, bundle.gauge, bundle.sf)
+        norm_suite_rows(cfg, bundle.gauge, bundle.sf)
         assert {key if isinstance(key, str) else key[0] for key in grid._tables} == {
             "lp_bands",
             "sobolev",
@@ -397,6 +419,20 @@ class TestExperiment:
         assert len(traj) > 1
         assert np.array_equal(traj[-1].lam, bundle.sf.lam)
         assert not np.array_equal(traj[-1].g, traj[0].g)
+
+    def test_heat_gauge_traces_each_psi_on_its_own_metric(self, tmp_path):
+        # one bump's lambda path drives the gauge of another (eps 0.02 -> 0.021);
+        # record 0 too pairs the stored lambda with the new run's metric
+        cfg = replace(canonical_config("bump_smalldata", tmp_path), grid_points_n=32, final_time_T=1 / 16).resolve()
+        os.makedirs(cfg.output_dir)
+        evolve_and_write(cfg, generate_scenario(cfg))
+        other = replace(cfg, bump_epsilon=0.021, output_dir=str(tmp_path / "other"))
+        os.makedirs(other.output_dir)
+        bundle = generate_scenario(other)
+        traj = heat_gauge_and_write(other, bundle, os.path.join(cfg.output_dir, "snapshots"))
+        assert len(traj) == 3
+        for rec in traj.records:
+            assert np.array_equal(rec.psi, SecondForm(MetricState(bundle.grid, rec.g), rec.lam).psi), rec.t
 
 
 class TestCLI:
@@ -766,9 +802,9 @@ class TestSnapshotBytes:
 class TestAuditRefusal:
     """A stored value that is finite but overflows the audit: byte 41 of
     snap_000000_lam00.smcf is the top byte of its first real part, and XOR 64
-    with it sets the top exponent bit.  norms and check-constraints refuse the
-    record with exit 2, naming t and the row, let no warning escape and write
-    no non-finite row."""
+    with it sets the top exponent bit.  norms, check-constraints and reconstruct
+    refuse the record with exit 2, naming t and the row, let no warning escape
+    and write no non-finite row."""
 
     @staticmethod
     def _overflowing_copy(snapdir, dest):
@@ -782,7 +818,10 @@ class TestAuditRefusal:
         assert np.isfinite(value) and abs(value) > 1e307
         return dest
 
-    @pytest.mark.parametrize("command, row", [("norms", "lambda_Hs"), ("check-constraints", "T1 l2")])
+    @pytest.mark.parametrize(
+        "command, row",
+        [("norms", "lambda_Hs"), ("check-constraints", "T1 l2"), ("reconstruct", "frame generator l2")],
+    )
     def test_an_overflowing_record_exits_2(self, short_run, tmp_path, command, row):
         config, snapdir = short_run
         snaps = self._overflowing_copy(snapdir, tmp_path / "snaps")
@@ -795,9 +834,24 @@ class TestAuditRefusal:
         assert not caught, [str(w.message) for w in caught]
         assert code == 2
         assert err.getvalue().startswith(f"smcf: error: [{command}] the record at t=0 cannot be measured: {row} is ")
-        for name in ("diagnostics.csv", "constraints.csv"):
+        for name in ("diagnostics.csv", "constraints.csv", "reconstruction.csv"):
             if (out / name).exists():
                 assert (out / name).read_text().count("\n") == 1, name
+
+    def test_reconstruct_names_the_record_not_the_midpoint(self, short_run, tmp_path, capsys):
+        # psi = 1e200 at the record t = 0.002 overflows the end bundle of the
+        # first step and its midpoint bundle; the end is built first
+        config, snapdir = short_run
+        snaps = tmp_path / "snaps"
+        shutil.copytree(snapdir, snaps)
+        path = snaps / "snap_000001_psi.smcf"
+        field = read_field(path)
+        values = np.array(field.values)
+        values.flat[0] = 1e200
+        write_field(path, GridField(field.grid, values, name=field.name))
+        code = main(["reconstruct", "--config", str(config), "--snapshots", str(snaps), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert "the record at t=0.002 cannot be measured: frame generator l2 is inf" in capsys.readouterr().err
 
 
 class TestSnapshotStageTags:

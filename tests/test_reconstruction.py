@@ -52,7 +52,7 @@ def cliff_data(grid, r=1.0):
 
 
 def static_record(grid, g, A, lam, psi, t):
-    return TrajectoryRecord(t=t, g=g.copy(), A=A.copy(), lam=lam.copy(), psi=psi.copy())
+    return TrajectoryRecord(grid=grid, t=t, g=g.copy(), A=A.copy(), lam=lam.copy(), psi=psi.copy())
 
 
 class TestSpatialTransport:
@@ -150,7 +150,7 @@ class TestTimeTransport:
         from smcflab.reconstruction import _bundle
 
         rec = static_record(grid, m.g, np.zeros((2,) + grid.shape), sf.lam, sf.psi, 0.0)
-        b = _bundle(grid, rec)
+        b = _bundle(rec)
         bad = Frame(grid, frame.F_alpha, frame.m.copy())
         bad.m[0, 2, 3] = np.nan
         with pytest.raises(FrameDriftError):
@@ -173,7 +173,7 @@ class TestTimeTransport:
         ]
         from smcflab.reconstruction import _bundle, _bundle_midpoint
 
-        bundles = (_bundle(grid, recs[0]), _bundle_midpoint(grid, recs[0], recs[2]), _bundle(grid, recs[2]))
+        bundles = (_bundle(recs[0]), _bundle_midpoint(recs[0], recs[2]), _bundle(recs[2]))
         out = transport_frame_time(frame, bundles, 0.1)
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-14
         assert maxabs(out.m - frame.m) < 1e-14
@@ -211,9 +211,9 @@ class TestTimeTransport:
         cur = frame
         for i in range(len(recs) - 1):
             bundles = (
-                _bundle(grid, recs[i]),
-                _bundle_midpoint(grid, recs[i], recs[i + 1]),
-                _bundle(grid, recs[i + 1]),
+                _bundle(recs[i]),
+                _bundle_midpoint(recs[i], recs[i + 1]),
+                _bundle(recs[i + 1]),
             )
             cur = transport_frame_time(cur, bundles, dt)
         r1, r2 = sol.sol(times[-1])
@@ -241,6 +241,7 @@ class TestTimeTransport:
         cur = frame
         for rec0, rec1 in zip(recs, recs[1:]):
             mid = TrajectoryRecord(
+                grid=grid,
                 t=0.5 * (rec0.t + rec1.t),
                 g=0.5 * (rec0.g + rec1.g),
                 A=0.5 * (rec0.A + rec1.A),
@@ -252,11 +253,11 @@ class TestTimeTransport:
                 cur.F_alpha.astype(complex),
                 cur.m,
                 dt,
-                frame_bundle(grid, rec0),
-                frame_bundle(grid, mid),
-                frame_bundle(grid, rec1),
+                frame_bundle(rec0),
+                frame_bundle(mid),
+                frame_bundle(rec1),
             )
-            bundles = (_bundle(grid, rec0), _bundle_midpoint(grid, rec0, rec1), _bundle(grid, rec1))
+            bundles = (_bundle(rec0), _bundle_midpoint(rec0, rec1), _bundle(rec1))
             cur = transport_frame_time(cur, bundles, dt)
             assert maxabs(ref_F.imag) == 0.0
             assert maxabs(cur.F_alpha - ref_F.real) <= 1e-15 * max(1.0, maxabs(ref_F))
@@ -276,9 +277,9 @@ class TestTimeTransport:
             cur = frame
             for i in range(len(recs) - 1):
                 bundles = (
-                    _bundle(grid, recs[i]),
-                    _bundle_midpoint(grid, recs[i], recs[i + 1]),
-                    _bundle(grid, recs[i + 1]),
+                    _bundle(recs[i]),
+                    _bundle_midpoint(recs[i], recs[i + 1]),
+                    _bundle(recs[i + 1]),
                 )
                 cur = transport_frame_time(cur, bundles, dt)
             defects = cur.invariant_defects(recs[-1].g)
@@ -303,7 +304,7 @@ class TestTimeTransport:
             from smcflab.reconstruction import _bundle
 
             # B enters the generator as the rotation block of (Re m, Im m)
-            t, K = _bundle(grid, rec)
+            t, K = _bundle(rec)
             K[2, 3], K[3, 2] = 2.0, -2.0
             return t, K
 
@@ -339,9 +340,9 @@ class TestEndToEnd:
         traj = picard_evolve(sf, gauge, T=0.01, dt=1e-3, snapshot_every=2)
         calls = []
 
-        def counting(grid, rec):
+        def counting(rec):
             calls.append(rec.t)
-            return bundle(grid, rec)
+            return bundle(rec)
 
         bundle = reconstruction._bundle
         monkeypatch.setattr(reconstruction, "_bundle", counting)

@@ -274,7 +274,7 @@ class TestPicardEvolve:
             traj = picard_evolve(bundle.sf, bundle.gauge, T=5 * 0.03125, dt=0.03125, mode=mode)
             assert len(traj) == 6
             for rec in traj.records:
-                s = rec.gauge(grid)
+                s = rec.gauge
                 Nh = s.principal_remainder[0] + heat_rhs_h(s, SecondForm(s.metric, rec.lam))
                 for field in (rec.g, rec.lam, Nh):
                     assert np.array_equal(field, np.swapaxes(field, 0, 1)), (mode, rec.t)
