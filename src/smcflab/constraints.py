@@ -2,7 +2,7 @@
 
 Every residual is reported in absolute L2/Linf and relative to its largest
 constituent term, which makes "truncation level" resolution-independent.
-Time derivatives are formed by centered differences on stored snapshots,
+Time derivatives are formed by three-point differences on stored snapshots,
 never from integrator internals, so the monitors stay independent of the
 steppers they audit.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import SecondForm, covariant_derivative, curvature
 from .grid import Grid
 from .parabolic import GaugeState, connection_terms
-from .trajectory import Trajectory
+from .trajectory import Trajectory, time_derivative
 
 
 @dataclass
@@ -78,15 +78,11 @@ def residual_T4(sf: SecondForm, A):
     return res, _norms(sf.grid, res, [curl, sf.w])
 
 
-def _centered_dt(prev, nxt, t_prev, t_next):
-    return (nxt - prev) / (t_next - t_prev)
-
-
 def residual_T5(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
-    """Temporal curvature relation at the state s with second form sf, d_t A by
-    centered differences between the neighbouring records."""
+    """Temporal curvature relation at the state s (time s.t) with second form sf,
+    d_t A by trajectory.time_derivative through the neighbouring records."""
     grid = s.grid
-    dtA = _centered_dt(rec_prev.A, rec_next.A, rec_prev.t, rec_next.t)
+    dtA = time_derivative(rec_prev.A, s.A, rec_next.A, rec_prev.t, s.t, rec_next.t)
     dB = grid.grad(s.B)
     re_term, v_term = (grid.dealias(term) for term in connection_terms(s, sf))
     res = dtA - dB - re_term + v_term
@@ -95,9 +91,9 @@ def residual_T5(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
 
 def residual_metric_evolution(s: GaugeState, sf: SecondForm, rec_prev, rec_next):
     """d_t g against 2 Im(psi lambar) + symmetrized covariant gradient of V at the
-    state s with second form sf, d_t g by centered differences as in residual_T5."""
+    state s with second form sf, d_t g as d_t A in residual_T5."""
     grid = s.grid
-    dtg = _centered_dt(rec_prev.g, rec_next.g, rec_prev.t, rec_next.t)
+    dtg = time_derivative(rec_prev.g, s.metric.g, rec_next.g, rec_prev.t, s.t, rec_next.t)
     im_term = 2.0 * np.imag(np.einsum("...,ab...->ab...", sf.psi, np.conj(sf.lam)))
     sym = s.nabla_V_low + np.swapaxes(s.nabla_V_low, 0, 1)
     res = dtg - grid.dealias(im_term) - sym

@@ -4,16 +4,15 @@ The frame obeys one linear system along any direction,
 d F_a = M_a^g F_g + Re(c_a mbar) and d m = -i B m - c^g F_g.  On the real rows
 X = (F_0, ..., F_{d-1}, Re m, Im m) it is X' = K X, with one real (d+2)x(d+2)
 generator K acting alike on every ambient component, and one RK4 step of it
-serves both directions.  In time it runs at every grid point, with generators
-from stored snapshots (midpoints by averaging).  Along the last axis it audits
-integrability: one RK4 sweep of all cells at once, from the identity, gives
-every cell's propagator; chained from a seed slice they spread the frame, and
-the mismatch after the periodic loop is the holonomy.  Invariants are checked,
-never re-imposed, so drift is a genuine error signal.
-
-The immersion integrates the displacement identity by the trapezoid rule over
-stored slices, and the final audit recomputes the mean curvature from the
-rebuilt surface to compare the geometric flow's two sides.
+serves both directions.  In time, at every grid point, the immersion's
+velocity d_t F = V^g F_g - Im(psi mbar) is one more row of K, so one step moves
+frame and immersion together, K linear between the step's two records.  Along
+the last axis it audits integrability: one RK4 sweep of all cells at once, from
+the identity, gives every cell's propagator; chained from a seed slice they
+spread the frame, and the mismatch after the periodic loop is the holonomy.
+Invariants are checked, never re-imposed, so drift is a genuine error signal.
+The final audit recomputes the mean curvature from the rebuilt surface to
+compare the geometric flow's two sides.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ from .errors import (
     FrameDriftError,
     IntegrabilityError,
     ReconstructionInconsistencyError,
+    SmcfValidationError,
 )
 from .geometry import Immersion, SecondForm, covariant_derivative, frame_defects, induced_metric, normal_part
 from .grid import Grid
 from .norms import DiagnosticsCSV
-from .trajectory import Trajectory, TrajectoryRecord, measurable
+from .trajectory import Trajectory, measurable, time_derivative
 
 
 @dataclass
@@ -79,8 +79,8 @@ def _generator(M, c, cu, B):
 
 
 def _apply(K, X):
-    """K X for the (d+2)x(d+2) matrix fields K and X."""
-    return np.einsum("ik...,kj...->ij...", K, X)
+    """K X for the matrix fields K and X; only the first K.shape[1] rows of X are read."""
+    return np.einsum("ik...,kj...->ij...", K, X[: K.shape[1]])
 
 
 def _rk4(X0, h, K0, Km, K1):
@@ -92,57 +92,54 @@ def _rk4(X0, h, K0, Km, K1):
     return X0 + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _pack(F_alpha, m):
-    """The frame as the rows (F_0, ..., F_{d-1}, Re m, Im m) of one real array."""
-    return np.concatenate([F_alpha, m.real[None], m.imag[None]])
+def _pack(F_alpha, m, *rows):
+    """The frame as the rows (F_0, ..., F_{d-1}, Re m, Im m) of one real array, then any further rows."""
+    return np.concatenate([F_alpha, m.real[None], m.imag[None], *(row[None] for row in rows)])
 
 
 def _unpack(grid: Grid, X) -> Frame:
-    return Frame(grid, X[:-2], X[-2] + 1j * X[-1])
+    return Frame(grid, X[: grid.d], X[grid.d] + 1j * X[grid.d + 1])
 
 
 def _bundle(rec):
-    """(t, K) at one record: the generator of M, c = i(dApsi - i lam V), c raised and B."""
+    """(t, K) at one record: the frame generator of M, c = i(dApsi - i lam V), c
+    raised and B, with the immersion's row d_t F = V^g F_g - Im(psi mbar) below it."""
     s = rec.gauge
     sf = rec.second_form()
     m = s.metric
     grid = rec.grid
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
-    dApsi_up = np.einsum("ab...,b...->a...", m.ginv, dApsi)
-    lamV = np.einsum("ag...,g...->a...", sf.lam, s.V)
-    lamV_up = np.einsum("ab...,b...->a...", m.ginv, lamV)
+    c = 1j * (dApsi - 1j * np.einsum("ag...,g...->a...", sf.lam, s.V))
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
     M = np.imag(np.einsum("...,ga...->ag...", sf.psi, np.conj(sf.lam_up))) + nablaV
-    K = _generator(M, 1j * (dApsi - 1j * lamV), 1j * (dApsi_up - 1j * lamV_up), s.B)
+    cu = np.einsum("ab...,b...->a...", m.ginv, c)
+    # the immersion's row, with -Im(psi mbar) = Re(i psi) Re m + Im(i psi) Im m
+    K = np.concatenate([_generator(M, c, cu, s.B), _pack(s.V, 1j * sf.psi)[None]])
     measurable(rec.t, [("frame generator l2", grid.l2(K))])
     return rec.t, K
 
 
-def _bundle_midpoint(rec0, rec1):
-    mid = TrajectoryRecord(
-        grid=rec0.grid,
-        t=0.5 * (rec0.t + rec1.t),
-        g=0.5 * (rec0.g + rec1.g),
-        A=0.5 * (rec0.A + rec1.A),
-        lam=0.5 * (rec0.lam + rec1.lam),
-        psi=0.5 * (rec0.psi + rec1.psi),
-    )
-    return _bundle(mid)
-
-
-def transport_frame_time(frame: Frame, bundles, dt, drift_tol=1e-5) -> Frame:
-    """One RK4 step of the frame motion; invariants re-checked, not re-imposed."""
-    (_, K0), (_, Km), (t1, K1) = bundles
-    out = _unpack(frame.grid, _rk4(_pack(frame.F_alpha, frame.m), dt, K0, Km, K1))
+def transport_frame_time(frame: Frame, F: Immersion, start, end, drift_tol=1e-5):
+    """(frame, immersion) after one RK4 step from the bundle start = (t0, K0) to
+    end = (t1, K1), with (K0 + K1)/2 at the midpoint; invariants re-checked, not re-imposed."""
+    (t0, K0), (t1, K1) = start, end
+    grid = frame.grid
+    X = _rk4(_pack(frame.F_alpha, frame.m, F.dev), t1 - t0, K0, 0.5 * (K0 + K1), K1)
+    out = _unpack(grid, X)
     # the metric consistency mixes in the accuracy of the stored g and is
     # audited separately by the reconstruction driver
     defects = out.normal_defects
     worst = np.max(list(defects.values()))
     if not worst <= drift_tol:
+        if np.isfinite(np.max(list(frame.normal_defects.values()))) and not np.isfinite(worst):
+            raise SmcfValidationError(
+                f"the records at t={t0:.17g} and t={t1:.17g} cannot be measured: "
+                f"the transported frame invariants are {worst}"
+            )
         raise FrameDriftError(
             f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={t1:.6g}: {defects}"
         )
-    return out
+    return out, Immersion(grid, X[-1], graph=F.graph)
 
 
 # -- spatial transport (integrability audit) --------------------------------------
@@ -219,11 +216,6 @@ class ReconstructionResult:
     identity_residual: list = field(default_factory=list)
 
 
-def _displacement(frame: Frame, rec):
-    disp = -np.imag(np.einsum("...,i...->i...", rec.psi, np.conj(frame.m)))
-    return disp + np.einsum("g...,gi...->i...", rec.gauge.V, frame.F_alpha)
-
-
 def reconstruct(
     traj: Trajectory,
     frame0: Frame,
@@ -239,17 +231,13 @@ def reconstruct(
     """
     grid = traj.grid
     frames, immersions = [frame0], [F0]
-    disp_prev = _displacement(frame0, traj[0])
-    # each step's end bundle, built before its midpoint so that a refused record
-    # is named by its own time, is the next step's start
+    # each record's bundle ends one step and starts the next
     end = _bundle(traj[0])
-    for rec0, rec1 in zip(traj.records, traj.records[1:]):
-        dt = rec1.t - rec0.t
-        start, end, mid = end, _bundle(rec1), _bundle_midpoint(rec0, rec1)
-        frames.append(transport_frame_time(frames[-1], (start, mid, end), dt, drift_tol=drift_tol))
-        disp_next = _displacement(frames[-1], rec1)
-        immersions.append(Immersion(grid, immersions[-1].dev + 0.5 * dt * (disp_prev + disp_next), graph=F0.graph))
-        disp_prev = disp_next
+    for rec in traj.records[1:]:
+        start, end = end, _bundle(rec)
+        frame, imm = transport_frame_time(frames[-1], immersions[-1], start, end, drift_tol=drift_tol)
+        frames.append(frame)
+        immersions.append(imm)
 
     # seed on the slice {x_last = 0}, transported along the last axis
     _, holonomy = integrate_frame_space(
@@ -271,7 +259,7 @@ def reconstruct(
         result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
         result.metric_closure.append(grid.l2(frame.gram - rec.g))
         if 0 < i < len(traj) - 1:
-            dtF = (immersions[i + 1].dev - immersions[i - 1].dev) / (traj[i + 1].t - traj[i - 1].t)
+            dtF = time_derivative(*(F.dev for F in immersions[i - 1 : i + 2]), *traj.times[i - 1 : i + 2])
             smcf, ident = _flow_residuals(frame, imm, tang, d2F, dtF, rec.psi)
         else:
             smcf = ident = np.nan

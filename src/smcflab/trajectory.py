@@ -90,6 +90,13 @@ def measurable(t, rows):
     return rows
 
 
+def time_derivative(f0, f1, f2, t0, t1, t2):
+    """d_t f at t1: the slope of the quadratic through (t_k, f_k), second order on
+    uneven spacing, and exactly the centred difference when t1 - t0 == t2 - t1."""
+    h1, h2 = t1 - t0, t2 - t1
+    return (f2 - f0) / (t2 - t0) + (h1 - h2) / (t2 - t0) * ((f2 - f1) / h2 - (f1 - f0) / h1)
+
+
 def record_fields(rec: TrajectoryRecord):
     """The snapshot fields of one record, each named by its file tag: h_ab and
     lambda_ab for a <= b, A_a and psi."""

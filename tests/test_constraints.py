@@ -1,7 +1,11 @@
 """Compatibility-identity monitors on fixtures and short trajectories."""
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from conftest import CONFIGS
 from normal_frames import graph_normal_bundle
 from oracles import gauge_rotate
 from smcflab.constraints import (
@@ -27,7 +31,9 @@ from smcflab.geometry import (
 from smcflab.grid import Grid
 from smcflab.parabolic import gauge_state_from
 from smcflab.schrodinger import picard_evolve
-from smcflab.trajectory import Trajectory, TrajectoryRecord
+from smcflab.config import load_config
+from smcflab.harness import run_experiment
+from smcflab.trajectory import Trajectory, TrajectoryRecord, time_derivative
 
 
 def maxabs(x):
@@ -300,3 +306,30 @@ class TestReports:
         report = constraint_report(traj, mid)
         assert "T5" in report.entries
         assert sum(raised) == 1
+
+
+class TestUnevenRecordSpacing:
+    """With snapshot_every_steps = 3 over 8 steps the records sit at steps 0, 3,
+    6 and 8, so the last interval is short.  The time monitors and the flow
+    residual share one three-point stencil, second order on uneven spacing."""
+
+    def test_time_derivative_is_exact_on_a_quadratic(self):
+        t = (0.0, 0.3, 0.5)
+        f = [1.0 - 2.0 * s + 3.0 * s**2 for s in t]
+        assert time_derivative(*f, *t) == pytest.approx(-2.0 + 6.0 * 0.3, abs=1e-13)
+
+    def test_monitors_before_a_short_last_interval(self, tmp_path):
+        # the centred difference (f2 - f0)/(t2 - t0) is first order at t = 0.1875
+        # and read 3.3e-2, 3.8e-2 and 3.5e-4 there, about 5x the stencil's values
+        cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), snapshot_every_steps=3, output_dir=str(tmp_path))
+        result = run_experiment(cfg)
+        assert list(result["reconstruction"].times) == [0.0, 0.09375, 0.1875, 0.25]
+        report = result["reports"][2]
+        values = {
+            "T5": report.entries["T5"].rel,
+            "metric_evolution": report.entries["metric_evolution"].rel,
+            "smcf_residual_l2": result["reconstruction"].smcf_residual[2],
+        }
+        expected = {"T5": 5.89e-3, "metric_evolution": 6.21e-3, "smcf_residual_l2": 6.30e-5}
+        for name, value in values.items():
+            assert 0.5 * expected[name] <= value <= 2.0 * expected[name], (name, value)

@@ -125,6 +125,20 @@ class TestConfig:
         with pytest.raises(SmcfValidationError):
             RunConfig(bump_delta=1.5).resolve()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"envelope_delta": 0.0}, {"envelope_delta": 1.0}, {"scenario_kind": "flat", "grid_dimension_d": 3}],
+        ids=["delta-0", "delta-1-at-d2", "defaults-at-d3"],
+    )
+    def test_envelope_delta_outside_its_interval_exits_2(self, tmp_path, capsys, overrides):
+        # 0 < envelope_delta < envelope_s - d/2 with envelope_s = 2: the bound is
+        # 1 at d = 2, and the default delta = 0.5 sits on it at d = 3
+        path = tmp_path / "cfg.txt"
+        save_config(path, RunConfig(output_dir=str(tmp_path / "out"), **overrides))
+        assert main(["gauge-init", "--config", str(path)]) == 2
+        assert "need 0 < envelope_delta < envelope_s - d/2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_resolve_fills_derived(self):
         cfg = RunConfig(time_step_dt=0.0, bump_profile_width_w=0.0).resolve()
         dx = cfg.box_length_L / cfg.grid_points_n
@@ -839,8 +853,8 @@ class TestAuditRefusal:
                 assert (out / name).read_text().count("\n") == 1, name
 
     def test_reconstruct_names_the_record_not_the_midpoint(self, short_run, tmp_path, capsys):
-        # psi = 1e200 at the record t = 0.002 overflows the end bundle of the
-        # first step and its midpoint bundle; the end is built first
+        # psi = 1e200 at the record t = 0.002 overflows that record's own
+        # bundle, built before the step that it ends
         config, snapdir = short_run
         snaps = tmp_path / "snaps"
         shutil.copytree(snapdir, snaps)
@@ -852,6 +866,33 @@ class TestAuditRefusal:
         code = main(["reconstruct", "--config", str(config), "--snapshots", str(snaps), "--output", str(tmp_path / "out")])
         assert code == 2
         assert "the record at t=0.002 cannot be measured: frame generator l2 is inf" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name", ["lam00", "A0", "psi"])
+    def test_a_record_that_overflows_the_transport_exits_2(self, short_run, tmp_path, name):
+        # 1e100 at t = 0.002 leaves the generator's L2 norm finite, but the RK4
+        # step from t = 0 multiplies the generator into the frame up to four
+        # times and overflows; the step's two records are refused
+        config, snapdir = short_run
+        snaps = tmp_path / "snaps"
+        shutil.copytree(snapdir, snaps)
+        path = snaps / f"snap_000001_{name}.smcf"
+        field = read_field(path)
+        values = np.array(field.values)
+        values.flat[0] = 1e100
+        write_field(path, replace(field, values=values))
+        out = tmp_path / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["reconstruct", "--config", str(config), "--snapshots", str(snaps), "--output", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 2
+        assert err.getvalue().startswith(
+            "smcf: error: [reconstruct] the records at t=0 and t=0.002 cannot be measured: "
+        )
+        assert not (out / "reconstruction.csv").exists()
 
 
 class TestSnapshotStageTags:

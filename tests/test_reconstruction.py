@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,11 +151,11 @@ class TestTimeTransport:
         from smcflab.reconstruction import _bundle
 
         rec = static_record(grid, m.g, np.zeros((2,) + grid.shape), sf.lam, sf.psi, 0.0)
-        b = _bundle(rec)
+        t, K = _bundle(rec)
         bad = Frame(grid, frame.F_alpha, frame.m.copy())
         bad.m[0, 2, 3] = np.nan
         with pytest.raises(FrameDriftError):
-            transport_frame_time(bad, (b, b, b), 1e-3)
+            transport_frame_time(bad, fix.immersion, (t, K), (t + 1e-3, K))
 
     def test_nan_tangents_read_as_nan(self):
         grid = Grid(d=2, n=8, L=2 * np.pi)
@@ -169,14 +170,24 @@ class TestTimeTransport:
         zero_psi = np.zeros(grid.shape, dtype=complex)
         recs = [
             static_record(grid, identity_metric(grid), np.zeros((2,) + grid.shape), zero_lam, zero_psi, t)
-            for t in (0.0, 0.05, 0.1)
+            for t in (0.0, 0.1)
         ]
-        from smcflab.reconstruction import _bundle, _bundle_midpoint
+        from smcflab.reconstruction import _bundle
 
-        bundles = (_bundle(recs[0]), _bundle_midpoint(recs[0], recs[2]), _bundle(recs[2]))
-        out = transport_frame_time(frame, bundles, 0.1)
+        out, imm = transport_frame_time(frame, F, _bundle(recs[0]), _bundle(recs[1]))
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-14
         assert maxabs(out.m - frame.m) < 1e-14
+        assert maxabs(imm.dev - F.dev) < 1e-14
+
+    @staticmethod
+    def _transport(frame, F, recs):
+        """The frame and immersion transported along recs, one RK4 step per interval."""
+        from smcflab.reconstruction import _bundle
+
+        bundles = [_bundle(rec) for rec in recs]
+        for start, end in zip(bundles, bundles[1:]):
+            frame, F = transport_frame_time(frame, F, start, end)
+        return frame, F
 
     def _cliff_oracle_records(self, grid, times):
         sol = solve_ivp(
@@ -206,16 +217,7 @@ class TestTimeTransport:
         dt = 5e-4
         times = np.arange(0, 0.1 + dt / 2, dt)
         recs, sol = self._cliff_oracle_records(grid, times)
-        from smcflab.reconstruction import _bundle, _bundle_midpoint
-
-        cur = frame
-        for i in range(len(recs) - 1):
-            bundles = (
-                _bundle(recs[i]),
-                _bundle_midpoint(recs[i], recs[i + 1]),
-                _bundle(recs[i + 1]),
-            )
-            cur = transport_frame_time(cur, bundles, dt)
+        cur, _ = self._transport(frame, fix.immersion, recs)
         r1, r2 = sol.sol(times[-1])
         X, Y = grid.x
         F1_exact = r1 * np.stack([-np.sin(X), np.cos(X), np.zeros_like(X), np.zeros_like(X)])
@@ -225,75 +227,85 @@ class TestTimeTransport:
     @pytest.mark.parametrize("kind", ["cliff", "bump"])
     def test_matches_the_complex_form(self, kind):
         # the real generator form X' = K X against the complex form of the
-        # same frame system, one step at a time along the records
-        from smcflab.reconstruction import _bundle, _bundle_midpoint
+        # same frame system, one step at a time along the records, both with
+        # the mean of the two records' coefficients at the midpoint
+        from smcflab.reconstruction import _bundle
 
         if kind == "cliff":
             grid = Grid(d=2, n=8, L=2 * np.pi)
-            _, _, _, frame = cliff_data(grid)
+            fix, _, _, frame = cliff_data(grid)
+            F = fix.immersion
             recs, _ = self._cliff_oracle_records(grid, [0.0, 0.01, 0.02, 0.03])
         else:
             cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
             bundle = generate_scenario(cfg)
             frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+            F = bundle.immersion
             recs = picard_evolve(bundle.sf, bundle.gauge, T=3 * cfg.time_step_dt, dt=cfg.time_step_dt).records
-            grid = bundle.grid
         cur = frame
         for rec0, rec1 in zip(recs, recs[1:]):
-            mid = TrajectoryRecord(
-                grid=grid,
-                t=0.5 * (rec0.t + rec1.t),
-                g=0.5 * (rec0.g + rec1.g),
-                A=0.5 * (rec0.A + rec1.A),
-                lam=0.5 * (rec0.lam + rec1.lam),
-                psi=0.5 * (rec0.psi + rec1.psi),
-            )
-            dt = rec1.t - rec0.t
-            ref_F, ref_m = complex_form_rk4(
-                cur.F_alpha.astype(complex),
-                cur.m,
-                dt,
-                frame_bundle(rec0),
-                frame_bundle(mid),
-                frame_bundle(rec1),
-            )
-            bundles = (_bundle(rec0), _bundle_midpoint(rec0, rec1), _bundle(rec1))
-            cur = transport_frame_time(cur, bundles, dt)
+            b0, b1 = frame_bundle(rec0), frame_bundle(rec1)
+            mid = SimpleNamespace(**{k: 0.5 * (v + getattr(b1, k)) for k, v in vars(b0).items()})
+            ref_F, ref_m = complex_form_rk4(cur.F_alpha.astype(complex), cur.m, rec1.t - rec0.t, b0, mid, b1)
+            cur, F = transport_frame_time(cur, F, _bundle(rec0), _bundle(rec1))
             assert maxabs(ref_F.imag) == 0.0
             assert maxabs(cur.F_alpha - ref_F.real) <= 1e-15 * max(1.0, maxabs(ref_F))
             assert maxabs(cur.m - ref_m) <= 1e-15 * max(1.0, maxabs(ref_m))
 
-    def test_metric_consistency_second_order_in_snapshot_spacing(self):
-        # the coefficient midpoints come from record averaging, so the frame's
-        # metric consistency converges at second order
+    def test_metric_consistency_fourth_order_on_the_cliff(self):
+        # on the cliff the frame generator is constant in time (M = +-1/(r1 r2),
+        # c = 0, B = 0, and r1 r2 is conserved), so the linear generator between
+        # records is exact and the frame's metric consistency shows RK4's own
+        # fourth order
         grid = Grid(d=2, n=8, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
-        from smcflab.reconstruction import _bundle, _bundle_midpoint
-
         drifts = {}
         for dt in (0.02, 0.01):
             times = np.arange(0, 0.08 + dt / 2, dt)
             recs, _ = self._cliff_oracle_records(grid, times)
-            cur = frame
-            for i in range(len(recs) - 1):
-                bundles = (
-                    _bundle(recs[i]),
-                    _bundle_midpoint(recs[i], recs[i + 1]),
-                    _bundle(recs[i + 1]),
-                )
-                cur = transport_frame_time(cur, bundles, dt)
+            cur, _ = self._transport(frame, fix.immersion, recs)
             defects = cur.invariant_defects(recs[-1].g)
             # skew structure protects the orthogonality relations outright
             assert max(defects["m_norm"], defects["m_null"], defects["tangent_normal"]) < 1e-12
             drifts[dt] = defects["metric"]
-        ratio = drifts[0.02] / drifts[0.01]
-        assert 3.0 < ratio < 6.0
+        assert drifts[0.02] <= 5e-10
+        assert drifts[0.02] / drifts[0.01] >= 12.0
+
+    def test_immersion_radii_match_the_ode_at_second_order(self):
+        # the immersion is the last row of the frame system; its velocity
+        # -Im(psi mbar) is quadratic in time between records, so the linear
+        # generator leaves a second-order error
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        errs = {}
+        for dt in (0.02, 0.01):
+            times = np.arange(0, 0.08 + dt / 2, dt)
+            recs, sol = self._cliff_oracle_records(grid, times)
+            _, imm = self._transport(frame, fix.immersion, recs)
+            r1, r2 = sol.sol(times[-1])
+            errs[dt] = max(
+                maxabs(np.hypot(imm.dev[0], imm.dev[1]) - r1), maxabs(np.hypot(imm.dev[2], imm.dev[3]) - r2)
+            )
+        assert errs[0.01] <= 1.4e-6
+        assert errs[0.02] / errs[0.01] >= 3.5
+
+    def test_a_nan_immersion_never_reaches_the_frame(self):
+        grid = Grid(d=2, n=8, L=2 * np.pi)
+        fix, m, sf, frame = cliff_data(grid)
+        recs, _ = self._cliff_oracle_records(grid, [0.0, 0.01])
+        zero = Immersion(grid, np.zeros_like(fix.immersion.dev), graph=False)
+        bad = Immersion(grid, fix.immersion.dev.copy(), graph=False)
+        bad.dev[1, 3, 5] = np.nan
+        ref, _ = self._transport(frame, zero, recs)
+        out, imm = self._transport(frame, bad, recs)
+        assert np.isnan(imm.dev[1, 3, 5])
+        assert np.array_equal(out.F_alpha, ref.F_alpha) and np.array_equal(out.m, ref.m)
 
     def test_unitarity_drift_fourth_order_pointwise(self):
         # synthetic temporal connection: m rotates, and the RK4 unitarity
         # defect of the rotation scales at fourth order
         grid = Grid(d=2, n=8, L=2 * np.pi)
-        _, frame = flat_frame(grid)
+        F, frame = flat_frame(grid)
         zero_lam = np.zeros((2, 2) + grid.shape, dtype=complex)
         zero_psi = np.zeros(grid.shape, dtype=complex)
 
@@ -313,8 +325,7 @@ class TestTimeTransport:
             cur = frame
             steps = int(round(0.4 / dt))
             for i in range(steps):
-                b = bundle_with_B(i * dt)
-                cur = transport_frame_time(cur, (b, b, b), dt, drift_tol=1.0)
+                cur, F = transport_frame_time(cur, F, bundle_with_B(i * dt), bundle_with_B((i + 1) * dt), drift_tol=1.0)
             drifts[dt] = cur.normal_defects["m_norm"]
         ratio = drifts[0.05] / drifts[0.025]
         assert ratio > 12.0
@@ -330,8 +341,8 @@ class TestEndToEnd:
         return grid, traj, result
 
     def test_each_bundle_built_once(self, monkeypatch):
-        # N records need N slice bundles and N - 1 midpoint bundles; the flow
-        # audit and the displacement read the records themselves
+        # N records need N bundles, each shared by the two steps it bounds;
+        # the flow audit reads the records themselves
         import smcflab.reconstruction as reconstruction
 
         grid = Grid(d=2, n=8, L=2 * np.pi)
@@ -348,7 +359,7 @@ class TestEndToEnd:
         monkeypatch.setattr(reconstruction, "_bundle", counting)
         reconstruct(traj, frame, fix.immersion)
         assert len(traj) == 6
-        assert len(calls) == 2 * len(traj) - 1
+        assert len(calls) == len(traj)
 
     def test_frame_defects_taken_once_per_frame(self, monkeypatch):
         # the drift check after each transport step and the audit share one
