@@ -103,9 +103,8 @@ def residual_metric_evolution(s: GaugeState, sf: SecondForm, rec_prev, rec_next)
 def constraint_report(traj: Trajectory, i: int) -> ConstraintReport:
     """All monitors at stored time i; time residuals only at interior indices."""
     rec = traj[i]
-    s = rec.gauge
+    s, sf = rec.states()
     riem, ric = curvature(s.metric)
-    sf = rec.second_form()
     report = ConstraintReport(t=rec.t)
     _, report.entries["T1"] = residual_T1(sf, ric)
     _, report.entries["T2"] = residual_T2(sf, riem)

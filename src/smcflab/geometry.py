@@ -6,8 +6,8 @@ tensors come from the shared contraction helpers below (raise_first,
 harmonic_defect, covariant_divergence, ...).
 
 Derived fields are built on first read and kept by their state: Christoffel
-symbols and their gradient, the gradient of ginv, ginv - delta, h, V and the
-metric flow's Gamma terms on MetricState (ginv is eager: inverting is the
+symbols and their metric traces, the gradient of ginv, ginv - delta, h, V and
+the metric flow's Gamma terms on MetricState (ginv is eager: inverting is the
 degeneracy check), gauge sources and shared contractions on
 parabolic.GaugeState, and the quadratic forms of lambda (the Gauss, Ricci and
 curl forms) on SecondForm, which carries the metric it was traced with.  The curvature (`curvature`) is never kept.
@@ -22,6 +22,7 @@ second fundamental form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -124,9 +125,11 @@ class MetricState:
         return self.grid.grad(self.ginv)
 
     @cached_property
-    def dgamma_u(self):
-        """d_e Gamma^s_{ca} indexed [e, s, c, a]."""
-        return self.grid.grad(self.gamma_u)
+    def gamma_traces(self):
+        """(g^{ec} d_e Gamma^s_{ca} indexed [s, a], g^{ec} Gamma^s_{ca} indexed [e, s, a]):
+        the metric's part of laplacian_lower_order.  The gradient of Gamma is not kept."""
+        P = np.einsum("ec...,esca...->sa...", self.ginv, self.grid.grad(self.gamma_u))
+        return P, np.einsum("ec...,sca...->esa...", self.ginv, self.gamma_u)
 
     @cached_property
     def V(self):
@@ -177,7 +180,7 @@ def pointwise_inverse(grid: Grid, mat):
         inv[1, 0] = -mat[1, 0] / det
         return inv
     rows = np.moveaxis(mat.reshape(d, d, -1), -1, 0)
-    return np.moveaxis(np.linalg.inv(rows), 0, -1).reshape(mat.shape)
+    return np.ascontiguousarray(np.moveaxis(np.linalg.inv(rows), 0, -1)).reshape(mat.shape)
 
 
 def invert_metric(grid: Grid, g):
@@ -283,11 +286,8 @@ def laplacian_lower_order(m: MetricState, T, dT):
     if rest:
         corr = corr + np.swapaxes(corr, 1, 2)
     nT = dT - corr
-    P = np.einsum("ec...,esca...->sa...", m.ginv, m.dgamma_u)  # g^{ec} d_e Gamma^s_{ca}
-    G = np.einsum("ec...,sca...->esa...", m.ginv, m.gamma_u)  # g^{ec} Gamma^s_{ca}
-    S = np.einsum(f"sa...,s{rest}...->a{rest}...", P, T) + np.einsum(
-        f"esa...,es{rest}...->a{rest}...", G, dT + nT
-    )
+    P, G = m.gamma_traces  # g^{ec} d_e Gamma^s_{ca} and g^{ec} Gamma^s_{ca}
+    S = np.einsum(f"sa...,s{rest}...->a{rest}...", P, T) + np.einsum(f"esa...,es{rest}...->a{rest}...", G, dT + nT)
     if rest:
         S = S + np.swapaxes(S, 0, 1)
     return nT, S
@@ -363,15 +363,34 @@ class SecondForm:
     @cached_property
     def gauss(self):
         """Re(lambda_{bc} lambar_{as} - lambda_{ac} lambar_{bs}) indexed [s, c, a, b]:
-        R_{scab} through the Gauss equation, the T2 monitor's other side."""
-        prod = np.einsum("bc...,as...->scab...", self.lam, np.conj(self.lam))
-        return self.grid.dealias(np.real(prod - np.swapaxes(prod, 2, 3)))
+        R_{scab} through the Gauss equation, the T2 monitor's other side.  Only the
+        components with (s < c) <= (a < b) are multiplied and dealiased, as one
+        stack; R_{scab} = -R_{csab} = -R_{scba} = R_{absc} gives the others."""
+        grid, d = self.grid, self.grid.d
+        # the memory order of the full d^4 product dealiased at once: an
+        # [s, a, b, c] buffer where the operators keep their input's order
+        out = np.zeros((d,) * 4 + grid.shape)
+        out = np.moveaxis(out, 3, 1) if grid.keeps_order else out
+        pairs = list(itertools.combinations(range(d), 2))
+        comps = [p + q for i, p in enumerate(pairs) for q in pairs[i:]]  # (s, c, a, b)
+        if not comps:
+            return out
+        s, c, a, b = np.array(comps).T
+        lam, lbar = self.lam, np.conj(self.lam)
+        prod = np.einsum("k...,k...->k...", lam[b, c], lbar[a, s]) - np.einsum("k...,k...->k...", lam[a, c], lbar[b, s])
+        for comp, R in zip(comps, grid.dealias(np.real(prod))):
+            # swapping the two pairs keeps the sign, reversing either pair flips it
+            for p, q in ((comp[:2], comp[2:]), (comp[2:], comp[:2])):
+                out[p + q] = out[p[::-1] + q[::-1]] = R
+                out[p[::-1] + q] = out[p + q[::-1]] = -R
+        return out
 
     @cached_property
     def w(self):
         """w_{ab} = Im(lambda^g_a lambar_{bg}), antisymmetric: the curvature of the
-        normal connection through the Ricci equation."""
-        return self.grid.dealias(np.imag(np.einsum("ga...,bg...->ab...", self.lam_up, np.conj(self.lam))))
+        normal connection through the Ricci equation; C order."""
+        prod = np.einsum("ga...,bg...->ab...", self.lam_up, np.conj(self.lam))
+        return np.ascontiguousarray(self.grid.dealias(np.imag(prod)))
 
 
 def frame_defects(t, m):

@@ -62,7 +62,7 @@ _NUFFT_SIGMA = 2
 _NUFFT_WIDTH = 16
 _NUFFT_BETA = 2.30 * _NUFFT_WIDTH
 _NUFFT_NODES = 3 * _NUFFT_WIDTH
-_NUFFT_CHUNK = 1 << 20
+_NUFFT_CHUNK = 1 << 18
 
 # Grids with at most this many points per axis transform by dense DFT
 # matrices (Grid._dft).  Per call on a (2, 2) stack with one BLAS thread,
@@ -209,6 +209,12 @@ class Grid:
             arr = np.ascontiguousarray(self._along_leading(hat, inv), dtype=np.complex128)
             return self._along_last(arr.view(np.float64), inv_half)
         return self._along_leading(self._along_last(hat, inv), inv)
+
+    @property
+    def keeps_order(self):
+        """Whether the named operators return a stack in its input's memory order,
+        as numpy.fft does; the dense DFT and the operator matrices return C order."""
+        return self.n > _DENSE_DFT_MAX_N and self.n**self.d > _OPERATOR_MATRIX_MAX_POINTS
 
     @cached_property
     def _dft(self):
@@ -645,7 +651,8 @@ def read_field(path, grid: Grid | None = None) -> GridField:
     pairs = np.frombuffer(payload, dtype="<f8").reshape((n,) * d + (2,))
     if not np.all(np.isfinite(pairs)):
         raise SmcfValidationError(f"{path}: payload holds a non-finite value")
-    if parity_flag == 0 and np.any(pairs[..., 1]):
+    # the bits, not the value: a -0.0 is a flipped sign bit of a written +0.0
+    if parity_flag == 0 and np.any(pairs[..., 1].view("<u8")):
         raise SmcfValidationError(f"{path}: real field with a nonzero imaginary part")
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return GridField(grid, values, parity="real" if parity_flag == 0 else "complex", name=name)

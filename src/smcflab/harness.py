@@ -246,7 +246,7 @@ def norms_and_write(cfg: RunConfig, traj: Trajectory):
     diag = DiagnosticsCSV(os.path.join(cfg.output_dir, "diagnostics.csv"))
     with _Stage("norms"), np.errstate(all="ignore"):
         for rec in traj.records:
-            rows = norm_suite_rows(cfg, rec.gauge, rec.second_form())
+            rows = norm_suite_rows(cfg, *rec.states())
             diag.append_many(rec.t, measurable(rec.t, rows))
 
 

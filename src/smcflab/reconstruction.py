@@ -101,13 +101,11 @@ def _unpack(grid: Grid, X) -> Frame:
     return Frame(grid, X[: grid.d], X[grid.d] + 1j * X[grid.d + 1])
 
 
-def _bundle(rec):
-    """(t, K) at one record: the frame generator of M, c = i(dApsi - i lam V), c
-    raised and B, with the immersion's row d_t F = V^g F_g - Im(psi mbar) below it."""
-    s = rec.gauge
-    sf = rec.second_form()
+def _bundle(t, s, sf: SecondForm):
+    """(t, K) at a record's state s and form sf: the frame generator of M, c = i(dApsi - i lam V),
+    c raised and B, with the immersion's row d_t F = V^g F_g - Im(psi mbar) below it."""
     m = s.metric
-    grid = rec.grid
+    grid = s.grid
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)
     c = 1j * (dApsi - 1j * np.einsum("ag...,g...->a...", sf.lam, s.V))
     nablaV = covariant_derivative(s.V, m, valence="u")  # [a, g]
@@ -115,8 +113,8 @@ def _bundle(rec):
     cu = np.einsum("ab...,b...->a...", m.ginv, c)
     # the immersion's row, with -Im(psi mbar) = Re(i psi) Re m + Im(i psi) Im m
     K = np.concatenate([_generator(M, c, cu, s.B), _pack(s.V, 1j * sf.psi)[None]])
-    measurable(rec.t, [("frame generator l2", grid.l2(K))])
-    return rec.t, K
+    measurable(t, [("frame generator l2", grid.l2(K))])
+    return t, K
 
 
 def transport_frame_time(frame: Frame, F: Immersion, start, end, drift_tol=1e-5):
@@ -139,7 +137,8 @@ def transport_frame_time(frame: Frame, F: Immersion, start, end, drift_tol=1e-5)
         raise FrameDriftError(
             f"frame invariants drifted to {worst:.3e} (> {drift_tol:.1e}) at t={t1:.6g}: {defects}"
         )
-    return out, Immersion(grid, X[-1], graph=F.graph)
+    # a copy: the immersion outlives the RK4 state
+    return out, Immersion(grid, X[-1].copy(), graph=F.graph)
 
 
 # -- spatial transport (integrability audit) --------------------------------------
@@ -205,7 +204,6 @@ def integrate_frame_space(seed_F, seed_m, sf: SecondForm, A, substeps=16, holono
 @dataclass
 class ReconstructionResult:
     times: list
-    frames: list
     immersions: list
     holonomy: float
     frame_defects: list = field(default_factory=list)
@@ -226,46 +224,52 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Transport the frame along the trajectory and integrate the immersion.
 
-    The initial frame is also re-derived by transporting a seed slice across
-    the grid, and the periodic holonomy is recorded.
+    The initial frame is first re-derived by transporting a seed slice across
+    the grid, and the periodic holonomy is recorded.  Each record is audited as
+    soon as the immersion of the next exists, and its frame is then dropped.
     """
-    grid = traj.grid
-    frames, immersions = [frame0], [F0]
-    # each record's bundle ends one step and starts the next
-    end = _bundle(traj[0])
-    for rec in traj.records[1:]:
-        start, end = end, _bundle(rec)
-        frame, imm = transport_frame_time(frames[-1], immersions[-1], start, end, drift_tol=drift_tol)
-        frames.append(frame)
-        immersions.append(imm)
-
+    s, sf = traj[0].states()
+    end = _bundle(traj[0].t, s, sf)
     # seed on the slice {x_last = 0}, transported along the last axis
-    _, holonomy = integrate_frame_space(
-        frame0.F_alpha[..., 0], frame0.m[..., 0], traj[0].second_form(), traj[0].A, holonomy_tol=holonomy_tol
-    )
-    result = ReconstructionResult(times=list(traj.times), frames=frames, immersions=immersions, holonomy=holonomy)
-    for i, (frame, imm) in enumerate(zip(frames, immersions)):
-        rec = traj[i]
-        result.frame_defects.append(frame.invariant_defects(rec.g))
-        tang = imm.tangents()
-        gap = float(np.max(np.abs(tang - frame.F_alpha)))
-        if not gap <= consistency_tol:
-            raise ReconstructionInconsistencyError(
-                f"d_alpha F vs transported F_alpha gap {gap:.3e} exceeds {consistency_tol:.1e} at t={rec.t:.6g}"
-            )
-        result.consistency_gap.append(gap)
-        d2F = imm.second_partials()
-        lam_rec = grid.dealias(np.einsum("abi...,i...->ab...", d2F, frame.m))
-        result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
-        result.metric_closure.append(grid.l2(frame.gram - rec.g))
-        if 0 < i < len(traj) - 1:
-            dtF = time_derivative(*(F.dev for F in immersions[i - 1 : i + 2]), *traj.times[i - 1 : i + 2])
-            smcf, ident = _flow_residuals(frame, imm, tang, d2F, dtF, rec.psi)
-        else:
-            smcf = ident = np.nan
-        result.smcf_residual.append(smcf)
-        result.identity_residual.append(ident)
+    _, holonomy = integrate_frame_space(frame0.F_alpha[..., 0], frame0.m[..., 0], sf, s.A, holonomy_tol=holonomy_tol)
+    del s, sf
+    result = ReconstructionResult(times=list(traj.times), immersions=[F0], holonomy=holonomy)
+    frame = frame0
+    for i, rec in enumerate(traj.records[1:], 1):
+        # each record's bundle ends one step and starts the next
+        start, end = end, _bundle(rec.t, *rec.states())
+        nxt, imm = transport_frame_time(frame, result.immersions[-1], start, end, drift_tol=drift_tol)
+        del start
+        result.immersions.append(imm)
+        # record i - 1's three-point stencil reads no immersion past i
+        _audit(result, traj, i - 1, frame, consistency_tol)
+        frame = nxt
+    _audit(result, traj, len(traj) - 1, frame, consistency_tol)
     return result
+
+
+def _audit(result: ReconstructionResult, traj: Trajectory, i, frame: Frame, consistency_tol):
+    """Append the rows of record i, from its frame and the rebuilt immersions i - 1 to i + 1."""
+    grid, rec, imm = traj.grid, traj[i], result.immersions[i]
+    result.frame_defects.append(frame.invariant_defects(rec.g))
+    tang = imm.tangents()
+    gap = float(np.max(np.abs(tang - frame.F_alpha)))
+    if not gap <= consistency_tol:
+        raise ReconstructionInconsistencyError(
+            f"d_alpha F vs transported F_alpha gap {gap:.3e} exceeds {consistency_tol:.1e} at t={rec.t:.6g}"
+        )
+    result.consistency_gap.append(gap)
+    d2F = imm.second_partials()
+    lam_rec = grid.dealias(np.einsum("abi...,i...->ab...", d2F, frame.m))
+    result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
+    result.metric_closure.append(grid.l2(frame.gram - rec.g))
+    if 0 < i < len(traj) - 1:
+        dtF = time_derivative(*(F.dev for F in result.immersions[i - 1 : i + 2]), *traj.times[i - 1 : i + 2])
+        smcf, ident = _flow_residuals(frame, imm, tang, d2F, dtF, rec.psi)
+    else:
+        smcf = ident = np.nan
+    result.smcf_residual.append(smcf)
+    result.identity_residual.append(ident)
 
 
 def _flow_residuals(frame: Frame, imm: Immersion, tang, d2F, dtF, psi):

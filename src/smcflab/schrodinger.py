@@ -20,13 +20,13 @@ from .trajectory import Trajectory, TrajectoryRecord, records_along, stored
 
 
 def nonlinearity_terms(sf: SecondForm, s: GaugeState):
-    """The named, untruncated top-level terms of the nonlinearity F of the
-    iteration form of the lambda equation:
+    """Yield, one at a time, the named, untruncated top-level terms of the
+    nonlinearity F of the iteration form of the lambda equation:
 
         i d_t lam + d_a(g^{ab} d_b lam) + 2i A^a d_a lam = F.
 
     Its principal difference d_m(g^{mn} d_n lam) - nabla^s nabla_s lam is first
-    order in lam, built from dlam and the metric's cached Gamma, d Gamma and
+    order in lam, built from dlam and the metric's cached Gamma contractions and
     d g^{-1}; the nested second-order form is the test oracle.  The inner
     products of the cubic chains keep their own truncation.  sf is traced with
     s.metric.
@@ -34,59 +34,49 @@ def nonlinearity_terms(sf: SecondForm, s: GaugeState):
     grid = s.grid
     m = s.metric
     lam = sf.lam
-    psi = sf.psi
     dlam = sf.dlam  # [c, a, b]
 
     # d_m(g^{mn} d_n lam) - nabla^s nabla_s lam, first order in lam
     nlam, S = laplacian_lower_order(m, lam, dlam)  # nlam[c, a, b] = nabla_c lam_ab
     V_nlam = np.einsum("t...,tab...->ab...", m.V, nlam)
     div_ginv = np.einsum("eec...->c...", m.dginv)  # d_e g^{ec}
-    term_pdiff = np.einsum("c...,cab...->ab...", div_ginv, dlam) + V_nlam + S
+    yield "principal_difference", np.einsum("c...,cab...->ab...", div_ginv, dlam) + V_nlam + S
+    del S, div_ginv
 
     # i V^s nabla_s lam
-    term_adv = 1j * V_nlam
+    yield "advection", 1j * V_nlam
+    del V_nlam
 
     # 2i A^s (nabla_s - d_s) lam, the covariant completion of the magnetic term
-    term_a_gamma = -2j * np.einsum("s...,sab...->ab...", s.A_up, nlam - dlam)
+    yield "magnetic_covariant_correction", -2j * np.einsum("s...,sab...->ab...", s.A_up, nlam - dlam)
+    del nlam
 
     # -i (nabla_s A^s) lam + (B + A_s A^s - V_s A^s) lam
-    term_divA = -1j * np.einsum("...,ab...->ab...", s.B, lam)
-    term_pot = np.einsum("...,ab...->ab...", s.potential, lam)
+    yield "div_A", -1j * np.einsum("...,ab...->ab...", s.B, lam)
+    yield "potential", np.einsum("...,ab...->ab...", s.potential, lam)
 
     # i lam^g_a nabla_b V_g + i lam^g_b nabla_a V_g
     half = np.einsum("ga...,bg...->ab...", sf.lam_up, s.nabla_V_low)
-    term_lamV = 1j * (half + np.swapaxes(half, 0, 1))
+    yield "lambda_grad_V", 1j * (half + np.swapaxes(half, 0, 1))
+    del half
 
     # psi Re(lam_{ad} lambar^d_b)
-    quad = grid.dealias(np.real(sf.lam_lambar))
-    term_psi = np.einsum("...,ab...->ab...", psi, quad)
+    yield "psi_quadratic", np.einsum("...,ab...->ab...", sf.psi, grid.dealias(np.real(sf.lam_lambar)))
 
     # -Re(lam_{sd} lambar_{ab} - lam_{sb} lambar_{ad}) lam^{sd}, the Gauss form
     # with its middle slots swapped
     lam_upup = grid.dealias(np.einsum("sc...,dm...,cm...->sd...", m.ginv, m.ginv, lam))
-    term_curv = -np.einsum("sadb...,sd...->ab...", sf.gauss, lam_upup)
+    yield "curvature_cubic", -np.einsum("sadb...,sd...->ab...", sf.gauss, lam_upup)
+    del lam_upup
 
     # -lam_{am} lambar^m_s lam^s_b
-    chain = grid.dealias(sf.lam_lambar)
-    term_chain = -np.einsum("as...,sb...->ab...", chain, sf.lam_up)
-
-    return {
-        "principal_difference": term_pdiff,
-        "advection": term_adv,
-        "magnetic_covariant_correction": term_a_gamma,
-        "div_A": term_divA,
-        "potential": term_pot,
-        "lambda_grad_V": term_lamV,
-        "psi_quadratic": term_psi,
-        "curvature_cubic": term_curv,
-        "cubic_chain": term_chain,
-    }
+    yield "cubic_chain", -np.einsum("as...,sb...->ab...", grid.dealias(sf.lam_lambar), sf.lam_up)
 
 
 def assemble_nonlinearity(sf: SecondForm, s: GaugeState):
-    """F, the sum of nonlinearity_terms dealiased once (the truncation is linear)
-    and symmetrized."""
-    total = s.grid.dealias(sum(nonlinearity_terms(sf, s).values()))
+    """F, the running sum of nonlinearity_terms in their order, dealiased once
+    (the truncation is linear) and symmetrized."""
+    total = s.grid.dealias(sum(term for _, term in nonlinearity_terms(sf, s)))
     return 0.5 * (total + np.swapaxes(total, 0, 1))
 
 
@@ -139,8 +129,9 @@ def _check_blowup(grid, lam, t, threshold):
         raise BlowupError(f"|lambda| reached {worst:.3e} at t={t:.6g}", t=t)
 
 
-def _midpoint_gauge(grid, s0: GaugeState, s1: GaugeState):
-    return gauge_state_from(grid, 0.5 * (s0.metric.g + s1.metric.g), 0.5 * (s0.A + s1.A), t=0.5 * (s0.t + s1.t))
+def _midpoint_gauge(grid, a, b):
+    """The state at the average of two (g, A, t) triples."""
+    return gauge_state_from(grid, *(0.5 * (x + y) for x, y in zip(a, b)))
 
 
 def evolve_coupled(
@@ -161,8 +152,10 @@ def evolve_coupled(
         t_new = step * dt
         sf_pred = step_schrodinger(sf, s, dt)
         s_pred = step_parabolic(s, (sf.lam, sf_pred.lam), dt, sign_variant)
-        s_mid = _midpoint_gauge(grid, s, s_pred)
+        s_mid = _midpoint_gauge(grid, (s.metric.g, s.A, s.t), (s_pred.metric.g, s_pred.A, s_pred.t))
+        del sf_pred, s_pred
         sf_new = step_schrodinger(sf, s_mid, dt)
+        del s_mid
         s_new = step_parabolic(s, (sf.lam, sf_new.lam), dt, sign_variant)
         sf_new = SecondForm(s_new.metric, sf_new.lam)
         _check_blowup(grid, sf_new.lam, t_new, blowup_threshold)
@@ -199,18 +192,24 @@ def evolve_slab(
     path = [zero] * (nsteps + 1)
     distances = []
     for _ in range(sweeps):
-        gauges = list(gauge_path(gauge0, [lam for lam, _ in path], [dt] * nsteps, sign_variant))
+        # the (g, A, t) of each state: the states' derived fields are rebuilt where read
+        stepped = gauge_path(gauge0, [lam for lam, _ in path], [dt] * nsteps, sign_variant)
+        gauges = [(s.metric.g, s.A, s.t) for s in stepped]
         new_path = [(sf0.lam, sf0.psi)]
-        sf = sf0
         for i in range(nsteps):
             s_mid = _midpoint_gauge(grid, gauges[i], gauges[i + 1])
-            (lam_a, psi_a), (lam_b, psi_b) = path[i], path[i + 1]
-            # the source is passed inline, so step_schrodinger holds its only reference
+            # the forms are passed inline, so step_schrodinger holds their only
+            # references; it reads only the lambda of the first
             sf = step_schrodinger(
-                sf, s_mid, dt, frozen_source=SecondForm(s_mid.metric, 0.5 * (lam_a + lam_b), 0.5 * (psi_a + psi_b))
+                SecondForm(s_mid.metric, new_path[-1][0]),
+                s_mid,
+                dt,
+                frozen_source=SecondForm(s_mid.metric, *(0.5 * (x + y) for x, y in zip(path[i], path[i + 1]))),
             )
             _check_blowup(grid, sf.lam, times[i + 1], blowup_threshold)
             new_path.append((sf.lam, sf.psi))
+            # the next step reads only this lambda: the midpoint gauge and its caches go
+            del sf, s_mid
         distance = max(grid.l2(new[0] - old[0]) for new, old in zip(new_path, path))
         distances.append(distance)
         path = new_path
@@ -220,7 +219,8 @@ def evolve_slab(
             )
         if tol is not None and distance <= tol:
             break
-    records = records_along(times, gauges, [lam for lam, _ in path], snapshot_every)
+    states = (gauge_state_from(grid, *arrays) for arrays in gauges)
+    records = records_along(times, states, [lam for lam, _ in path], snapshot_every)
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .parabolic import GaugeState, gauge_state_from
 
 @dataclass
 class TrajectoryRecord:
-    """The state at time t on its grid; a state never changes its arrays, so
-    neither may a record, whose gauge state is built on first read and kept."""
+    """The state at time t on its grid, as arrays only: a state never changes its
+    arrays, so neither may a record."""
 
     grid: Grid
     t: float
@@ -38,14 +37,15 @@ class TrajectoryRecord:
         """A gauge state's (g, A) and a second form's (lam, psi) at time t, stored, not copied."""
         return cls(gauge.grid, t, gauge.metric.g, gauge.A, sf.lam, sf.psi)
 
-    @cached_property
+    @property
     def gauge(self) -> GaugeState:
+        """A new gauge state of (g, A) on each read: the record keeps none of its fields."""
         return gauge_state_from(self.grid, self.g, self.A, t=self.t)
 
-    def second_form(self) -> SecondForm:
-        """A new second form on the record's metric each call: the record keeps
-        none of its contractions."""
-        return SecondForm(self.gauge.metric, self.lam, self.psi)
+    def states(self):
+        """(gauge, second form): a new gauge state and a second form on its metric."""
+        s = self.gauge
+        return s, SecondForm(s.metric, self.lam, self.psi)
 
 
 def stored(i, nsteps, every):

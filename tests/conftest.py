@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,6 +60,21 @@ def geometry_calls(monkeypatch):
         return counts
 
     return count
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) -> (fn(), the peak bytes that tracemalloc traced while fn
+    ran): the most that fn's allocations, numpy arrays included, held at once."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture(scope="session", params=sorted(BUMP_SCENARIOS))

@@ -199,8 +199,7 @@ def nested_laplacian_remainder(m: MetricState, A):
 def frame_bundle(rec):
     """The complex-form coefficients of the frame's time motion at one record:
     B, M, c = i(dApsi - i lam V) and c raised."""
-    s = rec.gauge
-    sf = rec.second_form()
+    s, sf = rec.states()
     m = s.metric
     grid = rec.grid
     dApsi = grid.grad(sf.psi) + 1j * np.einsum("a...,...->a...", s.A, sf.psi)

@@ -185,9 +185,9 @@ class TestTimeResiduals:
             )
             for i in range(3)
         ]
-        res, norms = residual_T5(recs[1].gauge, recs[1].second_form(), recs[0], recs[2])
+        res, norms = residual_T5(*recs[1].states(), recs[0], recs[2])
         assert norms.l2 < 1e-13
-        res, norms = residual_metric_evolution(recs[1].gauge, recs[1].second_form(), recs[0], recs[2])
+        res, norms = residual_metric_evolution(*recs[1].states(), recs[0], recs[2])
         assert norms.l2 < 1e-13
 
     def _cliff_traj(self, dt, T=0.04):
@@ -202,7 +202,7 @@ class TestTimeResiduals:
         traj = self._cliff_traj(2e-3)
         mid = len(traj) // 2
         rec = traj[mid]
-        _, norms = residual_T5(rec.gauge, rec.second_form(), traj[mid - 1], traj[mid + 1])
+        _, norms = residual_T5(*rec.states(), traj[mid - 1], traj[mid + 1])
         assert norms.l2 < 1e-10
 
     def test_cliff_metric_evolution_small_and_second_order(self):
@@ -212,7 +212,7 @@ class TestTimeResiduals:
             mid = len(traj) // 2
             rec = traj[mid]
             _, norms = residual_metric_evolution(
-                rec.gauge, rec.second_form(), traj[mid - 1], traj[mid + 1]
+                *rec.states(), traj[mid - 1], traj[mid + 1]
             )
             errs[dt] = norms
         # homogeneous data: the stepper-vs-identity agreement is pointwise
@@ -241,7 +241,7 @@ class TestTimeResiduals:
         errs = []
         for dt in (0.02, 0.01):
             r = [rec(0.3 - dt, dt), rec(0.3, dt), rec(0.3 + dt, dt)]
-            res, _ = residual_T5(r[1].gauge, r[1].second_form(), r[0], r[2])
+            res, _ = residual_T5(*r[1].states(), r[0], r[2])
             # subtract the exact d_t A - grad B (B = div A here is nonzero)
             s = r[1].gauge
             exact_dtA = 3 * np.cos(3 * 0.3) * np.exp(np.sin(3 * 0.3)) * A0

@@ -108,7 +108,7 @@ class TestHelixOracle:
     Measured at n = 8, L = 2 pi, a = 0.5, k = 1 (T = 0.2 at d = 1, 2; 0.02 at
     d = 3): g and A moved by <= 3.0e-15; the phase error was 3.5e-7 T at dt =
     0.004 and 8.7e-8 T at 0.002 (ratio 4.00); |lam| moved by 8.5e-11 T; the
-    rebuilt F missed the closed form by 6.2e-8 T, and with nu2 -> -nu2 by 0.71 T.
+    rebuilt F missed the closed form by 4.92e-8 T, and with nu2 -> -nu2 by 0.71 T.
     Each bound below states its margin over these."""
 
     def test_metric_and_connection_stay_constant(self, helix_runs):
@@ -142,7 +142,7 @@ class TestHelixOracle:
         miss = max(
             np.max(np.abs(imm.dev - helix_deviation(h.grid, t))) for imm, t in zip(rebuilt.immersions, rebuilt.times)
         )
-        # 2.4x the measured miss
+        # 3.0x the measured miss
         assert miss <= 1.5e-7 * T
 
     def test_the_opposite_orientation_misses(self, helix_runs):

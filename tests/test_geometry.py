@@ -1,5 +1,7 @@
 """Metric, curvature, and second-fundamental-form operators on fixtures."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from smcflab.errors import FrameNotNormalError, ImmersionDegeneracyError, Valenc
 from smcflab.fixtures import bump_immersion, cliff_fixture, flat_immersion
 from smcflab.geometry import (
     MetricState,
+    SecondForm,
     covariant_derivative,
     curvature,
     frame_defects,
@@ -29,6 +32,7 @@ from smcflab.geometry import (
     second_form,
 )
 from smcflab.grid import Grid
+from smcflab.parabolic import GaugeState, gauge_state_from
 
 
 @pytest.fixture
@@ -334,6 +338,54 @@ class TestSecondForm:
         assert np.array_equal(G, -np.swapaxes(G, 2, 3))
         assert np.array_equal(G, np.transpose(G, (2, 3, 0, 1) + grid_axes))
         assert maxabs(G) > 1e-6
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])
+    def test_gauss_stack_keeps_the_memory_order_of_the_full_product(self, d, n):
+        # grid.l2 sums in memory order, so T2's norms read the stack's layout:
+        # it is that of the full d^4 product dealiased at once, an [s, a, b, c]
+        # buffer on the numpy.fft path and C order on the dense one.  The
+        # two-einsum oracle is C ordered at n = 16 and an [a, s, b, c] buffer at n = 32
+        grid = Grid(d=d, n=n, L=16.0)
+        F = bump_immersion(grid, 0.1, 0.6).immersion
+        m = induced_metric(F)
+        sf = second_form(F, graph_normal_bundle(F, m)[:2], m)
+        prod = np.einsum("bc...,as...->scab...", sf.lam, np.conj(sf.lam))
+        full = grid.dealias(np.real(prod - np.swapaxes(prod, 2, 3)))
+        assert np.array_equal(sf.gauss, full)
+        assert sf.gauss.strides == full.strides
+        if n == 16:
+            assert sf.gauss.strides == gauss_form_scab(grid, sf.lam).strides
+
+    def test_gauss_stack_vanishes_at_d1(self):
+        # a curve has no pair s < c: the stack is exactly zero
+        grid = Grid(d=1, n=16, L=16.0)
+        x = grid.x[0]
+        sf = SecondForm(MetricState(grid, (1.0 + 0.1 * np.cos(x))[None, None]), np.exp(1j * x)[None, None])
+        assert sf.gauss.shape == (1, 1, 1, 1, 16)
+        assert not np.any(sf.gauss)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])
+    def test_cached_fields_are_c_contiguous(self, d, n):
+        # one layout on both transform paths; the Gauss stack on the numpy.fft
+        # path keeps the full product's order (test above)
+        grid = Grid(d=d, n=n, L=16.0)
+        F = bump_immersion(grid, 0.1, 0.6).immersion
+        m = induced_metric(F)
+        nu1, nu2, A = graph_normal_bundle(F, m)
+        s = gauge_state_from(grid, m.g, A)
+        sf = SecondForm(s.metric, second_form(F, (nu1, nu2), m).lam)
+        checked = []
+        states = ((s.metric, MetricState, ("g", "ginv")), (sf, SecondForm, ("lam",)), (s, GaugeState, ("A",)))
+        for state, cls, eager in states:
+            cached = [k for k, v in vars(cls).items() if isinstance(v, cached_property)]
+            for name in (*eager, *cached):
+                if name == "gauss" and n > 16:
+                    continue
+                value = getattr(state, name)
+                for k, arr in enumerate(value if isinstance(value, tuple) else (value,)):
+                    assert arr.flags.c_contiguous, (name, k)
+                checked.append(name)
+        assert {"ginv", "gamma_traces", "w", "potential", "principal_remainder"} <= set(checked)
 
 
 class TestGaugeRotate:

@@ -318,7 +318,7 @@ class TestNormStage:
         cfg = canonical_config("bump_smalldata", tmp_path)
         bundle = generate_scenario(cfg)
         traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.time_step_dt, dt=cfg.time_step_dt)
-        gauge, sf = traj[-1].gauge, traj[-1].second_form()
+        gauge, sf = traj[-1].states()
         transform_counts.update(fft=0, ifft=0)
         norm_suite_rows(cfg, gauge, sf)
         assert transform_counts == {"fft": 6, "ifft": 6}
@@ -400,6 +400,14 @@ class TestExperiment:
         manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
         assert "time_step_dt = 0.25" in manifest
         assert load_trajectory(str(tmp_path / "out" / "snapshots")).times.tolist() == [0.0, 0.25]
+
+    @pytest.mark.parametrize("mode", ["perstep", "slab"])
+    def test_records_hold_their_arrays_only(self, tmp_path, mode):
+        # every audit stage builds the states it reads and drops them: a
+        # record caches nothing
+        result = run_experiment(small_bump_config(tmp_path, coupling_mode=mode))
+        for rec in result["trajectory"].records:
+            assert set(vars(rec)) == {"grid", "t", "g", "A", "lam", "psi"}
 
     def test_snapshots_reload(self, tmp_path):
         cfg = small_cliff_config(tmp_path)
@@ -640,6 +648,15 @@ class TestCLI:
         path, snapdir = self._two_snapshots(tmp_path)
         field = snapdir / "snap_000001_h00.smcf"
         self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([5.0], dtype="<f8").tobytes())
+        assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
+        assert f"smcf: error: [norms] {field}: real field with a nonzero imaginary part" in capsys.readouterr().err
+
+    def test_negative_zero_in_the_imaginary_half_of_a_real_snapshot_exits_2(self, tmp_path, capsys):
+        # a written real field's imaginary half is +0.0 bit for bit: a flipped
+        # sign bit reads as -0.0, which compares equal to zero
+        path, snapdir = self._two_snapshots(tmp_path)
+        field = snapdir / "snap_000001_A0.smcf"
+        self._rewrite(field, FIRST_IMAGINARY_HALF, np.array([-0.0], dtype="<f8").tobytes())
         assert main(["norms", "--config", str(path), "--snapshots", str(snapdir)]) == 2
         assert f"smcf: error: [norms] {field}: real field with a nonzero imaginary part" in capsys.readouterr().err
 

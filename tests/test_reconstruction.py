@@ -151,7 +151,7 @@ class TestTimeTransport:
         from smcflab.reconstruction import _bundle
 
         rec = static_record(grid, m.g, np.zeros((2,) + grid.shape), sf.lam, sf.psi, 0.0)
-        t, K = _bundle(rec)
+        t, K = _bundle(rec.t, *rec.states())
         bad = Frame(grid, frame.F_alpha, frame.m.copy())
         bad.m[0, 2, 3] = np.nan
         with pytest.raises(FrameDriftError):
@@ -174,7 +174,7 @@ class TestTimeTransport:
         ]
         from smcflab.reconstruction import _bundle
 
-        out, imm = transport_frame_time(frame, F, _bundle(recs[0]), _bundle(recs[1]))
+        out, imm = transport_frame_time(frame, F, *(_bundle(rec.t, *rec.states()) for rec in recs))
         assert maxabs(out.F_alpha - frame.F_alpha) < 1e-14
         assert maxabs(out.m - frame.m) < 1e-14
         assert maxabs(imm.dev - F.dev) < 1e-14
@@ -184,7 +184,7 @@ class TestTimeTransport:
         """The frame and immersion transported along recs, one RK4 step per interval."""
         from smcflab.reconstruction import _bundle
 
-        bundles = [_bundle(rec) for rec in recs]
+        bundles = [_bundle(rec.t, *rec.states()) for rec in recs]
         for start, end in zip(bundles, bundles[1:]):
             frame, F = transport_frame_time(frame, F, start, end)
         return frame, F
@@ -247,7 +247,7 @@ class TestTimeTransport:
             b0, b1 = frame_bundle(rec0), frame_bundle(rec1)
             mid = SimpleNamespace(**{k: 0.5 * (v + getattr(b1, k)) for k, v in vars(b0).items()})
             ref_F, ref_m = complex_form_rk4(cur.F_alpha.astype(complex), cur.m, rec1.t - rec0.t, b0, mid, b1)
-            cur, F = transport_frame_time(cur, F, _bundle(rec0), _bundle(rec1))
+            cur, F = transport_frame_time(cur, F, *(_bundle(rec.t, *rec.states()) for rec in (rec0, rec1)))
             assert maxabs(ref_F.imag) == 0.0
             assert maxabs(cur.F_alpha - ref_F.real) <= 1e-15 * max(1.0, maxabs(ref_F))
             assert maxabs(cur.m - ref_m) <= 1e-15 * max(1.0, maxabs(ref_m))
@@ -316,7 +316,7 @@ class TestTimeTransport:
             from smcflab.reconstruction import _bundle
 
             # B enters the generator as the rotation block of (Re m, Im m)
-            t, K = _bundle(rec)
+            t, K = _bundle(rec.t, *rec.states())
             K[2, 3], K[3, 2] = 2.0, -2.0
             return t, K
 
@@ -351,9 +351,9 @@ class TestEndToEnd:
         traj = picard_evolve(sf, gauge, T=0.01, dt=1e-3, snapshot_every=2)
         calls = []
 
-        def counting(rec):
-            calls.append(rec.t)
-            return bundle(rec)
+        def counting(t, s, sf):
+            calls.append(t)
+            return bundle(t, s, sf)
 
         bundle = reconstruction._bundle
         monkeypatch.setattr(reconstruction, "_bundle", counting)
@@ -363,7 +363,8 @@ class TestEndToEnd:
 
     def test_frame_defects_taken_once_per_frame(self, monkeypatch):
         # the drift check after each transport step and the audit share one
-        # set of defects per frame
+        # set of defects per frame; the lists keep every frame alive, so the
+        # ids below are distinct
         grid = Grid(d=2, n=8, L=2 * np.pi)
         fix, m, sf, frame = cliff_data(grid)
         gauge = gauge_state_from(grid, m.g, np.zeros((2,) + grid.shape))
@@ -383,10 +384,23 @@ class TestEndToEnd:
         normal_defects.__set_name__(Frame, "normal_defects")
         monkeypatch.setattr(Frame, "invariant_defects", counting)
         monkeypatch.setattr(Frame, "normal_defects", normal_defects)
-        result = reconstruct(traj, frame, fix.immersion)
+        reconstruct(traj, frame, fix.immersion)
         assert len(traj) == 6
         assert len(calls) == 6 and len(builds) == 6
-        assert [id(f) for f in calls] == [id(f) for f in result.frames]
+        assert len({id(f) for f in calls}) == 6 and {id(f) for f in calls} == {id(f) for f in builds}
+
+    def test_working_set_stays_bounded(self, traced_peak):
+        # the d = 2, n = 32 bump over 8 steps: each record is audited once the
+        # next immersion exists, and neither frames nor bundles outlive their
+        # use; 1.25x the traced peak measured then (see CHANGES.md for the value before)
+        cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
+        bundle = generate_scenario(cfg)
+        traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.final_time_T, dt=cfg.time_step_dt)
+        frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
+        result, peak = traced_peak(lambda: reconstruct(traj, frame, bundle.immersion))
+        assert len(result.immersions) == len(traj) == 9
+        # measured 2.51 MB
+        assert peak <= 3.1e6
 
     def test_cliff_radii_from_immersion(self):
         grid, traj, result = self._run()

@@ -76,7 +76,7 @@ class TestAssembleNonlinearity:
     def test_cliff_reduces_to_cubics(self, r):
         grid = Grid(d=2, n=8, L=2 * np.pi * r)
         sf, gauge = cliff_setup(grid, r)
-        total, terms = assemble_nonlinearity(sf, gauge), nonlinearity_terms(sf, gauge)
+        total, terms = assemble_nonlinearity(sf, gauge), dict(nonlinearity_terms(sf, gauge))
         # only the three cubic terms survive; psi-quadratic at (0,0) is psi |lam11|^2
         for name in (
             "principal_difference",
@@ -95,7 +95,7 @@ class TestAssembleNonlinearity:
     def test_term_isolation_zero_connection(self):
         grid = Grid(d=2, n=32, L=16.0)
         sf, gauge = bump_setup(grid, eps=0.1)
-        terms = nonlinearity_terms(sf, gauge)
+        terms = dict(nonlinearity_terms(sf, gauge))
         assert maxabs(terms["magnetic_covariant_correction"]) == 0.0
         assert maxabs(terms["div_A"]) == 0.0
         # with A = 0 the potential reduces to B = div A = 0 too
@@ -117,7 +117,7 @@ class TestPrincipalDifference:
     def test_bump_matches_nested_form(self, bump_scenario):
         name, bundle = bump_scenario
         grid = bundle.grid
-        terms = nonlinearity_terms(bundle.sf, bundle.gauge)
+        terms = dict(nonlinearity_terms(bundle.sf, bundle.gauge))
         closed = grid.dealias(terms["principal_difference"])
         nested = grid.dealias(nested_principal_difference(bundle.sf, bundle.gauge.metric))
         rel_tol = {"d2-n64": 1e-9, "d3-n32": 1e-8}[name]
@@ -127,7 +127,7 @@ class TestPrincipalDifference:
         # the graph metric has V != 0, which harmonic coordinates remove
         grid = Grid(d=2, n=64, L=16.0)
         sf, gauge = bump_setup(grid, eps=0.1)
-        terms = nonlinearity_terms(sf, gauge)
+        terms = dict(nonlinearity_terms(sf, gauge))
         nested = grid.dealias(nested_principal_difference(sf, gauge.metric))
         assert maxabs(grid.dealias(terms["principal_difference"]) - nested) <= 1e-9 * maxabs(nested)
 
@@ -135,7 +135,7 @@ class TestPrincipalDifference:
         # the flat cliff metric leaves pdiff at roundoff, so the bound is absolute
         bundle = generate_scenario(load_config(CLIFF_CONFIG))
         grid = bundle.grid
-        terms = nonlinearity_terms(bundle.sf, bundle.gauge)
+        terms = dict(nonlinearity_terms(bundle.sf, bundle.gauge))
         nested = nested_principal_difference(bundle.sf, bundle.gauge.metric)
         assert maxabs(grid.dealias(terms["principal_difference"]) - grid.dealias(nested)) <= 1e-11
 
@@ -412,3 +412,28 @@ class TestPicardEvolve:
         sf = SecondForm(flat_gauge(grid).metric, lam)
         with pytest.raises(BlowupError):
             picard_evolve(sf, flat_gauge(grid), T=1.0, dt=0.05, blowup_threshold=10.0)
+
+
+class TestWorkingSet:
+    """The traced peak of the drivers on the d = 2, n = 32 bump: each bound is
+    1.25x the peak measured when the drivers began to drop what nothing reads
+    again (see CHANGES.md for the values before)."""
+
+    @pytest.fixture
+    def bundle(self):
+        bump = Path(__file__).resolve().parents[1] / "configs" / "bump_smalldata.txt"
+        return generate_scenario(replace(load_config(bump), grid_points_n=32))
+
+    def test_two_coupled_steps(self, bundle, traced_peak):
+        dt = 0.03125
+        traj, peak = traced_peak(lambda: picard_evolve(bundle.sf, bundle.gauge, T=2 * dt, dt=dt))
+        assert len(traj) == 3
+        # measured 2.80 MB
+        assert peak <= 3.5e6
+
+    def test_two_sweep_slab_run(self, bundle, traced_peak):
+        run = lambda: picard_evolve(bundle.sf, bundle.gauge, T=0.25, dt=0.03125, mode="slab", sweeps=2)
+        traj, peak = traced_peak(run)
+        assert len(traj) == 9 and len(traj.meta["sweep_distances"]) == 2
+        # measured 3.59 MB
+        assert peak <= 4.48e6
