@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import SmcfValidationError
+from .norms import SOBOLEV_S_RANGE
 from .parabolic import SIGN_VARIANTS, time_grid
 
 # field type (a string under postponed annotations) -> text parser
@@ -74,6 +75,8 @@ class RunConfig:
         n = self.grid_points_n
         if n < 8 or n & (n - 1):
             raise SmcfValidationError("grid_points_n must be a power of two >= 8")
+        if not SOBOLEV_S_RANGE[0] <= self.envelope_s <= SOBOLEV_S_RANGE[1]:
+            raise SmcfValidationError("envelope_s must lie in [{:g}, {:g}], got {}".format(*SOBOLEV_S_RANGE, self.envelope_s))
         if self.scenario_kind == "bump":
             if not 0 < self.bump_epsilon < 1:
                 raise SmcfValidationError("bump_epsilon must lie in (0, 1)")

@@ -367,10 +367,7 @@ class SecondForm:
         components with (s < c) <= (a < b) are multiplied and dealiased, as one
         stack; R_{scab} = -R_{csab} = -R_{scba} = R_{absc} gives the others."""
         grid, d = self.grid, self.grid.d
-        # the memory order of the full d^4 product dealiased at once: an
-        # [s, a, b, c] buffer where the operators keep their input's order
         out = np.zeros((d,) * 4 + grid.shape)
-        out = np.moveaxis(out, 3, 1) if grid.keeps_order else out
         pairs = list(itertools.combinations(range(d), 2))
         comps = [p + q for i, p in enumerate(pairs) for q in pairs[i:]]  # (s, c, a, b)
         if not comps:
@@ -388,9 +385,9 @@ class SecondForm:
     @cached_property
     def w(self):
         """w_{ab} = Im(lambda^g_a lambar_{bg}), antisymmetric: the curvature of the
-        normal connection through the Ricci equation; C order."""
+        normal connection through the Ricci equation."""
         prod = np.einsum("ga...,bg...->ab...", self.lam_up, np.conj(self.lam))
-        return np.ascontiguousarray(self.grid.dealias(np.imag(prod)))
+        return self.grid.dealias(np.imag(prod))
 
 
 def frame_defects(t, m):

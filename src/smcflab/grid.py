@@ -21,7 +21,8 @@ A third regime skips the transforms: on grids of at most 64 points n^d, the
 named operators dealias, grad, hessian, grad_hessian and div are each one real
 matrix, the spectral operator built from the unit fields on first use
 (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3), applied by
-Grid._operator alone.
+Grid._operator alone.  On every path these operators and Grid.apply return a
+C-ordered stack, whatever the layout of their input.
 
 The dyadic projector profile is a fixed C^infinity bump: 1 on [-1, 1],
 supported in [-2, 2] with the transition completed by |r| = 3/2, glued with
@@ -210,12 +211,6 @@ class Grid:
             return self._along_last(arr.view(np.float64), inv_half)
         return self._along_leading(self._along_last(hat, inv), inv)
 
-    @property
-    def keeps_order(self):
-        """Whether the named operators return a stack in its input's memory order,
-        as numpy.fft does; the dense DFT and the operator matrices return C order."""
-        return self.n > _DENSE_DFT_MAX_N and self.n**self.d > _OPERATOR_MATRIX_MAX_POINTS
-
     @cached_property
     def _dft(self):
         """The one-axis DFT matrices of a grid with n <= _DENSE_DFT_MAX_N, from a
@@ -288,7 +283,7 @@ class Grid:
         broadcast against the tensor axes of arr.
         """
         hat, real = self._spectrum(arr, mult)
-        return self.ifft(hat, half=real)
+        return np.ascontiguousarray(self.ifft(hat, half=real))
 
     def _spectrum(self, arr, mult):
         """(mult * fft(arr), real), on the half spectrum when arr is real."""
@@ -406,7 +401,7 @@ class Grid:
         summed over it before the inverse."""
         if summed:
             hat, real = self._spectrum(arr, self._over(mult, arr[0]))
-            return self.ifft(hat.sum(axis=0), half=real)
+            return np.ascontiguousarray(self.ifft(hat.sum(axis=0), half=real))
         return self.apply(arr, self._over(mult, arr))
 
     def inv_laplacian(self, arr):

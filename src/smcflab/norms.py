@@ -33,6 +33,9 @@ import numpy as np
 from .errors import SmcfValidationError
 from .grid import Grid, GridField, _smoothstep
 
+# the Sobolev indices sobolev_norm accepts, and so a run's envelope_s
+SOBOLEV_S_RANGE = (-4.0, 6.0)
+
 
 @dataclass(frozen=True)
 class EnvelopeParams:
@@ -64,8 +67,8 @@ def _japanese_bracket_sq(grid: Grid, s: float):
 
 def sobolev_norm(f: GridField, s: float) -> float:
     """Inhomogeneous H^s norm with grid measure."""
-    if not -4.0 <= s <= 6.0:
-        raise SmcfValidationError(f"s must lie in [-4, 6], got {s}")
+    if not SOBOLEV_S_RANGE[0] <= s <= SOBOLEV_S_RANGE[1]:
+        raise SmcfValidationError("s must lie in [{:g}, {:g}], got {}".format(*SOBOLEV_S_RANGE, s))
     grid = f.grid
     hat = f.hat
     weight = _japanese_bracket_sq(grid, s)

@@ -248,6 +248,27 @@ def test_larger_grids_stay_on_the_spectral_path(d, n, name):
     assert grid._tables == {}
 
 
+@pytest.mark.parametrize("name", [*sorted(_OPERATORS), "apply"])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8), (2, 32)])
+def test_every_operator_returns_c_order(d, n, real, name):
+    # the operator matrices (n^d <= 64), the dense DFT (n <= 16) and numpy.fft
+    # alike: a stack whose tensor axes are swapped comes back C-ordered and
+    # equal to the result for its C-ordered copy, so grid.l2, which sums in
+    # memory order, reads one number whatever the input's layout
+    grid = Grid(d=d, n=n, L=3.0)
+    stack = np.swapaxes(operator_input(grid, name, real, seed=140 + d), -grid.d - 2, -grid.d - 1)
+    assert not stack.flags.c_contiguous
+
+    def outputs(x):
+        out = grid.apply(x, -grid.k_sq) if name == "apply" else getattr(grid, name)(x)
+        return out if name == "grad_hessian" else (out,)
+
+    for got, want in zip(outputs(stack), outputs(np.ascontiguousarray(stack)), strict=True):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 def numpy_transforms(grid, x):
     """(Grid result, numpy.fft result) of every transform fft and ifft make of x:
     r2c and c2r for real x, the c2c pair for any x."""

@@ -139,6 +139,19 @@ class TestConfig:
         assert "need 0 < envelope_delta < envelope_s - d/2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("s", [6.5, 1e9])
+    def test_envelope_s_past_the_sobolev_range_exits_2(self, tmp_path, capsys, s):
+        # sobolev_norm takes s in [-4, 6]: a run checks it before gauge-init, whose
+        # fractional Sobolev weight overflows at 1e9, and the evolve
+        path = tmp_path / "cfg.txt"
+        save_config(path, RunConfig(output_dir=str(tmp_path / "out"), grid_points_n=16, envelope_s=s))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"envelope_s must lie in [-4, 6], got {s}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_envelope_s_at_the_top_of_the_sobolev_range_validates(self):
+        assert RunConfig(envelope_s=6.0).resolve().envelope_s == 6.0
+
     def test_resolve_fills_derived(self):
         cfg = RunConfig(time_step_dt=0.0, bump_profile_width_w=0.0).resolve()
         dx = cfg.box_length_L / cfg.grid_points_n

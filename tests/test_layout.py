@@ -58,6 +58,11 @@ _DENSE_DFT = {"_dft", "_along_last", "_along_leading"}
 # Grid.ifft, and every read of a tiny grid's operator matrices, the tables
 # keyed ("operator", name), inside the one method that applies them
 _SITES = {"transform": {"Grid.fft", "Grid.ifft"}, "operator": {"Grid._operator"}}
+# where each np.ascontiguousarray may sit, by module: in grid.py, whose operators
+# return C order on every path, the Grid methods and write_field; in
+# geometry.py, pointwise_inverse, whose d = 3 np.linalg.inv output is a moveaxis
+# view.  A copy anywhere else reorders what an operator already returned.
+_LAYOUT_SITES = {"grid.py": ("Grid", "write_field"), "geometry.py": ("pointwise_inverse",)}
 
 
 def _dotted(node):
@@ -72,9 +77,9 @@ def _dotted(node):
 
 def _guarded_uses(tree):
     """(kind, scope, line, what) of every numpy.fft transform and dense-DFT member
-    the module reads ("transform") and of every ("operator", ...) table key it
-    builds ("operator"), scope being the dotted name of the enclosing class or
-    function."""
+    the module reads ("transform"), of every ("operator", ...) table key it
+    builds ("operator") and of every np.ascontiguousarray it reads ("layout"),
+    scope being the dotted name of the enclosing class or function."""
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -83,12 +88,16 @@ def _guarded_uses(tree):
             for alias in node.names:
                 if node.module == "numpy.fft" or alias.name == "fft":
                     yield "transform", scope, node.lineno, f"from {node.module} import {alias.name}"
+                if alias.name == "ascontiguousarray":
+                    yield "layout", scope, node.lineno, f"from {node.module} import {alias.name}"
         if isinstance(node, ast.Attribute):
             name = _dotted(node)
             if name.split(".")[0] in ("np", "numpy") and ".fft." in name and _TRANSFORM.match(node.attr):
                 yield "transform", scope, node.lineno, name
             if node.attr in _DENSE_DFT:
                 yield "transform", scope, node.lineno, name
+            if name in ("np.ascontiguousarray", "numpy.ascontiguousarray"):
+                yield "layout", scope, node.lineno, name
         if isinstance(node, ast.Tuple) and node.elts:
             first = node.elts[0]
             if isinstance(first, ast.Constant) and first.value == "operator":
@@ -107,7 +116,7 @@ def test_transforms_run_only_inside_grid_fft_and_ifft():
     stray = []
     for path, text in _sources("src").items():
         for kind, scope, line, what in _guarded_uses(ast.parse(text)):
-            if scope not in _SITES[kind]:
+            if kind in _SITES and scope not in _SITES[kind]:
                 stray.append(f"{os.path.relpath(path, ROOT)}:{line} {scope or '<module>'} {what}")
     assert not stray, "transforms or operator matrices outside their one site: " + ", ".join(stray)
 
@@ -134,4 +143,52 @@ def test_the_transform_guard_sees_a_stray_call():
         ("transform", "Grid.apply", "self._dft"),
         ("operator", "Grid._operator", "('operator', name)"),
         ("operator", "Grid.grad", "('operator', 'grad')"),
+    ]
+
+
+def _stray_layout_copies(module, tree):
+    sites = _LAYOUT_SITES.get(module, ())
+    return [
+        (scope, what)
+        for kind, scope, _, what in _guarded_uses(tree)
+        if kind == "layout" and not any(scope == site or scope.startswith(site + ".") for site in sites)
+    ]
+
+
+def test_c_order_is_forced_only_where_it_is_decided():
+    # every named operator and Grid.apply return C order, so a caller that
+    # copies their output into C order copies for nothing
+    stray = []
+    for path, text in _sources("src").items():
+        for scope, what in _stray_layout_copies(os.path.basename(path), ast.parse(text)):
+            stray.append(f"{os.path.relpath(path, ROOT)} {scope or '<module>'} {what}")
+    assert not stray, "np.ascontiguousarray outside grid.py and pointwise_inverse: " + ", ".join(stray)
+
+
+def test_the_layout_guard_sees_a_stray_copy():
+    source = (
+        "import numpy as np\n"
+        "from numpy import ascontiguousarray\n"
+        "class Grid:\n"
+        "    def apply(self, x):\n"
+        "        return np.ascontiguousarray(x)\n"
+        "def write_field(x):\n"
+        "    return np.ascontiguousarray(x)\n"
+        "def pointwise_inverse(x):\n"
+        "    return numpy.ascontiguousarray(x)\n"
+        "class SecondForm:\n"
+        "    def w(self):\n"
+        "        return np.ascontiguousarray(self.x)\n"
+    )
+    tree = ast.parse(source)
+    assert _stray_layout_copies("grid.py", tree) == [
+        ("", "from numpy import ascontiguousarray"),
+        ("pointwise_inverse", "numpy.ascontiguousarray"),
+        ("SecondForm.w", "np.ascontiguousarray"),
+    ]
+    assert _stray_layout_copies("geometry.py", tree) == [
+        ("", "from numpy import ascontiguousarray"),
+        ("Grid.apply", "np.ascontiguousarray"),
+        ("write_field", "np.ascontiguousarray"),
+        ("SecondForm.w", "np.ascontiguousarray"),
     ]
