@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import SmcfValidationError
+from .fixtures import BUMP_BOX_WIDTHS, BUMP_DELTA_MAX, CLIFF_DIMENSION, cliff_winding
 from .norms import SOBOLEV_S_RANGE
 from .parabolic import SIGN_VARIANTS, time_grid
 
 # field type (a string under postponed annotations) -> text parser
 _PARSERS = {"int": int, "float": float}
-# allowed values and lower bounds by field.  A tolerance or threshold <= 0 would
-# switch its check off; a zero time_step_dt selects 0.5 dx^2, a zero picard_tol the sweep count alone,
-# a zero bump_profile_width_w L / 8
+# allowed values and lower bounds by field.  A tolerance or threshold <= 0 would switch its
+# check off; a zero time_step_dt selects 0.5 dx^2, a zero bump_profile_width_w L / 8
 _CHOICES = {
     "scenario_kind": ("flat", "cliff", "bump"),
     "coupling_mode": ("perstep", "slab"),
@@ -27,7 +27,7 @@ _CHOICES = {
 }
 _TOLERANCES = ("solver_tol", "frame_drift_tol", "holonomy_tol", "consistency_tol")
 _POSITIVE = ("box_length_L", "final_time_T", "small_data_threshold", "blowup_threshold", "cliff_radius_r") + _TOLERANCES
-_NON_NEGATIVE = ("time_step_dt", "picard_tol", "bump_profile_width_w")
+_NON_NEGATIVE = ("time_step_dt", "bump_profile_width_w")
 _AT_LEAST_ONE = ("picard_sweeps", "snapshot_every_steps", "solver_max_iter")
 
 
@@ -44,7 +44,6 @@ class RunConfig:
     time_step_dt: float = 0.0  # 0 -> resolved to 0.5 * dx^2
     final_time_T: float = 0.25
     picard_sweeps: int = 3
-    picard_tol: float = 0.0  # 0 -> sweep count only
     coupling_mode: str = "perstep"
     sign_variant: str = "plus"
     snapshot_every_steps: int = 1
@@ -80,8 +79,22 @@ class RunConfig:
         if self.scenario_kind == "bump":
             if not 0 < self.bump_epsilon < 1:
                 raise SmcfValidationError("bump_epsilon must lie in (0, 1)")
-            if not 0 < self.bump_delta < self.envelope_s - self.grid_dimension_d / 2:
-                raise SmcfValidationError("need 0 < bump_delta < envelope_s - d/2")
+            if not 0 < self.bump_delta < min(BUMP_DELTA_MAX, self.envelope_s - self.grid_dimension_d / 2):
+                raise SmcfValidationError(f"need 0 < bump_delta < min({BUMP_DELTA_MAX:g}, envelope_s - d/2)")
+            if self.bump_profile_width_w > self.box_length_L / BUMP_BOX_WIDTHS:
+                raise SmcfValidationError(
+                    f"bump_profile_width_w must be at most box_length_L / {BUMP_BOX_WIDTHS:g}, "
+                    f"got {self.bump_profile_width_w}"
+                )
+        if self.scenario_kind == "cliff":
+            if self.grid_dimension_d != CLIFF_DIMENSION:
+                raise SmcfValidationError(f"the cliff needs grid_dimension_d = {CLIFF_DIMENSION}")
+            winding, winds = cliff_winding(self.box_length_L, self.cliff_radius_r)
+            if not winds:
+                raise SmcfValidationError(
+                    "box_length_L must wind the circle of radius cliff_radius_r a whole number "
+                    f"of times: L/(2 pi r) = {winding}"
+                )
         if not 0 < self.envelope_delta < self.envelope_s - self.grid_dimension_d / 2:
             raise SmcfValidationError("need 0 < envelope_delta < envelope_s - d/2")
         return self

@@ -21,6 +21,20 @@ from .errors import SmcfValidationError
 from .geometry import Immersion
 from .grid import Grid
 
+# the fixtures' preconditions, which RunConfig.validate reads too: the cliff is a
+# surface in R^4, the bump's delta lies in (0, BUMP_DELTA_MAX), and the box holds
+# at least BUMP_BOX_WIDTHS bump widths, since periodization distorts a wider bump
+CLIFF_DIMENSION = 2
+BUMP_DELTA_MAX = 1.0
+BUMP_BOX_WIDTHS = 6.0
+
+
+def cliff_winding(L, r):
+    """L / (2 pi r), and whether it is a whole number >= 1: whether the box winds
+    the circle of radius r."""
+    winding = L / (2 * np.pi * r)
+    return winding, round(winding) >= 1 and abs(winding - round(winding)) <= 1e-9
+
 
 def flat_immersion(grid: Grid) -> Immersion:
     return Immersion(grid, np.zeros((grid.d + 2,) + grid.shape), graph=True)
@@ -35,10 +49,10 @@ class CliffFixture:
 
 def cliff_fixture(grid: Grid, r: float = 1.0) -> CliffFixture:
     """Product of circles; requires the box to wind an integer number of times."""
-    if grid.d != 2:
-        raise SmcfValidationError("the product-of-circles fixture needs d = 2")
-    winding = grid.L / (2 * np.pi * r)
-    if abs(winding - round(winding)) > 1e-9 or round(winding) < 1:
+    if grid.d != CLIFF_DIMENSION:
+        raise SmcfValidationError(f"the product-of-circles fixture needs d = {CLIFF_DIMENSION}")
+    winding, winds = cliff_winding(grid.L, r)
+    if not winds:
         raise SmcfValidationError(
             f"box length {grid.L} does not wind the circle of radius {r}: L/(2 pi r) = {winding}"
         )
@@ -78,11 +92,11 @@ def bump_immersion(grid: Grid, eps: float, delta: float, width: float | None = N
     """
     if not 0 < eps < 1:
         raise SmcfValidationError(f"bump eps must lie in (0,1), got {eps}")
-    if not 0 < delta < 1:
-        raise SmcfValidationError(f"bump delta must lie in (0,1), got {delta}")
+    if not 0 < delta < BUMP_DELTA_MAX:
+        raise SmcfValidationError(f"bump delta must lie in (0,{BUMP_DELTA_MAX:g}), got {delta}")
     if width is None:
         width = grid.L / 8.0
-    if width > grid.L / 6.0:
+    if width > grid.L / BUMP_BOX_WIDTHS:
         raise SmcfValidationError(
             f"bump width {width} too large for box {grid.L}; periodization would distort it"
         )

@@ -66,15 +66,19 @@ class Immersion:
 
     def tangents(self):
         """F_alpha = d_alpha F, shape (d, d+2, *shape)."""
-        t = self.grid.grad(self.dev)
+        return self._with_linear_part(self.grid.grad(self.dev))
+
+    def derivatives(self):
+        """(tangents, d_a d_b F) from one grid.grad_hessian; d_a d_b F has shape
+        (d, d, d+2, *shape), and the linear part drops out of it."""
+        t, d2 = self.grid.grad_hessian(self.dev)
+        return self._with_linear_part(t), d2
+
+    def _with_linear_part(self, t):
         if self.graph:
             for a in range(self.grid.d):
                 t[a, a] += 1.0
         return t
-
-    def second_partials(self):
-        """d_a d_b F, shape (d, d, d+2, *shape); the linear part drops out."""
-        return self.grid.hessian(self.dev)
 
 
 # -- metric state -----------------------------------------------------------
@@ -207,10 +211,11 @@ def metric_eig_min(grid: Grid, g):
     return float(np.min(np.linalg.eigvalsh(mats)))
 
 
-def induced_metric(F: Immersion) -> MetricState:
-    """g_{ab} = F_a . F_b pointwise from the immersion tangents."""
+def induced_metric(F: Immersion, t=None) -> MetricState:
+    """g_{ab} = F_a . F_b pointwise from the immersion tangents t, taken from F
+    when not given."""
     grid = F.grid
-    t = F.tangents()
+    t = F.tangents() if t is None else t
     g = np.einsum("ai...,bi...->ab...", t, t)
     g = 0.5 * (g + np.swapaxes(g, 0, 1))
     return MetricState(grid, g)
@@ -419,9 +424,10 @@ def second_form(F: Immersion, frame, m: MetricState, tol=1e-8) -> SecondForm:
     must be orthonormal and normal to within tol: none is repaired here."""
     nu1, nu2 = frame
     mvec = nu1 + 1j * nu2
+    t, d2F = F.derivatives()
     # np.max, not max: the builtin drops a NaN that is not first
-    defect = np.max(list(frame_defects(F.tangents(), mvec).values()))
+    defect = np.max(list(frame_defects(t, mvec).values()))
     if not defect <= tol:
         raise FrameNotNormalError(f"normal frame defect {defect:.3e} exceeds {tol:.1e}")
-    lam = F.grid.dealias(np.einsum("abi...,i...->ab...", F.second_partials(), mvec))
+    lam = F.grid.dealias(np.einsum("abi...,i...->ab...", d2F, mvec))
     return SecondForm(m, lam)

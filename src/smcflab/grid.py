@@ -147,7 +147,6 @@ class Grid:
         self.x1d = np.arange(self.n) * self.dx
 
         self._tables = {}
-        self._spread_plans = {}
 
     # The full-grid arrays are built on first use, so a grid that only
     # transforms (the oversampled grid of eval_at_points) never holds them.
@@ -474,35 +473,29 @@ class Grid:
         psi_hat = alpha * np.cos(np.outer(self.k1d * alpha, z)) @ (weights * _es_kernel(z))
         return self.L / (self.n * psi_hat)
 
-    def _spread_plan(self, real):
-        """(source slots, fine slots, multiplier) that move fft(arr, half=real),
-        divided by the kernel factors, onto the fine spectrum."""
-        if real not in self._spread_plans:
-            n = self.n
-            if real:
-                modes = [np.arange(-n // 2, n // 2 + 1)] * (self.d - 1) + [np.arange(n // 2 + 1)]
-            else:
-                modes = [np.fft.fftfreq(n, 1.0 / n).astype(int)] * self.d
-            mesh = np.ix_(*modes)
-            mult = math.prod(self._kernel_factors[m % n] for m in mesh)
-            if real:
-                # Re of the sum over the FFT box [-n/2, n/2)^d is the sum over the
-                # Hermitian box [-n/2, n/2]^d that halves each mode on a Nyquist
-                # face and drops the modes with both a +n/2 and a -n/2 index
-                no_plus = math.prod(m != n // 2 for m in mesh)
-                no_minus = math.prod(m != -n // 2 for m in mesh)
-                mult = mult * 0.5 * (no_plus + no_minus)
-            src = tuple(m % n for m in mesh)
-            dst = tuple(m % self._fine.n for m in mesh)
-            self._spread_plans[real] = src, dst, mult
-        return self._spread_plans[real]
+    @cached_property
+    def _spread_plan(self):
+        """(source slots, fine slots, multiplier) that move the half spectrum
+        fft(arr, half=True), divided by the kernel factors, onto the fine one."""
+        n = self.n
+        modes = [np.arange(-n // 2, n // 2 + 1)] * (self.d - 1) + [np.arange(n // 2 + 1)]
+        mesh = np.ix_(*modes)
+        # Re of the sum over the FFT box [-n/2, n/2)^d is the sum over the
+        # Hermitian box [-n/2, n/2]^d that halves each mode on a Nyquist
+        # face and drops the modes with both a +n/2 and a -n/2 index
+        no_plus = math.prod(m != n // 2 for m in mesh)
+        no_minus = math.prod(m != -n // 2 for m in mesh)
+        mult = math.prod(self._kernel_factors[m % n] for m in mesh) * 0.5 * (no_plus + no_minus)
+        src = tuple(m % n for m in mesh)
+        dst = tuple(m % self._fine.n for m in mesh)
+        return src, dst, mult
 
     def eval_at_points(self, arr, pts):
         """Evaluate the band-limited interpolant at arbitrary points.
 
         pts: array (P, d) of physical coordinates (any real values; periodic).
-        Returns shape leading + (P,), one evaluation for the whole stack; a real
-        arr gives the real part of the Fourier sum over the FFT box.
+        arr must be real; returns shape leading + (P,), one evaluation for the
+        whole stack, the real part of the Fourier sum over the FFT box.
 
         Type-2 NUFFT (Barnett, Magland & af Klinteberg, SISC 41, 2019): the
         spectrum is divided by the Fourier factors of the exponential-of-
@@ -511,17 +504,18 @@ class Grid:
         values weighted by the kernel.  It matches the direct O(P n^d) sum to
         about 1e-14 relative and costs O(n^d log n + P w^d).
         """
+        if not np.isrealobj(arr):
+            raise SmcfValidationError("eval_at_points takes real fields only")
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        real = np.isrealobj(arr)
-        hat = self.fft(arr, half=real)
-        src, dst, mult = self._spread_plan(real)
+        hat = self.fft(arr, half=True)
+        src, dst, mult = self._spread_plan
         fine = self._fine
         lead = hat.shape[: hat.ndim - self.d]
-        spec = np.zeros(lead + fine.shape[:-1] + (fine.n // 2 + 1 if real else fine.n,), dtype=complex)
+        spec = np.zeros(lead + fine.shape[:-1] + (fine.n // 2 + 1,), dtype=complex)
         spec[(Ellipsis,) + dst] = hat[(Ellipsis,) + src] * mult
         w = _NUFFT_WIDTH
         # wrap-pad every axis by w - 1 so the w^d neighbours of a point are one window
-        u = np.pad(fine.ifft(spec, half=real), [(0, 0)] * len(lead) + [(0, w - 1)] * self.d, mode="wrap")
+        u = np.pad(fine.ifft(spec, half=True), [(0, 0)] * len(lead) + [(0, w - 1)] * self.d, mode="wrap")
         windows = sliding_window_view(u, (w,) * self.d, axis=self._axes(u))
         out = np.empty(lead + (len(pts),), dtype=u.dtype)
         step = max(1, _NUFFT_CHUNK // (w**self.d * math.prod(lead)))

@@ -204,7 +204,6 @@ def evolve_and_write(cfg: RunConfig, bundle: ScenarioBundle) -> Trajectory:
             T=cfg.final_time_T,
             dt=cfg.time_step_dt,
             sweeps=cfg.picard_sweeps,
-            tol=cfg.picard_tol or None,
             mode=cfg.coupling_mode,
             sign_variant=cfg.sign_variant,
             snapshot_every=cfg.snapshot_every_steps,

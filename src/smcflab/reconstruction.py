@@ -252,14 +252,13 @@ def _audit(result: ReconstructionResult, traj: Trajectory, i, frame: Frame, cons
     """Append the rows of record i, from its frame and the rebuilt immersions i - 1 to i + 1."""
     grid, rec, imm = traj.grid, traj[i], result.immersions[i]
     result.frame_defects.append(frame.invariant_defects(rec.g))
-    tang = imm.tangents()
+    tang, d2F = imm.derivatives()
     gap = float(np.max(np.abs(tang - frame.F_alpha)))
     if not gap <= consistency_tol:
         raise ReconstructionInconsistencyError(
             f"d_alpha F vs transported F_alpha gap {gap:.3e} exceeds {consistency_tol:.1e} at t={rec.t:.6g}"
         )
     result.consistency_gap.append(gap)
-    d2F = imm.second_partials()
     lam_rec = grid.dealias(np.einsum("abi...,i...->ab...", d2F, frame.m))
     result.lambda_closure.append(grid.l2(lam_rec - rec.lam))
     result.metric_closure.append(grid.l2(frame.gram - rec.g))
@@ -276,7 +275,7 @@ def _flow_residuals(frame: Frame, imm: Immersion, tang, d2F, dtF, psi):
     """L2 of (d_t F)^perp - J H(F) and of the displacement identity at one
     interior record, from the rebuilt immersion, its tangents and second partials."""
     grid = imm.grid
-    mst = induced_metric(imm)
+    mst = induced_metric(imm, tang)
     H = grid.dealias(
         np.einsum("ab...,abi...->i...", mst.ginv, d2F)
         - np.einsum("ab...,gab...,gi...->i...", mst.ginv, mst.gamma_u, tang)

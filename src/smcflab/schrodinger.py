@@ -171,7 +171,6 @@ def evolve_slab(
     T,
     dt,
     sweeps=3,
-    tol=None,
     sign_variant="plus",
     snapshot_every=1,
     blowup_threshold=1e3,
@@ -217,8 +216,6 @@ def evolve_slab(
             raise IterationDivergenceError(
                 f"Picard sweep distances grew over three sweeps: {distances[-3:]}"
             )
-        if tol is not None and distance <= tol:
-            break
     states = (gauge_state_from(grid, *arrays) for arrays in gauges)
     records = records_along(times, states, [lam for lam, _ in path], snapshot_every)
     return Trajectory(grid=grid, records=records, meta={"dt": dt, "mode": "slab", "sweep_distances": distances})
@@ -230,7 +227,6 @@ def picard_evolve(
     T,
     dt,
     sweeps=3,
-    tol=None,
     mode="perstep",
     sign_variant="plus",
     snapshot_every=1,
@@ -243,5 +239,5 @@ def picard_evolve(
     if mode == "perstep":
         return evolve_coupled(sf0, gauge0, T, dt, **shared)
     if mode == "slab":
-        return evolve_slab(sf0, gauge0, T, dt, sweeps=sweeps, tol=tol, **shared)
+        return evolve_slab(sf0, gauge0, T, dt, sweeps=sweeps, **shared)
     raise SmcfValidationError(f"mode must be 'perstep' or 'slab', got {mode!r}")

@@ -8,7 +8,8 @@ import pytest
 
 from normal_frames import graph_normal_bundle
 from oracles import deriv, gauge_rotate
-from smcflab.config import load_config
+from smcflab.cli import main
+from smcflab.config import load_config, save_config
 from smcflab.errors import (
     ContractionFailureError,
     NoConvergenceError,
@@ -108,6 +109,18 @@ class TestPicardLoop:
         f = np.cos(grid.x[0]) + 0.5 * np.sin(2 * grid.x[1])
         with pytest.raises(ContractionFailureError, match="toy problem: residual grew over three sweeps"):
             _picard_loop(grid, lambda u: 3 * grid.laplacian(u) - f, np.zeros(grid.shape), 1e-12, 20, "toy problem")
+
+    def test_stalled_residual_is_not_reported_as_growth(self, tmp_path, capsys):
+        # the bump at n = 8, eps = 0.1: the harmonic residual falls to 1.58e-8 in
+        # two sweeps and then sits at 1.5729666e-8, above tol = 1e-9, within 4e-9
+        # relative, until roundoff rises three times in a row at sweep 36
+        path = tmp_path / "cfg.txt"
+        cfg = replace(load_config(BUMP_CONFIG), grid_points_n=8, bump_epsilon=0.1, output_dir=str(tmp_path / "out"))
+        save_config(path, cfg)
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "harmonic coordinates: residual stalled at 1.573e-08 > tol 1.0e-09 after 6 sweeps" in err
+        assert "grew" not in err
 
 
 class TestPullback:

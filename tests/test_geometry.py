@@ -243,7 +243,7 @@ class TestSecondForm:
             nu1[2] = 1.0
             nu2[3] = 1.0
             sf = second_form(F, gram_schmidt_normal(F, m, nu1, nu2), m)
-            d2 = F.second_partials()
+            _, d2 = F.derivatives()
             taylor = d2[:, :, 2] + 1j * d2[:, :, 3]
             du_sq = max(
                 maxabs(bump_grid.grad(F.dev[2])) ** 2, maxabs(bump_grid.grad(F.dev[3])) ** 2

@@ -472,7 +472,7 @@ class TestEvalAtPoints:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_grid_samples(self, d):
         grid = Grid(d=d, n=16, L=2 * np.pi)
-        f = random_field(grid, seed=15, real=False)
+        f = random_field(grid, seed=15, real=True)
         pts = np.stack([g.ravel() for g in grid.x], axis=-1)
         vals = grid.eval_at_points(f, pts)
         assert rel_err(vals.reshape(grid.shape), f) < 1e-11
@@ -493,16 +493,26 @@ class TestEvalAtPoints:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
     def test_matches_direct_sum(self, d, n, real, lead):
+        # eval_at_points takes real fields: a complex one is evaluated as its
+        # real and imaginary parts
         grid = Grid(d=d, n=n, L=2 * np.pi * 1.3)
         f = random_field(grid, seed=17, real=real, lead=lead)
         rng = np.random.default_rng(18)
         pts = rng.uniform(-grid.L, 2 * grid.L, size=(200, d))
         pts = np.vstack([pts, np.full((1, d), 0.0), np.full((1, d), -1e-14), np.full((1, d), grid.L - 1e-14)])
-        fast = grid.eval_at_points(f, pts)
+        if real:
+            fast = grid.eval_at_points(f, pts)
+        else:
+            fast = grid.eval_at_points(f.real, pts) + 1j * grid.eval_at_points(f.imag, pts)
         direct = direct_eval_at_points(grid, f, pts)
         assert fast.shape == direct.shape == lead + (len(pts),)
         assert np.isrealobj(fast) == real
         assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_complex_field_rejected(self):
+        grid = Grid(d=2, n=16, L=2 * np.pi)
+        with pytest.raises(SmcfValidationError, match="eval_at_points takes real fields only"):
+            grid.eval_at_points(random_field(grid, seed=20, real=False), np.zeros((3, 2)))
 
     def test_gather_memory_is_chunked(self):
         # a (4, 128, 128) stack at every grid point: an unchunked gather would

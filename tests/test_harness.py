@@ -103,12 +103,16 @@ class TestConfig:
         with pytest.raises(SmcfValidationError):
             config_from_text("not_a_key = 3\n")
 
-    def test_dealias_fraction_is_not_a_key(self, tmp_path, capsys):
-        # the 2/3 rule is fixed, so a snapshot's (d, n, L) determine its grid
+    @pytest.mark.parametrize(
+        "key, value", [("dealias_fraction", "0.5"), ("picard_tol", "0.0")], ids=["dealias_fraction", "picard_tol"]
+    )
+    def test_dealias_fraction_is_not_a_key(self, tmp_path, capsys, key, value):
+        # the 2/3 rule is fixed, so a snapshot's (d, n, L) determine its grid; a
+        # slab run stops after picard_sweeps sweeps, with no tolerance
         path = tmp_path / "cfg.txt"
-        path.write_text(config_to_text(RunConfig(output_dir=str(tmp_path / "out"))) + "dealias_fraction = 0.5\n")
+        path.write_text(config_to_text(RunConfig(output_dir=str(tmp_path / "out"))) + f"{key} = {value}\n")
         assert main(["run", "--config", str(path)]) == 2
-        assert "unknown config key 'dealias_fraction'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda path: path.stem)
@@ -152,6 +156,32 @@ class TestConfig:
     def test_envelope_s_at_the_top_of_the_sobolev_range_validates(self):
         assert RunConfig(envelope_s=6.0).resolve().envelope_s == 6.0
 
+    @pytest.mark.parametrize(
+        "base, overrides, key",
+        [
+            ("bump_smalldata", {"bump_profile_width_w": 3.0}, "bump_profile_width_w"),
+            ("bump_smalldata", {"bump_delta": 1.5, "envelope_s": 4.0}, "bump_delta"),
+            ("cliff_oracle", {"box_length_L": 7.0}, "box_length_L"),
+            ("cliff_oracle", {"grid_dimension_d": 3, "envelope_s": 3.0}, "grid_dimension_d"),
+        ],
+        ids=["bump-width", "bump-delta", "cliff-winding", "cliff-d3"],
+    )
+    def test_fixture_rules_exit_2_before_output_dir(self, tmp_path, capsys, base, overrides, key):
+        # the bump and cliff fixtures' preconditions, checked with the config
+        # rather than at gauge-init after output_dir and manifest.txt exist
+        path = tmp_path / "cfg.txt"
+        save_config(path, replace(load_config(CONFIGS / f"{base}.txt"), output_dir=str(tmp_path / "out"), **overrides))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "[gauge-init]" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r", [1.0, 0.999999, 0.97, 0.950001])
+    def test_cliff_with_box_two_pi_r_validates(self, r):
+        # perfbench draws cliff radii in (0.95, 1] and sets L = 2 pi r
+        cfg = replace(load_config(CONFIGS / "cliff_oracle.txt"), cliff_radius_r=r, box_length_L=2.0 * np.pi * r)
+        assert cfg.resolve().box_length_L == 2.0 * np.pi * r
+
     def test_resolve_fills_derived(self):
         cfg = RunConfig(time_step_dt=0.0, bump_profile_width_w=0.0).resolve()
         dx = cfg.box_length_L / cfg.grid_points_n
@@ -177,7 +207,6 @@ class TestConfig:
             ("cliff_radius_r", 0.0),
             ("cliff_radius_r", -1.0),
             ("bump_profile_width_w", -2.0),
-            ("picard_tol", -1e-3),
             ("solver_max_iter", 0),
         ],
     )

@@ -1,11 +1,14 @@
 """The package ships only what runs: every public top-level name in src/smcflab,
 and every public method of its classes, has a reader in src/ or perfbench/
 besides its own definition.  Reference code that only tests call lives in
-tests/oracles.py."""
+tests/oracles.py.  The README's table of config keys names what RunConfig holds."""
 
 import ast
 import os
 import re
+from dataclasses import fields
+
+from smcflab.config import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "smcflab")
@@ -192,3 +195,22 @@ def test_the_layout_guard_sees_a_stray_copy():
         ("write_field", "np.ascontiguousarray"),
         ("SecondForm.w", "np.ascontiguousarray"),
     ]
+
+
+def _readme_config_keys(text):
+    """The backticked keys of the README table after the sentence that introduces
+    the config keys, in the order of its rows."""
+    intro = re.search(r"The keys, in the order\s+`write-config` and `manifest.txt` list them:\n\n", text)
+    assert intro, "README no longer introduces its config key table"
+    keys = []
+    for row in text[intro.end() :].splitlines()[2:]:
+        if not row.startswith("|"):
+            break
+        keys += re.findall(r"`(\w+)`", row.split("|")[1])
+    return keys
+
+
+def test_readme_key_table_names_the_config_fields_in_order():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        keys = _readme_config_keys(fh.read())
+    assert keys == [f.name for f in fields(RunConfig)]

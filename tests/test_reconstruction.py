@@ -389,15 +389,41 @@ class TestEndToEnd:
         assert len(calls) == 6 and len(builds) == 6
         assert len({id(f) for f in calls}) == 6 and {id(f) for f in calls} == {id(f) for f in builds}
 
+    @staticmethod
+    def _bump32():
+        """The d = 2, n = 32 bump over 8 steps: (trajectory, frame, immersion)."""
+        cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
+        bundle = generate_scenario(cfg)
+        traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.final_time_T, dt=cfg.time_step_dt)
+        return traj, frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2), bundle.immersion
+
+    def test_each_rebuilt_immersion_differentiated_once(self, monkeypatch):
+        # the audit takes a record's tangents and second partials from one
+        # grid.grad_hessian, and the flow residuals build the metric from them
+        traj, frame, F0 = self._bump32()
+        calls = {"derivatives": 0, "tangents": 0}
+
+        def counting(name):
+            method = getattr(Immersion, name)
+
+            def wrapped(self):
+                calls[name] += 1
+                return method(self)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(Immersion, name, counting(name))
+        reconstruct(traj, frame, F0)
+        assert len(traj) == 9
+        assert calls == {"derivatives": 9, "tangents": 0}
+
     def test_working_set_stays_bounded(self, traced_peak):
         # the d = 2, n = 32 bump over 8 steps: each record is audited once the
         # next immersion exists, and neither frames nor bundles outlive their
         # use; 1.25x the traced peak measured then (see CHANGES.md for the value before)
-        cfg = replace(load_config(CONFIGS / "bump_smalldata.txt"), grid_points_n=32)
-        bundle = generate_scenario(cfg)
-        traj = picard_evolve(bundle.sf, bundle.gauge, T=cfg.final_time_T, dt=cfg.time_step_dt)
-        frame = frame_from_normal_basis(bundle.immersion, bundle.nu1, bundle.nu2)
-        result, peak = traced_peak(lambda: reconstruct(traj, frame, bundle.immersion))
+        traj, frame, F0 = self._bump32()
+        result, peak = traced_peak(lambda: reconstruct(traj, frame, F0))
         assert len(result.immersions) == len(traj) == 9
         # measured 2.51 MB
         assert peak <= 3.1e6
